@@ -1,7 +1,5 @@
 #include "src/flight/session.hpp"
 
-#include "src/replay/parallel_io.hpp"
-
 namespace dejavu::flight {
 
 using replay::DejaVuEngine;
@@ -120,13 +118,7 @@ TailReplayResult replay_tail_file(const bytecode::Program& prog,
                                   const std::string& path,
                                   vm::VmOptions opts,
                                   replay::SymmetryConfig cfg) {
-  std::unique_ptr<replay::TraceSource> source;
-  if (cfg.io_jobs > 1) {
-    source = std::make_unique<replay::MemoryTraceSource>(path, cfg.io_jobs);
-  } else {
-    source = replay::open_trace_source(path);
-  }
-  return replay_tail(prog, std::move(source), opts, cfg);
+  return replay_tail(prog, replay::open_trace_source(path), opts, cfg);
 }
 
 bool read_flight_info(const std::string& path, FlightInfo* info) {

@@ -69,10 +69,6 @@ struct SymmetryConfig {
   // schedule/events stream pair per lane plus the cross-lane order stream
   // in a v5 container. Must match VmOptions::lanes of the recorded VM.
   uint32_t lanes = 1;
-  // Worker threads for container I/O (chunk sealing at record, CRC
-  // verification at replay). Purely host-side wall-clock: any value
-  // produces byte-identical traces and replay results.
-  unsigned io_jobs = 1;
 
   uint32_t checkpoint_interval = 64;   // switches between checkpoints
   uint32_t buffer_capacity = 1 << 16;  // guest trace-buffer bytes

@@ -1,7 +1,5 @@
 #include "src/replay/session.hpp"
 
-#include "src/replay/parallel_io.hpp"
-
 namespace dejavu::replay {
 
 namespace {
@@ -39,13 +37,7 @@ RecordFileResult record_run_to(const std::string& path,
                                SymmetryConfig cfg) {
   uint32_t lanes = cfg.lanes == 0 ? 1 : cfg.lanes;
   uint32_t version = lanes > 1 ? kTraceVersionMulti : kTraceVersion;
-  std::unique_ptr<TraceSink> sink;
-  if (cfg.io_jobs > 1) {
-    sink = std::make_unique<ParallelTraceSink>(path, version, cfg.io_jobs);
-  } else {
-    sink = std::make_unique<FileTraceSink>(path, version);
-  }
-  DejaVuEngine engine(std::move(sink), cfg);
+  DejaVuEngine engine(std::make_unique<FileTraceSink>(path, version), cfg);
   vm::Vm v(prog, with_lanes(opts, lanes), env, timer, &engine, natives);
   v.run();
   RecordFileResult r;
@@ -134,15 +126,7 @@ ReplayResult replay_run(const bytecode::Program& prog, const TraceFile& trace,
 ReplayResult replay_file(const bytecode::Program& prog,
                          const std::string& path, vm::VmOptions opts,
                          SymmetryConfig cfg) {
-  std::unique_ptr<TraceSource> source;
-  if (cfg.io_jobs > 1) {
-    // Parallel CRC verification + in-memory chunk service; same bytes, same
-    // replay, less wall-clock (see parallel_io.hpp).
-    source = std::make_unique<MemoryTraceSource>(path, cfg.io_jobs);
-  } else {
-    source = open_trace_source(path);
-  }
-  DejaVuEngine engine(std::move(source), cfg);
+  DejaVuEngine engine(open_trace_source(path), cfg);
   return replay_with(engine, prog, opts, cfg);
 }
 

@@ -103,22 +103,22 @@ std::vector<uint8_t> TraceFile::serialize() const {
 
 TraceFile TraceFile::deserialize(const std::vector<uint8_t>& bytes) {
   ByteReader r(bytes);
-  DV_CHECK_MSG(r.remaining() >= 8 && r.get_u32_fixed() == kTraceMagic,
-               "not a DejaVu trace");
-  uint32_t version = r.get_u32_fixed();
-  if (version == kTraceVersionLegacy) {
+  if (r.remaining() >= 8 && r.get_u32_fixed() == kTraceMagic &&
+      r.get_u32_fixed() == kTraceVersionLegacy) {
     // Compatibility reader for the unframed v3 blob.
     TraceFile t;
     t.meta = read_meta_payload(r);
-    t.schedule.resize(size_t(r.get_uvarint()));
-    r.get_bytes(t.schedule.data(), t.schedule.size());
-    t.events.resize(size_t(r.get_uvarint()));
-    r.get_bytes(t.events.data(), t.events.size());
+    for (std::vector<uint8_t>* s : {&t.schedule, &t.events}) {
+      uint64_t n = r.get_uvarint();
+      DV_CHECK_MSG(n <= r.remaining(), "truncated v3 stream");
+      s->resize(size_t(n));
+      r.get_bytes(s->data(), s->size());
+    }
     DV_CHECK_MSG(r.at_end(), "trailing bytes in trace file");
     return t;
   }
-  DV_CHECK_MSG(version == kTraceVersion || version == kTraceVersionMulti,
-               "trace version " << version << " unsupported");
+  // Anything else, a bad header included, is judged by the container walk
+  // every other reader shares.
   return deserialize_chunked(bytes);
 }
 

@@ -312,8 +312,12 @@ bool TraceFileSource::read_chunk(StreamId id, LaneId lane, size_t index,
 
 namespace {
 
-// One forward pass over a chunked (v4/v5) file. Shared by FileTraceSource
-// (which throws on any problem) and verify_trace_file (which reports it).
+// The one walk over a chunked (v4/v5) container. Every reader goes through
+// it -- FileTraceSource, verify_trace_file and TraceFile::deserialize --
+// so the container's structural rules live here and nowhere else: header
+// and version, known stream ids, per-chunk CRC, a single meta and flight
+// chunk, nothing after the seal, v4/v5 seal totals, and the meta lane
+// count against the lanes present.
 struct ScannedChunk {
   uint64_t payload_offset = 0;
   uint32_t payload_len = 0;
@@ -343,7 +347,16 @@ LaneChunks& lane_slot(std::vector<LaneChunks>& v, LaneId lane) {
   return v[lane];
 }
 
-ScanOutcome scan_chunked_file(std::FILE* f) {
+// Payloads are read in pieces of at most this many bytes, so a hostile
+// length field costs an allocation bounded by the bytes actually present.
+constexpr size_t kPayloadReadStep = 1 << 20;
+
+// `read(dst, n)` copies up to n bytes from the container's current
+// position and returns how many it copied: fread over a FILE* for the
+// streaming readers (O(chunk) memory), a cursor over a whole-file span for
+// TraceFile::deserialize.
+template <typename Read>
+ScanOutcome scan_chunks(Read&& read) {
   ScanOutcome out;
   std::ostringstream err;
   auto fail = [&](const std::string& what) {
@@ -351,9 +364,8 @@ ScanOutcome scan_chunked_file(std::FILE* f) {
     return out;
   };
 
-  std::fseek(f, 0, SEEK_SET);
   uint8_t header[8];
-  if (std::fread(header, 1, 8, f) != 8) return fail("file shorter than the trace header");
+  if (read(header, 8) != 8) return fail("file shorter than the trace header");
   ByteReader hr(header, 8);
   if (hr.get_u32_fixed() != kTraceMagic) return fail("not a DejaVu trace (bad magic)");
   out.version = hr.get_u32_fixed();
@@ -366,7 +378,7 @@ ScanOutcome scan_chunked_file(std::FILE* f) {
   std::vector<uint8_t> payload;
   for (;;) {
     uint8_t chead[kChunkHeaderBytes];
-    size_t got = std::fread(chead, 1, kChunkHeaderBytes, f);
+    size_t got = read(chead, kChunkHeaderBytes);
     if (got == 0) break;  // clean end of chunk sequence
     if (got != kChunkHeaderBytes) {
       err << "truncated chunk header at offset " << offset;
@@ -389,14 +401,19 @@ ScanOutcome scan_chunked_file(std::FILE* f) {
       err << "data after the seal chunk at offset " << offset;
       return fail(err.str());
     }
-    payload.resize(len);
-    if (len != 0 && std::fread(payload.data(), 1, len, f) != len) {
-      err << "truncated " << stream_name(id) << " chunk payload at offset "
-          << offset;
-      return fail(err.str());
+    payload.clear();
+    while (payload.size() < len) {
+      size_t have = payload.size();
+      size_t step = std::min<size_t>(len - have, kPayloadReadStep);
+      payload.resize(have + step);
+      if (read(payload.data() + have, step) != step) {
+        err << "truncated " << stream_name(id) << " chunk payload at offset "
+            << offset;
+        return fail(err.str());
+      }
     }
     uint8_t crc_buf[kChunkTrailerBytes];
-    if (std::fread(crc_buf, 1, kChunkTrailerBytes, f) != kChunkTrailerBytes) {
+    if (read(crc_buf, kChunkTrailerBytes) != kChunkTrailerBytes) {
       err << "truncated " << stream_name(id) << " chunk checksum at offset "
           << offset;
       return fail(err.str());
@@ -439,7 +456,7 @@ ScanOutcome scan_chunked_file(std::FILE* f) {
           err << "duplicate flight chunk at offset " << offset;
           return fail(err.str());
         }
-        out.flight.assign(payload.begin(), payload.begin() + len);
+        out.flight = payload;
         out.flight_seen = true;
         break;
       case StreamId::kMeta: {
@@ -545,6 +562,24 @@ ScanOutcome scan_chunked_file(std::FILE* f) {
   return out;
 }
 
+ScanOutcome scan_chunked_file(std::FILE* f) {
+  return scan_chunks([f](uint8_t* dst, size_t n) {
+    return std::fread(dst, 1, n, f);
+  });
+}
+
+// True when the file starts with the unframed v3 layout's header, which
+// has no chunks to walk. Leaves `f` rewound to its start.
+bool is_legacy_file(std::FILE* f) {
+  uint8_t header[8];
+  bool whole = std::fread(header, 1, 8, f) == 8;
+  std::fseek(f, 0, SEEK_SET);
+  if (!whole) return false;
+  ByteReader hr(header, 8);
+  return hr.get_u32_fixed() == kTraceMagic &&
+         hr.get_u32_fixed() == kTraceVersionLegacy;
+}
+
 }  // namespace
 
 FileTraceSource::FileTraceSource(const std::string& path) : path_(path) {
@@ -620,21 +655,11 @@ bool FileTraceSource::read_chunk(StreamId id, LaneId lane, size_t index,
 std::unique_ptr<TraceSource> open_trace_source(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   DV_CHECK_MSG(f != nullptr, "cannot open trace: " << path);
-  uint8_t header[8];
-  size_t got = std::fread(header, 1, 8, f);
+  bool legacy = is_legacy_file(f);
   std::fclose(f);
-  DV_CHECK_MSG(got == 8, "trace " << path << ": file shorter than the header");
-  ByteReader hr(header, 8);
-  DV_CHECK_MSG(hr.get_u32_fixed() == kTraceMagic,
-               "trace " << path << ": not a DejaVu trace");
-  uint32_t version = hr.get_u32_fixed();
-  if (version == kTraceVersionLegacy) {
-    // v3 has no framing to stream by; load it whole through the
-    // compatibility reader.
-    return std::make_unique<TraceFileSource>(TraceFile::load(path));
-  }
-  DV_CHECK_MSG(version == kTraceVersion || version == kTraceVersionMulti,
-               "trace " << path << ": version " << version << " unsupported");
+  // v3 has no framing to stream by; load it whole through the
+  // compatibility reader. Everything else goes through the container walk.
+  if (legacy) return std::make_unique<TraceFileSource>(TraceFile::load(path));
   return std::make_unique<FileTraceSource>(path);
 }
 
@@ -761,176 +786,40 @@ std::vector<uint8_t> serialize_v5(const TraceFile& trace) {
   return mem->take();
 }
 
-MemoryScan scan_trace_buffer(const uint8_t* data, size_t n) {
-  MemoryScan out;
-  ByteReader r(data, n);
-  DV_CHECK_MSG(r.remaining() >= 8 && r.get_u32_fixed() == kTraceMagic,
-               "not a DejaVu trace");
-  out.version = r.get_u32_fixed();
-  DV_CHECK_MSG(out.version == kTraceVersion ||
-                   out.version == kTraceVersionMulti,
-               "trace version " << out.version << " is not v4");
-  bool meta_seen = false, sealed = false;
-  std::vector<uint64_t> sched_bytes(1, 0), events_bytes(1, 0);
-  std::vector<uint32_t> sched_chunks(1, 0), events_chunks(1, 0);
-  uint64_t order_bytes = 0;
-  uint32_t order_chunks = 0;
-  auto tally = [](std::vector<uint64_t>& bytes_v, std::vector<uint32_t>& ch_v,
-                  LaneId lane, uint32_t len) {
-    if (bytes_v.size() <= lane) {
-      bytes_v.resize(lane + 1, 0);
-      ch_v.resize(lane + 1, 0);
-    }
-    bytes_v[lane] += len;
-    ch_v[lane]++;
-  };
-  while (!r.at_end()) {
-    size_t offset = r.position();
-    DV_CHECK_MSG(!sealed, "data after the seal chunk at offset " << offset);
-    DV_CHECK_MSG(r.remaining() >= kChunkHeaderBytes,
-                 "truncated chunk header at offset " << offset);
-    uint8_t raw_id = r.get_u8();
-    uint32_t len = r.get_u32_fixed();
-    StreamId id = StreamId::kMeta;
-    LaneId lane = 0;
-    bool known = out.version == kTraceVersion
-                     ? raw_id <= uint8_t(StreamId::kFlight) &&
-                           (id = StreamId(raw_id), lane = 0, true)
-                     : parse_wire_stream_id(raw_id, &id, &lane);
-    DV_CHECK_MSG(known, "unknown stream id " << int(raw_id) << " at offset "
-                                             << offset);
-    DV_CHECK_MSG(r.remaining() >= uint64_t(len) + kChunkTrailerBytes,
-                 "truncated " << stream_name(id) << " chunk at offset "
-                              << offset);
-    uint64_t payload_offset = r.position();
-    const uint8_t* payload = data + payload_offset;
-    r.skip(len);
-    uint32_t stored_crc = r.get_u32_fixed();
-    out.chunks.push_back({id, lane, uint64_t(offset), payload_offset, len,
-                          raw_id, stored_crc});
-    switch (id) {
-      case StreamId::kSchedule:
-        tally(sched_bytes, sched_chunks, lane, len);
-        break;
-      case StreamId::kEvents:
-        tally(events_bytes, events_chunks, lane, len);
-        break;
-      case StreamId::kOrder:
-        order_bytes += len;
-        order_chunks++;
-        break;
-      case StreamId::kFlight:
-        DV_CHECK_MSG(out.flight.empty(),
-                     "duplicate flight chunk at offset " << offset);
-        out.flight.assign(payload, payload + len);
-        break;
-      case StreamId::kMeta: {
-        DV_CHECK_MSG(!meta_seen, "duplicate meta chunk at offset " << offset);
-        ByteReader mr(payload, len);
-        out.meta = read_meta_payload_ex(mr, out.version);
-        DV_CHECK_MSG(mr.at_end(),
-                     "trailing bytes in meta chunk at offset " << offset);
-        meta_seen = true;
-        break;
-      }
-      case StreamId::kSeal: {
-        if (out.version == kTraceVersion) {
-          DV_CHECK_MSG(len == 24, "malformed seal chunk at offset " << offset);
-          ByteReader sr(payload, len);
-          DV_CHECK_MSG(sr.get_u64_fixed() == sched_bytes[0] &&
-                           sr.get_u64_fixed() == events_bytes[0] &&
-                           sr.get_u32_fixed() == sched_chunks[0] &&
-                           sr.get_u32_fixed() == events_chunks[0],
-                       "seal totals disagree with the chunks present");
-        } else {
-          SealTotalsV5 st;
-          DV_CHECK_MSG(parse_seal_v5(payload, len, &st),
-                       "malformed seal chunk at offset " << offset);
-          DV_CHECK_MSG(st.lanes >= sched_bytes.size() &&
-                           st.lanes >= events_bytes.size(),
-                       "seal lane count below lanes present");
-          DV_CHECK_MSG(st.order_bytes == order_bytes &&
-                           st.order_chunks == order_chunks,
-                       "seal totals disagree with the order chunks present");
-          for (uint32_t k = 0; k < st.lanes; ++k) {
-            uint64_t hs = k < sched_bytes.size() ? sched_bytes[k] : 0;
-            uint64_t he = k < events_bytes.size() ? events_bytes[k] : 0;
-            uint32_t hsc = k < sched_chunks.size() ? sched_chunks[k] : 0;
-            uint32_t hec = k < events_chunks.size() ? events_chunks[k] : 0;
-            DV_CHECK_MSG(st.sched_bytes[k] == hs && st.events_bytes[k] == he &&
-                             st.sched_chunks[k] == hsc &&
-                             st.events_chunks[k] == hec,
-                         "seal totals disagree with the chunks present in "
-                         "lane " << k);
-          }
-        }
-        sealed = true;
-        break;
-      }
-    }
-  }
-  DV_CHECK_MSG(sealed, "trace is not sealed (recorder did not finish)");
-  DV_CHECK_MSG(meta_seen, "sealed trace has no meta chunk");
-  return out;
-}
-
 TraceFile deserialize_chunked(const std::vector<uint8_t>& bytes) {
-  MemoryScan scan = scan_trace_buffer(bytes.data(), bytes.size());
+  size_t pos = 0;
+  ScanOutcome scan = scan_chunks([&](uint8_t* dst, size_t n) {
+    size_t m = std::min(n, bytes.size() - pos);
+    std::memcpy(dst, bytes.data() + pos, m);
+    pos += m;
+    return m;
+  });
+  if (!scan.ok) throw VmError(scan.error);
+  auto concat = [&](const LaneChunks& lc) {
+    std::vector<uint8_t> s;
+    s.reserve(lc.bytes);
+    for (const ScannedChunk& c : lc.chunks) {
+      const uint8_t* p = bytes.data() + c.payload_offset;
+      s.insert(s.end(), p, p + c.payload_len);
+    }
+    return s;
+  };
   TraceFile t;
   t.meta = scan.meta;
-  auto lane_stream = [&](std::vector<std::vector<uint8_t>>& extra,
-                         std::vector<uint8_t>& lane0,
-                         LaneId lane) -> std::vector<uint8_t>& {
-    if (lane == 0) return lane0;
-    if (extra.size() < lane) extra.resize(lane);
-    return extra[lane - 1];
-  };
-  for (const ScannedChunkRef& c : scan.chunks) {
-    const uint8_t* payload = bytes.data() + c.payload_offset;
-    DV_CHECK_MSG(c.stored_crc == chunk_crc(c.wire_id, payload, c.payload_len),
-                 "CRC mismatch in " << stream_name(c.id) << " chunk at offset "
-                                    << c.chunk_offset);
-    switch (c.id) {
-      case StreamId::kSchedule: {
-        auto& s = lane_stream(t.extra_schedules, t.schedule, c.lane);
-        s.insert(s.end(), payload, payload + c.payload_len);
-        break;
-      }
-      case StreamId::kEvents: {
-        auto& s = lane_stream(t.extra_events, t.events, c.lane);
-        s.insert(s.end(), payload, payload + c.payload_len);
-        break;
-      }
-      case StreamId::kOrder:
-        t.order.insert(t.order.end(), payload, payload + c.payload_len);
-        break;
-      case StreamId::kFlight:
-        t.flight.assign(payload, payload + c.payload_len);
-        break;
-      case StreamId::kMeta:
-      case StreamId::kSeal:
-        break;  // already decoded/verified by the scan
-    }
+  // The walk has checked that the meta promises every lane present; each
+  // promised lane is addressable, even if it stayed empty.
+  size_t lanes = std::max<size_t>(t.meta.lane_count, 1);
+  scan.sched.resize(lanes);
+  scan.events.resize(lanes);
+  t.schedule = concat(scan.sched[0]);
+  t.events = concat(scan.events[0]);
+  for (size_t k = 1; k < lanes; ++k) {
+    t.extra_schedules.push_back(concat(scan.sched[k]));
+    t.extra_events.push_back(concat(scan.events[k]));
   }
-  if (t.meta.lane_count > 1) {
-    DV_CHECK_MSG(t.meta.lane_count - 1 >= t.extra_schedules.size() &&
-                     t.meta.lane_count - 1 >= t.extra_events.size(),
-                 "meta lane count disagrees with the lanes present");
-    // Every lane the meta promises is addressable, even if it stayed empty.
-    t.extra_schedules.resize(t.meta.lane_count - 1);
-    t.extra_events.resize(t.meta.lane_count - 1);
-  }
+  t.order = concat(scan.order);
+  t.flight = std::move(scan.flight);
   return t;
-}
-
-TraceFile deserialize_v4(const std::vector<uint8_t>& bytes) {
-  ByteReader r(bytes);
-  DV_CHECK_MSG(r.remaining() >= 8 && r.get_u32_fixed() == kTraceMagic,
-               "not a DejaVu trace");
-  uint32_t version = r.get_u32_fixed();
-  DV_CHECK_MSG(version == kTraceVersion,
-               "trace version " << version << " is not v4");
-  return deserialize_chunked(bytes);
 }
 
 // ---------------------------------------------------------------- verify
@@ -959,25 +848,11 @@ TraceVerifyReport verify_trace_file(const std::string& path) {
     rep.error = "cannot open " + path;
     return rep;
   }
-  uint8_t header[8];
-  size_t got = std::fread(header, 1, 8, f);
-  if (got != 8) {
-    std::fclose(f);
-    rep.error = "file shorter than the trace header";
-    return rep;
-  }
-  ByteReader hr(header, 8);
-  if (hr.get_u32_fixed() != kTraceMagic) {
-    std::fclose(f);
-    rep.error = "not a DejaVu trace (bad magic)";
-    return rep;
-  }
-  rep.version = hr.get_u32_fixed();
-
-  if (rep.version == kTraceVersionLegacy) {
+  if (is_legacy_file(f)) {
     // v3 carries no checksums; the best available check is a structural
     // parse of the whole blob.
     std::fclose(f);
+    rep.version = kTraceVersionLegacy;
     try {
       TraceFile t = TraceFile::load(path);
       rep.ok = true;
@@ -990,15 +865,11 @@ TraceVerifyReport verify_trace_file(const std::string& path) {
     }
     return rep;
   }
-  if (rep.version != kTraceVersion && rep.version != kTraceVersionMulti) {
-    std::fclose(f);
-    rep.error = "unsupported trace version " + std::to_string(rep.version);
-    return rep;
-  }
 
   ScanOutcome scan = scan_chunked_file(f);
   std::fclose(f);
   rep.ok = scan.ok;
+  rep.version = scan.version;
   rep.sealed = scan.sealed;
   rep.valid_chunks = scan.valid_chunks;
   for (const auto& lc : scan.sched) rep.schedule_bytes += lc.bytes;

@@ -27,12 +27,15 @@
 // record never spans chunks), which keeps every chunk independently
 // decodable for salvage and partial dumps.
 //
-// Reader side: a TraceSource serves meta plus per-stream chunks by index.
-// FileTraceSource verifies every CRC in one bounded-memory scan at open,
-// then streams chunks on demand -- replay never needs a whole stream
-// resident. StreamCursor layers varint/string decoding over the chunk
-// sequence and retains consumed bytes for the engine's guest-buffer
-// mirroring (§2.4: both modes must touch identical bytes).
+// Reader side: one structural walk checks a container -- header, stream
+// ids, every CRC, single meta/flight chunk, seal totals, meta lane count --
+// and every reader runs it: FileTraceSource at open (bounded memory, then
+// chunks stream on demand, so replay never needs a whole stream resident),
+// verify_trace_file (which reports instead of throwing) and
+// TraceFile::deserialize/load (over the whole-file bytes). StreamCursor
+// layers varint/string decoding over the chunk sequence and retains
+// consumed bytes for the engine's guest-buffer mirroring (§2.4: both modes
+// must touch identical bytes).
 #pragma once
 
 #include <cstdio>
@@ -339,41 +342,15 @@ class StreamCursor {
 // Checkpoint::read_from over a ByteReader).
 Checkpoint read_checkpoint(StreamCursor& c);
 
-// ------------------------------------------------------- structural scan
-
-// One chunk located by a structural walk over a whole-file buffer. CRC
-// verification is deliberately left to the caller: MemoryTraceSource
-// (src/replay/parallel_io.hpp) fans the CRC work across a worker pool,
-// deserialize_chunked verifies serially.
-struct ScannedChunkRef {
-  StreamId id = StreamId::kMeta;
-  LaneId lane = 0;
-  uint64_t chunk_offset = 0;    // offset of the id byte (error reporting)
-  uint64_t payload_offset = 0;  // offset of the payload bytes
-  uint32_t payload_len = 0;
-  uint8_t wire_id = 0;
-  uint32_t stored_crc = 0;
-};
-
-struct MemoryScan {
-  uint32_t version = 0;
-  TraceMeta meta;
-  std::vector<ScannedChunkRef> chunks;  // file order, incl. meta and seal
-  std::vector<uint8_t> flight;          // kFlight payload (empty if none)
-};
-
-// Structural walk over an in-memory v4/v5 container: framing, stream ids,
-// meta parse, seal totals, single-seal/single-meta invariants. Does NOT
-// check chunk CRCs. Throws VmError with a located message on any problem.
-MemoryScan scan_trace_buffer(const uint8_t* data, size_t n);
-
 // --------------------------------------------------------- v4/v5 <-> file
 
 std::vector<uint8_t> serialize_v4(const TraceFile& trace);
 std::vector<uint8_t> serialize_v5(const TraceFile& trace);
-// Parses any chunked container (v4 or v5) back into a TraceFile.
+// Parses any chunked container (v4 or v5) back into a TraceFile. Runs the
+// same structural walk as FileTraceSource and verify_trace_file (one
+// function in trace_io.cpp), so all three accept and reject the same files
+// with the same located message.
 TraceFile deserialize_chunked(const std::vector<uint8_t>& bytes);
-TraceFile deserialize_v4(const std::vector<uint8_t>& bytes);
 
 // ---------------------------------------------------------------- verify
 

@@ -1,14 +1,12 @@
-// Lane-structured record/replay: K-lane recordings replay exactly, K=1
+// Lane-structured record/replay: K-lane recordings replay exactly, and K=1
 // reduces bit-for-bit to the classic single-lane engine and the v4
-// container, and the parallel container I/O (ParallelTraceSink /
-// MemoryTraceSource) is byte-identical for every job count.
+// container.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
 
-#include "src/replay/parallel_io.hpp"
 #include "src/replay/session.hpp"
 #include "src/replay/trace_tools.hpp"
 #include "src/workloads/workloads.hpp"
@@ -39,11 +37,15 @@ std::string tmp_path(const char* stem) {
          ".djv";
 }
 
-std::vector<uint8_t> slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>());
+// True when the materializing reader accepts the file. Every reader runs
+// the same container walk, so this must agree with verify_trace_file.
+bool loads(const std::string& path) {
+  try {
+    TraceFile::load(path);
+    return true;
+  } catch (const VmError&) {
+    return false;
+  }
 }
 
 // ---------------------------------------------------------- exact replay
@@ -134,67 +136,6 @@ TEST(LaneTrace, OrderStreamCountsMatchMeta) {
   EXPECT_EQ(rec.trace.meta.lane_preempts.size(), 2u);
 }
 
-// ------------------------------------------------------- parallel I/O
-
-TEST(ParallelIo, ParallelSinkBytesAreIdenticalForAnyJobCount) {
-  bytecode::Program prog = workloads::counter_race(4, 20);
-  std::vector<std::vector<uint8_t>> images;
-  for (unsigned jobs : {1u, 2u, 4u}) {
-    LaneSetup s;
-    s.lanes = 2;
-    s.cfg.io_jobs = jobs;
-    std::string path = tmp_path(("sink" + std::to_string(jobs)).c_str());
-    vm::ScriptedEnvironment env(1000, 7, s.inputs, 17);
-    threads::VirtualTimer timer(s.timer_seed, 5, 120);
-    vm::NativeRegistry natives = vmtest::make_test_natives();
-    SymmetryConfig cfg = s.cfg;
-    cfg.lanes = s.lanes;
-    record_run_to(path, prog, s.opts, env, timer, &natives, cfg);
-    images.push_back(slurp(path));
-    std::remove(path.c_str());
-  }
-  EXPECT_EQ(images[0], images[1]);
-  EXPECT_EQ(images[0], images[2]);
-}
-
-TEST(ParallelIo, MemoryTraceSourceReplaysIdenticallyToFileSource) {
-  bytecode::Program prog = workloads::counter_race(3, 16);
-  LaneSetup s;
-  s.lanes = 2;
-  RecordResult rec = record_with(prog, s);
-  std::string path = tmp_path("memsrc");
-  rec.trace.save(path);
-
-  SymmetryConfig serial = s.cfg;
-  ReplayResult a = replay_file(prog, path, s.opts, serial);
-  SymmetryConfig parallel = s.cfg;
-  parallel.io_jobs = 4;
-  ReplayResult b = replay_file(prog, path, s.opts, parallel);
-  std::remove(path.c_str());
-
-  EXPECT_TRUE(a.verified) << a.stats.first_violation;
-  EXPECT_TRUE(b.verified) << b.stats.first_violation;
-  EXPECT_EQ(a.summary, b.summary);
-  EXPECT_EQ(a.output, b.output);
-}
-
-TEST(ParallelIo, MemoryTraceSourceRejectsCorruptChunks) {
-  LaneSetup s;
-  s.lanes = 2;
-  RecordResult rec = record_with(workloads::counter_race(2, 8), s);
-  std::vector<uint8_t> bytes = rec.trace.serialize();
-  std::string path = tmp_path("corrupt");
-  // Flip one payload byte somewhere past the header; CRC must catch it.
-  bytes[bytes.size() / 2] ^= 0x40;
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              std::streamsize(bytes.size()));
-  }
-  EXPECT_THROW(MemoryTraceSource(path, 4), VmError);
-  std::remove(path.c_str());
-}
-
 // ------------------------------------------------------ v4 -> v5 convert
 
 TEST(LaneConvert, ConvertToV5RoundTripsSingleLaneTrace) {
@@ -231,13 +172,9 @@ TEST(LaneConvert, ConvertedV5FileOpensThroughEveryReader) {
               std::streamsize(v5.size()));
   }
   EXPECT_TRUE(verify_trace_file(path).ok);
-  ReplayResult serial = replay_file(prog, path, s.opts, s.cfg);
-  EXPECT_TRUE(serial.verified) << serial.stats.first_violation;
-  SymmetryConfig pcfg = s.cfg;
-  pcfg.io_jobs = 4;
-  ReplayResult parallel = replay_file(prog, path, s.opts, pcfg);
-  EXPECT_TRUE(parallel.verified) << parallel.stats.first_violation;
-  EXPECT_EQ(serial.summary, parallel.summary);
+  ReplayResult rep = replay_file(prog, path, s.opts, s.cfg);
+  EXPECT_TRUE(rep.verified) << rep.stats.first_violation;
+  EXPECT_EQ(rep.summary, rec.summary);
   std::remove(path.c_str());
 }
 
@@ -288,6 +225,8 @@ TEST(LaneProperty, V5BitFlipsAreAlwaysDetected) {
                 std::streamsize(bad.size()));
     }
     bool detected = !verify_trace_file(path).ok;
+    EXPECT_EQ(loads(path), !detected)
+        << "load and verify disagree on a flip at offset " << off;
     if (!detected) {
       try {
         ReplayResult rep = replay_file(prog, path, s.opts, strict);
@@ -318,6 +257,8 @@ TEST(LaneProperty, V5TruncationIsAlwaysDetected) {
     }
     EXPECT_FALSE(verify_trace_file(path).ok)
         << "truncation to " << bad.size() << " bytes went unnoticed";
+    EXPECT_FALSE(loads(path))
+        << "load accepted a truncation to " << bad.size() << " bytes";
   }
   std::remove(path.c_str());
 }

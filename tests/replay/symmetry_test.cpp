@@ -74,6 +74,10 @@ struct AblationCase {
   bool expect_output_corruption;  // schedule-corrupting ablations
 };
 
+// Names the case in test IDs; gtest's default would print the struct's
+// raw bytes, pointers included, which change with every build.
+void PrintTo(const AblationCase& c, std::ostream* os) { *os << c.name; }
+
 void no_prealloc(SymmetryConfig& c) { c.preallocate_buffers = false; }
 void no_preload(SymmetryConfig& c) { c.preload_classes = false; }
 void no_precompile(SymmetryConfig& c) { c.precompile_methods = false; }

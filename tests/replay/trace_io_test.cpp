@@ -2,8 +2,12 @@
 // streamed reading, and corruption detection with located errors. The
 // fuzz-ish tests flip and truncate at *every* byte position of a small
 // trace, so every field of the frame (id, length, payload, checksum) gets
-// exercised.
+// exercised, and check at each position that every reader -- deserialize,
+// load, the streaming source and the verifier -- gives the same verdict
+// with the same located message.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstdio>
 
@@ -33,6 +37,49 @@ std::string temp_path(const char* name) {
   return testing::TempDir() + "/" + name;
 }
 
+// The error each reader reports for `bytes` (empty = accepted). The
+// streaming source names the file in front of the walk's message.
+struct ReaderVerdicts {
+  std::string deserialize, load, source, verify;
+};
+
+ReaderVerdicts read_with_every_reader(const std::vector<uint8_t>& bytes) {
+  ReaderVerdicts v;
+  auto error_of = [](auto&& read) -> std::string {
+    try {
+      read();
+      return "";
+    } catch (const VmError& e) {
+      return e.what();
+    }
+  };
+  // Per-process name: ctest runs this file's tests concurrently.
+  std::string path = temp_path(
+      ("dv_reader_agreement_" + std::to_string(::getpid()) + ".djv").c_str());
+  write_file(path, bytes);
+  v.deserialize = error_of([&] { TraceFile::deserialize(bytes); });
+  v.load = error_of([&] { TraceFile::load(path); });
+  v.source = error_of([&] { open_trace_source(path); });
+  v.verify = verify_trace_file(path).error;
+  if (!v.source.empty()) {
+    std::string prefix = "trace " + path + ": ";
+    EXPECT_EQ(v.source.rfind(prefix, 0), 0u) << v.source;
+    v.source.erase(0, prefix.size());
+  }
+  std::remove(path.c_str());
+  return v;
+}
+
+// Every reader rejects `bytes` with one and the same located message.
+void expect_all_readers_reject(const std::vector<uint8_t>& bytes,
+                               const std::string& what) {
+  ReaderVerdicts v = read_with_every_reader(bytes);
+  EXPECT_FALSE(v.verify.empty()) << what << " went undetected";
+  EXPECT_EQ(v.deserialize, v.verify) << what;
+  EXPECT_EQ(v.load, v.verify) << what;
+  EXPECT_EQ(v.source, v.verify) << what;
+}
+
 TEST(TraceWriter, TinyChunksRoundTrip) {
   TraceFile t = sample_trace();
   auto sink = std::make_unique<VectorTraceSink>();
@@ -52,7 +99,7 @@ TEST(TraceWriter, TinyChunksRoundTrip) {
   w.finish(t.meta);
   EXPECT_EQ(w.buffered_bytes(), 0u);
 
-  TraceFile u = deserialize_v4(mem->bytes());
+  TraceFile u = TraceFile::deserialize(mem->bytes());
   EXPECT_EQ(u.schedule, t.schedule);
   EXPECT_EQ(u.events, t.events);
   EXPECT_EQ(u.meta.final_checkpoint, t.meta.final_checkpoint);
@@ -102,14 +149,14 @@ TEST(TraceWriter, FlushEmitsPartialChunksMidRecording) {
   EXPECT_GT(mem->bytes().size(), before);
   // Unfinished (unsealed) output is rejected with a clear reason...
   try {
-    deserialize_v4(mem->bytes());
+    TraceFile::deserialize(mem->bytes());
     FAIL() << "unsealed trace accepted";
   } catch (const VmError& e) {
     EXPECT_NE(std::string(e.what()).find("not sealed"), std::string::npos);
   }
   // ...and finishing afterwards produces a valid trace.
   w.finish(TraceMeta{});
-  EXPECT_EQ(deserialize_v4(mem->bytes()).events,
+  EXPECT_EQ(TraceFile::deserialize(mem->bytes()).events,
             (std::vector<uint8_t>{1, 2, 3}));
 }
 
@@ -152,18 +199,85 @@ TEST(TraceV4, FlippingAnyByteIsDetected) {
   for (size_t i = 0; i < good.size(); ++i) {
     std::vector<uint8_t> bad = good;
     bad[i] ^= 0x01;
-    EXPECT_THROW(TraceFile::deserialize(bad), VmError)
-        << "flip at byte " << i << " went undetected";
+    expect_all_readers_reject(bad, "flip at byte " + std::to_string(i));
   }
+  // A hostile length field is a truncation, found without allocating the
+  // 4 GiB it claims.
+  std::vector<uint8_t> bad = good;
+  for (size_t k = 0; k < 4; ++k) bad[8 + 1 + k] = 0xff;
+  expect_all_readers_reject(bad, "maximal schedule chunk length");
+  EXPECT_NE(read_with_every_reader(bad).verify.find(
+                "truncated schedule chunk payload at offset 8"),
+            std::string::npos);
 }
 
 TEST(TraceV4, TruncationAtEveryPointIsDetected) {
   std::vector<uint8_t> good = serialize_v4(sample_trace());
   for (size_t keep = 0; keep < good.size(); ++keep) {
     std::vector<uint8_t> bad(good.begin(), good.begin() + keep);
-    EXPECT_THROW(TraceFile::deserialize(bad), VmError)
-        << "truncation to " << keep << " bytes went undetected";
+    expect_all_readers_reject(
+        bad, "truncation to " + std::to_string(keep) + " bytes");
   }
+}
+
+// A CRC-valid v5 file whose meta block claims fewer lanes than the file
+// carries: three lanes of chunks and a seal for three lanes, but meta
+// lane_count 1. Materializing it as one lane would drop lanes 1-2 (and
+// `convert` would then write a v4 file without them), so every reader
+// must refuse it.
+TEST(ReaderAgreement, MetaLaneCountBelowLanesPresentIsRejectedEverywhere) {
+  auto sink = std::make_unique<VectorTraceSink>(kTraceVersionMulti);
+  VectorTraceSink* mem = sink.get();
+  TraceWriter w(std::move(sink), /*chunk_bytes=*/16, kTraceVersionMulti);
+  TraceFile t = sample_trace();
+  for (LaneId lane = 0; lane < 3; ++lane) {
+    w.append(StreamId::kSchedule, t.schedule.data(), t.schedule.size(), lane);
+    w.append(StreamId::kEvents, t.events.data(), t.events.size(), lane);
+  }
+  uint8_t order[4] = {1, 2, 3, 4};
+  w.append(StreamId::kOrder, order, sizeof order);
+  TraceMeta meta = t.meta;
+  meta.lane_count = 3;
+  w.finish(meta);
+  std::vector<uint8_t> good = mem->bytes();
+  ReaderVerdicts clean = read_with_every_reader(good);
+  ASSERT_TRUE(clean.verify.empty()) << clean.verify;
+  ASSERT_TRUE(clean.deserialize.empty()) << clean.deserialize;
+
+  // Re-encode the meta chunk with lane_count 1 and re-seal its CRC.
+  std::vector<uint8_t> bad(good.begin(), good.begin() + 8);
+  ByteReader r(good);
+  r.skip(8);
+  while (!r.at_end()) {
+    uint8_t id = r.get_u8();
+    std::vector<uint8_t> payload(r.get_u32_fixed());
+    r.get_bytes(payload.data(), payload.size());
+    r.get_u32_fixed();
+    if (id == uint8_t(StreamId::kMeta)) {
+      ByteReader mr(payload);
+      TraceMeta m = read_meta_payload_ex(mr, kTraceVersionMulti);
+      m.lane_count = 1;
+      m.lane_clocks.resize(1);
+      m.lane_preempts.resize(1);
+      ByteWriter mw;
+      write_meta_payload_ex(mw, m, kTraceVersionMulti);
+      payload = mw.take();
+    }
+    ByteWriter cw;
+    cw.put_u8(id);
+    cw.put_u32_fixed(uint32_t(payload.size()));
+    cw.put_bytes(payload.data(), payload.size());
+    cw.put_u32_fixed(chunk_crc(id, payload.data(), payload.size()));
+    bad.insert(bad.end(), cw.bytes().begin(), cw.bytes().end());
+  }
+  ASSERT_NE(bad, good);
+
+  ReaderVerdicts v = read_with_every_reader(bad);
+  EXPECT_NE(v.verify.find("meta lane count 1 disagrees with the lanes "
+                          "present in the file"),
+            std::string::npos)
+      << v.verify;
+  expect_all_readers_reject(bad, "meta lane_count 1 over three lanes");
 }
 
 TEST(Verify, LocatesAFlippedByteWithStreamAndOffset) {
@@ -264,6 +378,20 @@ TEST(TraceV3, LegacyBlobStillLoads) {
   TraceFile v = TraceFile::deserialize(u.serialize());
   EXPECT_EQ(v.schedule, t.schedule);
   EXPECT_EQ(v.events, t.events);
+}
+
+TEST(TraceV3, HostileStreamLengthIsALocatedError) {
+  // A v3 stream length past the end of the blob is rejected as a VmError
+  // before anything is sized by it.
+  std::vector<uint8_t> v3 = sample_trace().serialize_v3();
+  ByteWriter w;
+  w.put_u32_fixed(kTraceMagic);
+  w.put_u32_fixed(kTraceVersionLegacy);
+  write_meta_payload(w, sample_trace().meta);
+  w.put_uvarint(uint64_t(1) << 62);
+  std::vector<uint8_t> bad = w.take();
+  ASSERT_LT(bad.size(), v3.size());
+  EXPECT_THROW(TraceFile::deserialize(bad), VmError);
 }
 
 TEST(TraceV3, OpenTraceSourceDispatchesOnVersion) {

@@ -21,6 +21,10 @@ struct Case {
   bytecode::Program (*make)();
 };
 
+// Names the case in test IDs; gtest's default would print the struct's
+// raw bytes, pointers included, which change with every build.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
+
 bytecode::Program make_fig1_race() { return workloads::fig1_race(); }
 bytecode::Program make_fig1_clock() { return workloads::fig1_clock(); }
 bytecode::Program make_counter() { return workloads::counter_race(3, 20); }

@@ -186,7 +186,7 @@ void export_telemetry(const TelemetryOpts& tel,
 }
 
 int cmd_record(const std::string& name, uint64_t seed, bool realtime,
-               const std::string& out, uint32_t lanes, unsigned io_jobs,
+               const std::string& out, uint32_t lanes,
                uint32_t flight_window, uint32_t flight_epoch,
                const TelemetryOpts& tel) {
   const Entry* e = find_workload(name);
@@ -197,7 +197,6 @@ int cmd_record(const std::string& name, uint64_t seed, bool realtime,
   vm::NativeRegistry natives = make_natives();
   replay::SymmetryConfig cfg;
   cfg.lanes = lanes;
-  cfg.io_jobs = io_jobs;
   cfg.obs.timeline = !tel.timeline.empty();
   if (flight_window > 0) {
     // Flight mode: the run writes zero trace bytes anywhere; the bounded
@@ -262,14 +261,13 @@ int cmd_record(const std::string& name, uint64_t seed, bool realtime,
 }
 
 int cmd_replay(const std::string& name, const std::string& path, bool strict,
-               unsigned io_jobs, const TelemetryOpts& tel) {
+               const TelemetryOpts& tel) {
   const Entry* e = find_workload(name);
   if (e == nullptr) {
     std::fprintf(stderr, "unknown workload %s\n", name.c_str());
     return 1;
   }
-  replay::SymmetryConfig cfg;
-  cfg.io_jobs = io_jobs;  // lane count comes from the trace meta
+  replay::SymmetryConfig cfg;  // lane count comes from the trace meta
   cfg.obs.timeline = !tel.timeline.empty();
   // Default is non-strict so a diverged replay still produces its full
   // stats, metrics and forensics instead of unwinding mid-run. --strict
@@ -313,14 +311,13 @@ int cmd_replay(const std::string& name, const std::string& path, bool strict,
 // `dejavu replay` (tests/obs/analysis_test.cpp proves byte-identity).
 int cmd_analyze(const std::string& name, const std::string& path,
                 const std::string& out_dir, uint32_t top_n, bool strict,
-                bool races, unsigned io_jobs, const TelemetryOpts& tel) {
+                bool races, const TelemetryOpts& tel) {
   const Entry* e = find_workload(name);
   if (e == nullptr) {
     std::fprintf(stderr, "unknown workload %s\n", name.c_str());
     return 1;
   }
   replay::SymmetryConfig cfg;
-  cfg.io_jobs = io_jobs;
   cfg.obs.timeline = !tel.timeline.empty();
   cfg.obs.analyze_profile = true;
   cfg.obs.analyze_locks = true;
@@ -660,8 +657,7 @@ void diff_table(const char* title, const std::map<std::string, double>& a,
 // replays are ordinary perturbation-free analyze runs; the comparison is
 // pure post-processing on the five artifact kinds.
 int cmd_analyze_diff(const std::string& name, const std::string& path_a,
-                     const std::string& path_b, uint32_t top_n,
-                     unsigned io_jobs) {
+                     const std::string& path_b, uint32_t top_n) {
   const Entry* e = find_workload(name);
   if (e == nullptr) {
     std::fprintf(stderr, "unknown workload %s\n", name.c_str());
@@ -669,7 +665,6 @@ int cmd_analyze_diff(const std::string& name, const std::string& path_a,
   }
   auto run = [&](const std::string& path) {
     replay::SymmetryConfig cfg;
-    cfg.io_jobs = io_jobs;
     cfg.obs.analyze_profile = true;
     cfg.obs.analyze_locks = true;
     cfg.obs.analyze_heap = true;
@@ -1117,10 +1112,10 @@ int main(int argc, char** argv) {
   try {
     if (args.empty() || args[0] == "help") {
       std::printf("usage: dejavu list | record <w> [--seed N] [--out F] "
-                  "[--realtime] [--lanes K] [--io-jobs N] "
+                  "[--realtime] [--lanes K] "
                   "[--flight N [--flight-epoch E]] "
                   "| flight info <F> [--json OUT] "
-                  "| replay <w> <F> [--strict] [--io-jobs N] "
+                  "| replay <w> <F> [--strict] "
                   "| analyze <w> <F> [--out-dir D] [--top N] [--strict] "
                   "[--races] "
                   "| analyze <w> --diff <A> <B> [--top N] "
@@ -1179,7 +1174,6 @@ int main(int argc, char** argv) {
                         uint64_t(std::stoll(flag_value("--seed", "0"))),
                         realtime, flag_value("--out", "/tmp/dejavu.djv"),
                         uint32_t(std::stoul(flag_value("--lanes", "1"))),
-                        unsigned(std::stoul(flag_value("--io-jobs", "1"))),
                         uint32_t(std::stoul(flag_value("--flight", "0"))),
                         uint32_t(std::stoul(flag_value("--flight-epoch",
                                                        "64"))),
@@ -1188,9 +1182,7 @@ int main(int argc, char** argv) {
     if (args[0] == "flight" && args.size() >= 3 && args[1] == "info")
       return cmd_flight_info(args[2], flag_value("--json", ""));
     if (args[0] == "replay" && args.size() >= 3)
-      return cmd_replay(args[1], args[2], has_flag("--strict"),
-                        unsigned(std::stoul(flag_value("--io-jobs", "1"))),
-                        tel);
+      return cmd_replay(args[1], args[2], has_flag("--strict"), tel);
     if (args[0] == "analyze" && args.size() >= 3) {
       // analyze <w> --diff <A> <B>: A/B regression report instead of
       // artifact emission.
@@ -1198,16 +1190,13 @@ int main(int argc, char** argv) {
         if (args[i] == "--diff") {
           return cmd_analyze_diff(
               args[1], args[i + 1], args[i + 2],
-              uint32_t(std::stoul(flag_value("--top", "10"))),
-              unsigned(std::stoul(flag_value("--io-jobs", "1"))));
+              uint32_t(std::stoul(flag_value("--top", "10"))));
         }
       }
       return cmd_analyze(args[1], args[2],
                          flag_value("--out-dir", "/tmp/dejavu-analysis"),
                          uint32_t(std::stoul(flag_value("--top", "10"))),
-                         has_flag("--strict"), has_flag("--races"),
-                         unsigned(std::stoul(flag_value("--io-jobs", "1"))),
-                         tel);
+                         has_flag("--strict"), has_flag("--races"), tel);
     }
     if (args[0] == "report" && args.size() >= 2) return cmd_report(args[1]);
     if (args[0] == "dump" && args.size() >= 2) return cmd_dump(args[1]);
