@@ -111,21 +111,24 @@ class ByteReader {
     return int64_t(u >> 1) ^ -int64_t(u & 1);
   }
 
+  // Bounds are checked as `n <= remaining()` so a hostile length (say a
+  // varint near 2^64) cannot wrap `pos_ + n` past the end.
   void get_bytes(void* dst, size_t n) {
-    DV_CHECK_MSG(pos_ + n <= size_, "ByteReader underrun (bytes)");
+    DV_CHECK_MSG(n <= size_ - pos_, "ByteReader underrun (bytes)");
     if (n != 0) std::memcpy(dst, data_ + pos_, n);
     pos_ += n;
   }
 
   std::string get_string() {
-    size_t n = size_t(get_uvarint());
-    std::string s(n, '\0');
+    uint64_t n = get_uvarint();
+    DV_CHECK_MSG(n <= size_ - pos_, "ByteReader underrun (string)");
+    std::string s(size_t(n), '\0');
     get_bytes(s.data(), n);
     return s;
   }
 
   void skip(size_t n) {
-    DV_CHECK_MSG(pos_ + n <= size_, "ByteReader underrun (skip)");
+    DV_CHECK_MSG(n <= size_ - pos_, "ByteReader underrun (skip)");
     pos_ += n;
   }
 

@@ -1,5 +1,7 @@
 #include "src/debugger/time_travel.hpp"
 
+#include <algorithm>
+
 namespace dejavu::debugger {
 
 TimeTravelDebugger::TimeTravelDebugger(bytecode::Program prog,
@@ -14,8 +16,8 @@ TimeTravelDebugger::TimeTravelDebugger(bytecode::Program prog,
 }
 
 void TimeTravelDebugger::rebuild() {
-  session_ = std::make_unique<replay::ReplaySession>(prog_, trace_, opts_,
-                                                     cfg_);
+  session_ = std::make_unique<replay::ReplaySession>(
+      prog_, std::make_unique<replay::TraceFileSource>(&trace_), opts_, cfg_);
   dbg_ = std::make_unique<Debugger>(*session_, prog_);
   reinstall_breakpoints();
 }
@@ -38,8 +40,9 @@ uint64_t TimeTravelDebugger::position() const {
 bool TimeTravelDebugger::at_end() const { return session_->vm().finished(); }
 
 void TimeTravelDebugger::goto_instruction(uint64_t target) {
-  if (target > end_position()) target = end_position();
-  if (target < position()) rebuild();  // the past: re-replay from 0
+  // A flight tail starts at its checkpoint; nothing before it exists.
+  target = std::clamp(target, session_->start_instr(), end_position());
+  if (target < position()) rebuild();  // the past: re-replay from the start
   uint64_t remaining = target - position();
   while (remaining > 0 && !session_->vm().finished()) {
     uint64_t done = session_->vm().step(remaining);

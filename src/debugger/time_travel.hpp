@@ -14,7 +14,9 @@
 // Backward motion costs O(position) re-execution (the paper's replay-based
 // tooling tradeoff: tiny traces, pay with time). A fresh Debugger is
 // exposed after each relocation; inspection state (breakpoints) lives here
-// so it survives relocations.
+// so it survives relocations. A flight tail replays from its embedded
+// checkpoint, so its earliest position is the checkpoint's instruction
+// count and backward motion clamps there.
 #pragma once
 
 #include <memory>
@@ -30,7 +32,8 @@ class TimeTravelDebugger {
                      vm::VmOptions opts = {},
                      replay::SymmetryConfig cfg = {});
 
-  // Guest instructions executed so far (0 = before the first instruction).
+  // Guest instructions executed so far (0 = before the first instruction;
+  // a tail starts at its checkpoint's count).
   uint64_t position() const;
   // Total guest instructions in the recorded execution.
   uint64_t end_position() const { return trace_.meta.final_instr_count; }
@@ -38,6 +41,7 @@ class TimeTravelDebugger {
 
   // Relocation. Forward positions step the current replay; backward
   // positions rebuild a fresh replay and run it forward to the target.
+  // Targets are clamped to [start of the replay, end_position()].
   void goto_instruction(uint64_t target);
   void step_forward(uint64_t n = 1) { goto_instruction(position() + n); }
   void step_back(uint64_t n = 1);

@@ -4,7 +4,6 @@
 
 #include "src/common/check.hpp"
 #include "src/farm/outcome_cache.hpp"
-#include "src/flight/session.hpp"
 #include "src/farm/worker_pool.hpp"
 #include "src/obs/analysis/merge.hpp"
 
@@ -69,17 +68,12 @@ FarmRunResult run_farm(const TraceStore& store, const FarmOptions& opts) {
       cfg.obs.analyze_critpath = true;
       cfg.obs.analyze_cachesim = true;
       cfg.obs.analysis_top_n = opts.top_n;
-      replay::ReplayResult r;
-      if (records[i].flight) {
-        // Flight tails resume from their embedded checkpoint; a crash tail
-        // reproducing its recorded VmError is a *faithful* replay, so the
-        // verdict comes from verification, same as any other trace.
-        flight::TailReplayResult tr = flight::replay_tail_file(
-            *prog, store.resolve(records[i]), {}, cfg);
-        r = std::move(tr.replay);
-      } else {
-        r = replay::replay_file(*prog, store.resolve(records[i]), {}, cfg);
-      }
+      // Flight tails resume from their embedded checkpoint inside the
+      // replay session; a crash tail reproducing its recorded VmError is a
+      // *faithful* replay, so the verdict comes from verification, same as
+      // any other trace.
+      replay::ReplayResult r =
+          replay::replay_file(*prog, store.resolve(records[i]), {}, cfg);
       slot.verdict = classify(r);
       slot.violations = r.stats.symmetry_violations;
       slot.first_violation = r.stats.first_violation;

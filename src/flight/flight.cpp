@@ -1,8 +1,5 @@
 #include "src/flight/flight.hpp"
 
-#include <cstdio>
-#include <sstream>
-
 #include "src/common/check.hpp"
 #include "src/common/io.hpp"
 
@@ -12,25 +9,6 @@ using replay::LaneId;
 using replay::StreamId;
 
 namespace {
-
-void json_escape_to(std::ostringstream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (uint8_t(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
 
 // Frame one chunk exactly as the container sinks do:
 // [wire_id][payload_len le][payload][crc32 le].
@@ -44,81 +22,6 @@ std::vector<uint8_t> frame(uint8_t wire_id, const uint8_t* payload, size_t n) {
 }
 
 }  // namespace
-
-// ----------------------------------------------------------- FlightInfo
-
-std::vector<uint8_t> FlightInfo::encode() const {
-  ByteWriter w;
-  w.put_string(kFlightSchema);
-  w.put_u8(has_checkpoint ? 1 : 0);
-  w.put_uvarint(window_epochs);
-  w.put_uvarint(epoch_preempts);
-  w.put_uvarint(epochs_retained);
-  w.put_uvarint(epochs_retired);
-  w.put_uvarint(bytes_retired);
-  w.put_string(seal_reason);
-  w.put_uvarint(checkpoint_clock);
-  w.put_uvarint(checkpoint_instr);
-  w.put_uvarint(checkpoint.size());
-  w.put_bytes(checkpoint.data(), checkpoint.size());
-  return w.take();
-}
-
-FlightInfo FlightInfo::decode(const std::vector<uint8_t>& payload) {
-  ByteReader r(payload);
-  FlightInfo info;
-  std::string schema = r.get_string();
-  DV_CHECK_MSG(schema == kFlightSchema,
-               "unknown flight descriptor schema '" << schema << "'");
-  info.has_checkpoint = r.get_u8() != 0;
-  info.window_epochs = uint32_t(r.get_uvarint());
-  info.epoch_preempts = uint32_t(r.get_uvarint());
-  info.epochs_retained = r.get_uvarint();
-  info.epochs_retired = r.get_uvarint();
-  info.bytes_retired = r.get_uvarint();
-  info.seal_reason = r.get_string();
-  info.checkpoint_clock = r.get_uvarint();
-  info.checkpoint_instr = r.get_uvarint();
-  size_t n = size_t(r.get_uvarint());
-  info.checkpoint.resize(n);
-  r.get_bytes(info.checkpoint.data(), n);
-  DV_CHECK_MSG(r.at_end(), "trailing bytes in flight descriptor");
-  DV_CHECK_MSG(info.has_checkpoint == !info.checkpoint.empty(),
-               "flight descriptor checkpoint flag disagrees with payload");
-  return info;
-}
-
-std::string FlightInfo::describe() const {
-  std::ostringstream os;
-  os << "flight tail: window " << window_epochs << " epoch(s) x "
-     << epoch_preempts << " preempt(s), retained " << epochs_retained
-     << ", retired " << epochs_retired << " (" << bytes_retired
-     << " bytes), seal reason \"" << seal_reason << "\", ";
-  if (has_checkpoint) {
-    os << "resume checkpoint at clock " << checkpoint_clock << " / instr "
-       << checkpoint_instr << " (" << checkpoint.size() << " bytes)";
-  } else {
-    os << "no checkpoint (run shorter than one epoch; tail is the full "
-          "trace)";
-  }
-  return os.str();
-}
-
-std::string FlightInfo::describe_json() const {
-  std::ostringstream os;
-  os << "{\"schema\":\"" << kFlightSchema << "\""
-     << ",\"has_checkpoint\":" << (has_checkpoint ? "true" : "false")
-     << ",\"window_epochs\":" << window_epochs
-     << ",\"epoch_preempts\":" << epoch_preempts
-     << ",\"epochs_retained\":" << epochs_retained
-     << ",\"epochs_retired\":" << epochs_retired
-     << ",\"bytes_retired\":" << bytes_retired << ",\"seal_reason\":\"";
-  json_escape_to(os, seal_reason);
-  os << "\",\"checkpoint_clock\":" << checkpoint_clock
-     << ",\"checkpoint_instr\":" << checkpoint_instr
-     << ",\"checkpoint_bytes\":" << checkpoint.size() << "}";
-  return os.str();
-}
 
 // ------------------------------------------------------- FlightRecorder
 
@@ -208,7 +111,7 @@ void FlightRecorder::seal_to_file(const std::string& path,
   sealed_ = true;
 
   const Epoch& first = epochs_.front();
-  FlightInfo info;
+  replay::FlightInfo info;
   info.has_checkpoint = first.has_checkpoint;
   info.window_epochs = cfg_.window_epochs;
   info.epoch_preempts = cfg_.epoch_preempts;

@@ -13,12 +13,13 @@
 //
 // On a crash (or an explicit dump) seal_to_file() emits the retained
 // window as a self-contained trace file: container header, a kFlight
-// descriptor chunk (window geometry, seal reason, the start checkpoint),
-// the retained data chunks verbatim, the meta chunk the engine produced at
-// detach, and a seal whose per-stream totals the recorder computes over
-// the *retained* chunks. The result passes every existing scan and replays
-// through the ordinary engine -- resumed from the embedded checkpoint when
-// one is present, from the beginning when the run was shorter than one
+// descriptor chunk (replay::FlightInfo: window geometry, seal reason, the
+// start checkpoint), the retained data chunks verbatim, the meta chunk the
+// engine produced at detach, and a seal whose per-stream totals the
+// recorder computes over the *retained* chunks. The result passes every
+// existing scan and replays through any replay entry point: the
+// replay::ReplaySession resumes it from the embedded checkpoint when one is
+// present, and starts from the beginning when the run was shorter than one
 // epoch (then the tail simply is the complete trace).
 #pragma once
 
@@ -31,9 +32,6 @@
 
 namespace dejavu::flight {
 
-// Schema tag carried by every kFlight chunk (obs_schema_check keys on it).
-inline constexpr const char* kFlightSchema = "dejavu-flight-v1";
-
 struct FlightConfig {
   // Epochs retained, including the currently filling one (--flight N).
   // The replayable history is therefore at least window_epochs - 1 and at
@@ -42,28 +40,6 @@ struct FlightConfig {
   // Preemptive switches per epoch (--flight-epoch E); forwarded to
   // SymmetryConfig::flight_epoch_preempts by the record session.
   uint32_t epoch_preempts = 64;
-};
-
-// Decoded kFlight chunk payload: the tail's provenance plus the embedded
-// start checkpoint. `checkpoint` is the engine's combined blob
-// (replay::split_flight_checkpoint splits it); empty iff !has_checkpoint.
-struct FlightInfo {
-  bool has_checkpoint = false;
-  uint32_t window_epochs = 0;
-  uint32_t epoch_preempts = 0;
-  uint64_t epochs_retained = 0;
-  uint64_t epochs_retired = 0;
-  uint64_t bytes_retired = 0;
-  std::string seal_reason;
-  uint64_t checkpoint_clock = 0;  // engine logical clock at the cut
-  uint64_t checkpoint_instr = 0;  // VM instruction count at the cut
-  std::vector<uint8_t> checkpoint;
-
-  std::vector<uint8_t> encode() const;
-  static FlightInfo decode(const std::vector<uint8_t>& payload);
-  // One-line and JSON renderings for `dejavu flight info` / `report`.
-  std::string describe() const;
-  std::string describe_json() const;
 };
 
 // Ring statistics, also exported through the recorder's metric registry.

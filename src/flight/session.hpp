@@ -6,12 +6,13 @@
 // exit, for an explicit dump -- the retained window is sealed to
 // `tail_path` as a self-contained replayable trace.
 //
-// replay_tail_file replays any trace file: a full trace replays from the
-// beginning as always; a flight tail with an embedded checkpoint boots the
-// VM from the snapshot and resumes the engine mid-trace. A tail sealed by
-// a crash deterministically reproduces the crash: the same VmError at the
-// same instruction count, which the result reports instead of throwing
-// (symmetry violations still throw in strict mode).
+// Tails replay through replay::ReplaySession like any trace: a flight tail
+// with an embedded checkpoint boots the VM from the snapshot and resumes
+// the engine mid-trace. A tail sealed by a crash deterministically
+// reproduces the crash: the same VmError at the same instruction count,
+// which the result reports instead of throwing (symmetry violations still
+// throw in strict mode). replay_tail_file adds the tail's provenance to
+// that replay.
 #pragma once
 
 #include <memory>
@@ -50,32 +51,24 @@ FlightRecordResult record_flight(const std::string& tail_path,
 
 struct TailReplayResult {
   replay::ReplayResult replay;
-  // Tail provenance; window_epochs == 0 when the file is an ordinary full
-  // trace (no kFlight chunk).
+  // Tail provenance; is_tail is false (and info empty) when the file is an
+  // ordinary full trace (no kFlight chunk).
   bool is_tail = false;
   bool from_checkpoint = false;
-  FlightInfo info;
-  // A crash tail reproduces its recorded crash deterministically.
+  replay::FlightInfo info;
+  // Same as replay.crashed: the replay reproduced a recorded crash (see
+  // replay.error / replay.error_instr).
   bool crashed = false;
-  std::string error;
-  uint64_t error_instr = 0;
 };
 
-// Replays `source`, resuming from the embedded flight checkpoint when the
-// trace is a tail that carries one. Guest VmErrors are reported in the
-// result (the reproduced crash); ReplayDivergence still propagates when
-// cfg.strict.
-TailReplayResult replay_tail(const bytecode::Program& prog,
-                             std::unique_ptr<replay::TraceSource> source,
-                             vm::VmOptions opts,
-                             replay::SymmetryConfig cfg = {});
-
+// Replays any trace file through a ReplaySession and reports the tail's
+// provenance alongside the replay.
 TailReplayResult replay_tail_file(const bytecode::Program& prog,
                                   const std::string& path, vm::VmOptions opts,
                                   replay::SymmetryConfig cfg = {});
 
 // Decodes the flight descriptor of a trace file; returns false (and leaves
 // *info untouched) when the file has no kFlight chunk.
-bool read_flight_info(const std::string& path, FlightInfo* info);
+bool read_flight_info(const std::string& path, replay::FlightInfo* info);
 
 }  // namespace dejavu::flight

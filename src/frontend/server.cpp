@@ -146,10 +146,12 @@ std::string DebugServer::handle(const std::string& command_line) {
     return os.str();
   }
   if (cmd == "finish") {
-    while (!dbg_.finished()) {
-      if (dbg_.resume() == debugger::StopReason::kFinished) break;
-    }
+    // Runs to the end past any breakpoint; a crash tail's reproduced crash
+    // is reported, not thrown.
     replay::ReplayResult res = dbg_.finish_replay();
+    if (res.crashed)
+      os << "reproduced recorded crash: " << res.error << " (instr "
+         << res.error_instr << ")\n";
     os << "replay " << (res.verified ? "verified exact" : "DIVERGED");
     if (!res.verified) os << ": " << res.stats.first_violation;
     return os.str();

@@ -45,6 +45,14 @@ std::string unique_warmup_path() {
   return os.str();
 }
 
+// Modeled instrumentation footprint that is the same for every
+// configuration: the mode-independent eager stack-growth bound (§2.4
+// "Symmetry in Stack Overflow") and the yield points each mode's
+// instrumentation executes, which the liveclock discipline hides.
+constexpr uint32_t kEagerStackThreshold = 16;
+constexpr uint32_t kRecordInstrYields = 2;
+constexpr uint32_t kReplayInstrYields = 3;
+
 // Framing constants for the flight checkpoint and its engine half.
 constexpr uint32_t kFlightCheckpointMagic = 0x4b435644;  // "DVCK"
 constexpr uint32_t kFlightCheckpointVersion = 1;
@@ -436,7 +444,7 @@ void DejaVuEngine::before_instrumentation() {
   uint32_t needed = mode_ == Mode::kRecord ? cfg_.record_stack_slots
                                            : cfg_.replay_stack_slots;
   vm_->ensure_stack_headroom(needed, cfg_.eager_stack_growth,
-                             cfg_.eager_stack_threshold);
+                             kEagerStackThreshold);
 
   if (!cfg_.preload_classes && !lazy_class_loaded_) {
     // Ablation path: the mode's helper class loads at first use, which
@@ -456,8 +464,8 @@ void DejaVuEngine::before_instrumentation() {
   // executes a mode-dependent number of yield points. With the liveclock
   // discipline they are not counted; without it they corrupt nyp.
   if (!cfg_.pause_logical_clock) {
-    uint32_t k = mode_ == Mode::kRecord ? cfg_.record_instr_yields
-                                        : cfg_.replay_instr_yields;
+    uint32_t k =
+        mode_ == Mode::kRecord ? kRecordInstrYields : kReplayInstrYields;
     logical_clock_ += k;
     LaneState& lane = cur_lane_state();
     lane.logical_clock += k;
@@ -1159,12 +1167,17 @@ void split_flight_checkpoint(const std::vector<uint8_t>& blob,
                "bad flight checkpoint magic");
   DV_CHECK_MSG(r.get_u32_fixed() == kFlightCheckpointVersion,
                "unsupported flight checkpoint version");
-  size_t vn = size_t(r.get_uvarint());
-  vm_snapshot->resize(vn);
-  r.get_bytes(vm_snapshot->data(), vn);
-  size_t en = size_t(r.get_uvarint());
-  engine_state->resize(en);
-  r.get_bytes(engine_state->data(), en);
+  auto half = [&r](const char* what, std::vector<uint8_t>* out) {
+    uint64_t n = r.get_uvarint();
+    DV_CHECK_MSG(n <= r.remaining(),
+                 "flight checkpoint " << what << " length " << n
+                     << " at offset " << r.position() << " exceeds the "
+                     << r.remaining() << " byte(s) left");
+    out->resize(size_t(n));
+    r.get_bytes(out->data(), size_t(n));
+  };
+  half("VM snapshot", vm_snapshot);
+  half("engine state", engine_state);
   DV_CHECK_MSG(r.at_end(), "trailing bytes in flight checkpoint");
 }
 

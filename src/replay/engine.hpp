@@ -85,12 +85,11 @@ struct SymmetryConfig {
   // invisible to the byte streams, so record and replay may differ).
   uint32_t trace_chunk_bytes = uint32_t(kDefaultChunkBytes);
 
-  // Modeled per-event instrumentation costs (record / replay differ).
+  // Modeled per-event instrumentation stack costs (record / replay
+  // differ). The yield-point costs and the eager-growth bound are fixed
+  // constants in engine.cpp.
   uint32_t record_stack_slots = 6;
   uint32_t replay_stack_slots = 9;
-  uint32_t eager_stack_threshold = 16;  // mode-independent heuristic bound
-  uint32_t record_instr_yields = 2;
-  uint32_t replay_instr_yields = 3;
 
   // If true, any detected divergence throws ReplayDivergence; otherwise it
   // is counted in stats (the ablation bench runs non-strict).
@@ -173,7 +172,7 @@ class DejaVuEngine : public vm::ExecHooks {
   // Record mode, after the run: the completed trace (in-memory mode only).
   TraceFile take_trace();
 
-  // ---- flight-recorder resume (src/flight) -------------------------------
+  // ---- flight-tail resume (driven by ReplaySession) ----------------------
   // Replay mode, before the VM boots: arm a mid-trace resume from the
   // engine half of a flight checkpoint. The paired Vm must
   // boot_from_snapshot() with the VM half; the engine's attach (fired from
@@ -181,7 +180,6 @@ class DejaVuEngine : public vm::ExecHooks {
   // preloading, I/O warm-up or buffer preallocation, because the snapshot
   // already contains every one of those side effects.
   void prepare_resume(std::vector<uint8_t> engine_state);
-  bool resuming() const { return !resume_state_.empty(); }
 
   // ---- replay-time analysis fan-out (src/obs/analysis) -------------------
   // Registers an analyzer (not owned; must outlive the run). Replay mode
@@ -419,8 +417,8 @@ class DejaVuEngine : public vm::ExecHooks {
 };
 
 // A flight checkpoint pairs the VM snapshot with the engine's resume state
-// in one framed blob ("DVCK"). The engine emits it at each safepoint; the
-// flight session (src/flight) splits it back apart. Both halves stay
+// in one framed blob ("DVCK"). The engine emits it at each safepoint;
+// ReplaySession splits it back apart to resume a flight tail. Both halves stay
 // opaque to everything in between -- the flight container code never needs
 // to know either layout.
 std::vector<uint8_t> make_flight_checkpoint(

@@ -91,82 +91,77 @@ obs::AnalysisResults BuiltinAnalyzers::collect() const {
   return r;
 }
 
-namespace {
-ReplayResult replay_with(DejaVuEngine& engine, const bytecode::Program& prog,
-                         vm::VmOptions opts, const SymmetryConfig& cfg) {
-  BuiltinAnalyzers analyzers(cfg.obs);
-  analyzers.install(engine);
-  // All non-determinism is substituted from the trace; the live sources
-  // below are placeholders whose values are never observed by the guest.
-  vm::ScriptedEnvironment env(0, 1, {}, 0);
-  threads::NullTimer timer;
-  // Replay follows the recording's lane count, whatever the caller set.
-  vm::Vm v(prog, with_lanes(opts, engine.lane_count()), env, timer, &engine);
-  v.run();
-  ReplayResult r;
-  r.summary = v.summary();
-  r.output = v.output();
-  r.stats = engine.stats();
-  r.verified = r.stats.verified_ok;
-  r.metrics = engine.metrics();
-  r.timeline = engine.timeline_events();
-  r.divergence = engine.divergence();
-  r.analysis = analyzers.collect();
-  r.post_violation = engine.strict_carried_over();
-  return r;
-}
-}  // namespace
-
 ReplayResult replay_run(const bytecode::Program& prog, const TraceFile& trace,
                         vm::VmOptions opts, SymmetryConfig cfg) {
-  DejaVuEngine engine(trace, cfg);
-  return replay_with(engine, prog, opts, cfg);
+  return ReplaySession(prog, std::make_unique<TraceFileSource>(&trace), opts,
+                       cfg)
+      .finish();
 }
 
 ReplayResult replay_file(const bytecode::Program& prog,
                          const std::string& path, vm::VmOptions opts,
                          SymmetryConfig cfg) {
-  DejaVuEngine engine(open_trace_source(path), cfg);
-  return replay_with(engine, prog, opts, cfg);
-}
-
-ReplaySession::ReplaySession(const bytecode::Program& prog, TraceFile trace,
-                             vm::VmOptions opts, SymmetryConfig cfg)
-    : env_(std::make_unique<vm::ScriptedEnvironment>(0, 1,
-                                                     std::vector<int64_t>{},
-                                                     0)),
-      timer_(std::make_unique<threads::NullTimer>()),
-      analyzers_(cfg.obs),
-      engine_(std::make_unique<DejaVuEngine>(std::move(trace), cfg)),
-      vm_(std::make_unique<vm::Vm>(prog, with_lanes(opts,
-                                                    engine_->lane_count()),
-                                   *env_, *timer_, engine_.get())) {
-  analyzers_.install(*engine_);  // before boot: attach fixes subscriptions
-  vm_->boot();
+  return ReplaySession(prog, open_trace_source(path), opts, cfg).finish();
 }
 
 ReplaySession::ReplaySession(const bytecode::Program& prog,
                              std::unique_ptr<TraceSource> source,
                              vm::VmOptions opts, SymmetryConfig cfg)
+    // All non-determinism is substituted from the trace; the live sources
+    // are placeholders whose values the guest never observes.
     : env_(std::make_unique<vm::ScriptedEnvironment>(0, 1,
                                                      std::vector<int64_t>{},
                                                      0)),
       timer_(std::make_unique<threads::NullTimer>()),
-      analyzers_(cfg.obs),
-      engine_(std::make_unique<DejaVuEngine>(std::move(source), cfg)),
-      vm_(std::make_unique<vm::Vm>(prog, with_lanes(opts,
-                                                    engine_->lane_count()),
-                                   *env_, *timer_, engine_.get())) {
+      analyzers_(cfg.obs) {
+  std::vector<uint8_t> vm_snapshot, engine_state;
+  if (!source->flight_chunk().empty()) {
+    flight_ = FlightInfo::decode(source->flight_chunk());
+    if (flight_->has_checkpoint)
+      split_flight_checkpoint(flight_->checkpoint, &vm_snapshot,
+                              &engine_state);
+  }
+  bool resume = flight_.has_value() && flight_->has_checkpoint;
+  engine_ = std::make_unique<DejaVuEngine>(std::move(source), cfg);
   analyzers_.install(*engine_);  // before boot: attach fixes subscriptions
-  vm_->boot();
+  if (!resume) {
+    // Replay follows the recording's lane count, whatever the caller set.
+    vm_ = std::make_unique<vm::Vm>(prog,
+                                   with_lanes(opts, engine_->lane_count()),
+                                   *env_, *timer_, engine_.get());
+    vm_->boot();
+    return;
+  }
+  // The resuming VM must be built with the recording's configuration (heap
+  // geometry, lanes, stack) from the snapshot prologue; only host-side
+  // knobs stay the caller's.
+  vm::VmOptions vopts = vm::Vm::peek_snapshot_options(vm_snapshot);
+  vopts.echo_output = opts.echo_output;
+  vopts.max_instructions = opts.max_instructions;
+  engine_->prepare_resume(std::move(engine_state));
+  vm_ = std::make_unique<vm::Vm>(prog, vopts, *env_, *timer_, engine_.get());
+  vm_->boot_from_snapshot(vm_snapshot);
+  start_instr_ = vm_->instr_count();
 }
 
 ReplayResult ReplaySession::finish() {
-  while (!vm_->finished()) {
-    if (vm_->step(1u << 20) == 0 && !vm_->stopped_at_probe()) break;
+  ReplayResult r;
+  try {
+    while (!vm_->finished()) {
+      if (vm_->step(1u << 20) == 0 && !vm_->stopped_at_probe()) break;
+    }
+  } catch (const ReplayDivergence&) {
+    throw;  // a symmetry violation, not a reproduced crash
+  } catch (const VmError& e) {
+    // A crash tail reproduces its recorded crash: report it, then detach
+    // below so the final verification still runs (the recorded meta was
+    // captured at the same crashed state, so a faithful replay verifies
+    // clean).
+    r.crashed = true;
+    r.error = e.what();
+    r.error_instr = vm_->instr_count();
   }
   vm_->finish();
-  ReplayResult r;
   r.summary = vm_->summary();
   r.output = vm_->output();
   r.stats = engine_->stats();

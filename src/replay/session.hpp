@@ -1,15 +1,19 @@
-// One-call record and replay sessions.
+// Record and replay sessions.
 //
 // record_run executes a guest program on a fresh VM with a DejaVu recorder
-// attached and returns the trace plus the observed behaviour. replay_run
-// re-executes from the trace on a fresh VM and verifies accuracy (§1: the
-// replayed code must exhibit *exactly* the same behaviour). These are the
-// entry points used by the examples, the benches and most tests; the
-// debugger drives the lower-level pieces directly because it needs
-// incremental stepping.
+// attached and returns the trace plus the observed behaviour. Every replay
+// goes through one ReplaySession: it builds the replaying engine and VM,
+// re-executes from the trace and verifies accuracy (§1: the replayed code
+// must exhibit *exactly* the same behaviour). A flight-recorder tail
+// resumes from its embedded checkpoint there, so each replay entry point --
+// replay_run, replay_file, flight::replay_tail_file, the debugger and time
+// travel -- accepts full traces and tails alike. replay_run and
+// replay_file are one-call wrappers; the debugger keeps the session to
+// step it incrementally.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/obs/analysis/cache_sim.hpp"
@@ -64,12 +68,18 @@ struct ReplayResult {
   // and the run was finished non-strict so the artifacts are complete; they
   // describe a post-violation execution.
   bool post_violation = false;
+  // The guest raised a VmError during the replay -- a tail sealed on a
+  // crash reproduces it -- at VM instruction count `error_instr`. The run
+  // was still detached, so `verified` says whether the reproduction was
+  // faithful.
+  bool crashed = false;
+  std::string error;
+  uint64_t error_instr = 0;
 };
 
-// The built-in analyzers selected by SymmetryConfig::obs. Owned by whoever
-// runs the replay (the session helpers below; the CLI's analyze command);
-// install() must run before the VM boots so the engine subscriptions are
-// fixed at attach.
+// The built-in analyzers selected by SymmetryConfig::obs, owned by the
+// ReplaySession below; install() must run before the VM boots so the
+// engine subscriptions are fixed at attach.
 struct BuiltinAnalyzers {
   std::unique_ptr<obs::ReplayProfiler> profiler;
   std::unique_ptr<obs::LockContentionAnalyzer> locks;
@@ -104,35 +114,53 @@ RecordFileResult record_run_to(const std::string& path,
 ReplayResult replay_run(const bytecode::Program& prog, const TraceFile& trace,
                         vm::VmOptions opts, SymmetryConfig cfg = {});
 
-// Replays a trace file, streaming chunks from disk on demand (v4) or via
+// Replays a trace file, streaming chunks from disk on demand (v4/v5) or via
 // the v3 compatibility loader.
 ReplayResult replay_file(const bytecode::Program& prog,
                          const std::string& path, vm::VmOptions opts,
                          SymmetryConfig cfg = {});
 
-// A replaying VM bundled with its engine and (unused) environment/timer,
-// for callers that need incremental control -- the debugger steps it.
+// A booted replaying VM bundled with its engine, analyzers and (unused)
+// environment/timer. The one place that sets up a replay: finish() runs it
+// to completion, the debugger steps it first.
+//
+// When the trace is a flight tail whose descriptor carries a checkpoint,
+// the VM boots from the checkpoint's snapshot with the recording's VM
+// configuration (only the caller's echo_output and max_instructions are
+// kept) and the engine resumes mid-trace; otherwise the VM boots fresh with
+// the trace's lane count.
 class ReplaySession {
  public:
-  ReplaySession(const bytecode::Program& prog, TraceFile trace,
-                vm::VmOptions opts, SymmetryConfig cfg = {});
-  // Streaming variant: chunks are pulled from the source on demand.
   ReplaySession(const bytecode::Program& prog,
                 std::unique_ptr<TraceSource> source, vm::VmOptions opts,
                 SymmetryConfig cfg = {});
+  ReplaySession(const bytecode::Program& prog, TraceFile trace,
+                vm::VmOptions opts, SymmetryConfig cfg = {})
+      : ReplaySession(prog,
+                      std::make_unique<TraceFileSource>(std::move(trace)),
+                      opts, cfg) {}
 
   vm::Vm& vm() { return *vm_; }
   const DejaVuEngine& engine() const { return *engine_; }
+  // The trace's kFlight descriptor; empty for an ordinary full trace.
+  const std::optional<FlightInfo>& flight() const { return flight_; }
+  // VM instruction count the replay starts from: the checkpoint's for a
+  // resumed tail, 0 otherwise. Nothing earlier can be replayed.
+  uint64_t start_instr() const { return start_instr_; }
 
   // Completes the run (if not already complete) and reports verification.
+  // A guest VmError is reported in the result (ReplayResult::crashed);
+  // ReplayDivergence propagates.
   ReplayResult finish();
 
  private:
   std::unique_ptr<vm::ScriptedEnvironment> env_;
   std::unique_ptr<threads::NullTimer> timer_;
   BuiltinAnalyzers analyzers_;
+  std::optional<FlightInfo> flight_;
   std::unique_ptr<DejaVuEngine> engine_;
   std::unique_ptr<vm::Vm> vm_;
+  uint64_t start_instr_ = 0;
 };
 
 }  // namespace dejavu::replay

@@ -6,6 +6,7 @@
 
 #include "src/common/check.hpp"
 #include "src/common/hash.hpp"
+#include "src/obs/json.hpp"
 
 namespace dejavu::replay {
 
@@ -52,6 +53,85 @@ uint32_t chunk_crc(uint8_t wire_id, const uint8_t* payload, size_t n) {
   c.update_u32le(uint32_t(n));
   c.update(payload, n);
   return c.digest();
+}
+
+// ------------------------------------------------------ flight descriptor
+
+std::vector<uint8_t> FlightInfo::encode() const {
+  ByteWriter w;
+  w.put_string(kFlightSchema);
+  w.put_u8(has_checkpoint ? 1 : 0);
+  w.put_uvarint(window_epochs);
+  w.put_uvarint(epoch_preempts);
+  w.put_uvarint(epochs_retained);
+  w.put_uvarint(epochs_retired);
+  w.put_uvarint(bytes_retired);
+  w.put_string(seal_reason);
+  w.put_uvarint(checkpoint_clock);
+  w.put_uvarint(checkpoint_instr);
+  w.put_uvarint(checkpoint.size());
+  w.put_bytes(checkpoint.data(), checkpoint.size());
+  return w.take();
+}
+
+FlightInfo FlightInfo::decode(const std::vector<uint8_t>& payload) {
+  ByteReader r(payload);
+  FlightInfo info;
+  std::string schema = r.get_string();
+  DV_CHECK_MSG(schema == kFlightSchema,
+               "unknown flight descriptor schema '" << schema << "'");
+  info.has_checkpoint = r.get_u8() != 0;
+  info.window_epochs = uint32_t(r.get_uvarint());
+  info.epoch_preempts = uint32_t(r.get_uvarint());
+  info.epochs_retained = r.get_uvarint();
+  info.epochs_retired = r.get_uvarint();
+  info.bytes_retired = r.get_uvarint();
+  info.seal_reason = r.get_string();
+  info.checkpoint_clock = r.get_uvarint();
+  info.checkpoint_instr = r.get_uvarint();
+  uint64_t n = r.get_uvarint();
+  DV_CHECK_MSG(n <= r.remaining(),
+               "flight descriptor checkpoint length " << n << " at offset "
+                   << r.position() << " exceeds the " << r.remaining()
+                   << " byte(s) left");
+  info.checkpoint.resize(size_t(n));
+  r.get_bytes(info.checkpoint.data(), size_t(n));
+  DV_CHECK_MSG(r.at_end(), "trailing bytes in flight descriptor");
+  DV_CHECK_MSG(info.has_checkpoint == !info.checkpoint.empty(),
+               "flight descriptor checkpoint flag disagrees with payload");
+  return info;
+}
+
+std::string FlightInfo::describe() const {
+  std::ostringstream os;
+  os << "flight tail: window " << window_epochs << " epoch(s) x "
+     << epoch_preempts << " preempt(s), retained " << epochs_retained
+     << ", retired " << epochs_retired << " (" << bytes_retired
+     << " bytes), seal reason \"" << seal_reason << "\", ";
+  if (has_checkpoint) {
+    os << "resume checkpoint at clock " << checkpoint_clock << " / instr "
+       << checkpoint_instr << " (" << checkpoint.size() << " bytes)";
+  } else {
+    os << "no checkpoint (run shorter than one epoch; tail is the full "
+          "trace)";
+  }
+  return os.str();
+}
+
+std::string FlightInfo::describe_json() const {
+  std::ostringstream os;
+  os << "{\"schema\":\"" << kFlightSchema << "\""
+     << ",\"has_checkpoint\":" << (has_checkpoint ? "true" : "false")
+     << ",\"window_epochs\":" << window_epochs
+     << ",\"epoch_preempts\":" << epoch_preempts
+     << ",\"epochs_retained\":" << epochs_retained
+     << ",\"epochs_retired\":" << epochs_retired
+     << ",\"bytes_retired\":" << bytes_retired << ",\"seal_reason\":\""
+     << obs::json_escape(seal_reason)
+     << "\",\"checkpoint_clock\":" << checkpoint_clock
+     << ",\"checkpoint_instr\":" << checkpoint_instr
+     << ",\"checkpoint_bytes\":" << checkpoint.size() << "}";
+  return os.str();
 }
 
 namespace {
@@ -722,9 +802,12 @@ void StreamCursor::get_bytes(void* dst, size_t n) {
 }
 
 std::string StreamCursor::get_string() {
-  size_t n = size_t(get_uvarint());
-  std::string s(n, '\0');
-  get_bytes(s.data(), n);
+  uint64_t n = get_uvarint();
+  DV_CHECK_MSG(n <= remaining(),
+               stream_name(id_) << " stream underrun (string of " << n
+                                << " bytes)");
+  std::string s(size_t(n), '\0');
+  get_bytes(s.data(), size_t(n));
   return s;
 }
 

@@ -83,6 +83,37 @@ inline uint32_t chunk_crc(StreamId id, const uint8_t* payload, size_t n) {
   return chunk_crc(uint8_t(id), payload, n);
 }
 
+// ------------------------------------------------------ flight descriptor
+
+// Schema tag carried by every kFlight chunk (obs_schema_check keys on it).
+inline constexpr const char* kFlightSchema = "dejavu-flight-v1";
+
+// Decoded kFlight chunk payload: a flight-recorder tail's provenance plus
+// the embedded start checkpoint. The recorder (src/flight) encodes it at
+// seal time; ReplaySession decodes it to resume the tail. `checkpoint` is
+// the engine's combined blob (split_flight_checkpoint splits it); empty
+// iff !has_checkpoint.
+struct FlightInfo {
+  bool has_checkpoint = false;
+  uint32_t window_epochs = 0;
+  uint32_t epoch_preempts = 0;
+  uint64_t epochs_retained = 0;
+  uint64_t epochs_retired = 0;
+  uint64_t bytes_retired = 0;
+  std::string seal_reason;
+  uint64_t checkpoint_clock = 0;  // engine logical clock at the cut
+  uint64_t checkpoint_instr = 0;  // VM instruction count at the cut
+  std::vector<uint8_t> checkpoint;
+
+  std::vector<uint8_t> encode() const;
+  // Throws VmError, located by descriptor offset, on a malformed payload;
+  // no length is trusted beyond the bytes actually present.
+  static FlightInfo decode(const std::vector<uint8_t>& payload);
+  // One-line and JSON renderings for `dejavu flight info` / `report`.
+  std::string describe() const;
+  std::string describe_json() const;
+};
+
 // ---------------------------------------------------------------- writing
 
 // Destination for framed chunks. Implementations append the container

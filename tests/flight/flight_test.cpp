@@ -3,7 +3,9 @@
 // run), must write zero trace bytes to disk until sealed, and its sealed
 // tail must replay -- resumed from the embedded checkpoint -- to exactly
 // the recorded end state: same summary hashes, same output suffix, and for
-// crash tails the same VmError at the same instruction count.
+// crash tails the same VmError at the same instruction count. Every replay
+// entry point must agree on a tail, and a hostile descriptor must be a
+// located error, never an unbounded allocation.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -11,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/io.hpp"
+#include "src/debugger/time_travel.hpp"
 #include "src/flight/session.hpp"
 #include "src/replay/session.hpp"
 #include "src/workloads/workloads.hpp"
@@ -18,6 +22,8 @@
 namespace dejavu::flight {
 namespace {
 
+using replay::FlightInfo;
+using replay::kFlightSchema;
 using replay::SymmetryConfig;
 
 std::string tmp_path(const std::string& stem) {
@@ -186,7 +192,7 @@ TEST(FlightTail, TailReplayMatchesFullReplaySuffix) {
 
         TailReplayResult tail = replay_tail_file(c.prog, tp, {});
         EXPECT_TRUE(tail.is_tail);
-        EXPECT_FALSE(tail.crashed) << tail.error;
+        EXPECT_FALSE(tail.crashed) << tail.replay.error;
         EXPECT_TRUE(tail.replay.verified)
             << tail.replay.stats.first_violation;
         EXPECT_EQ(tail.replay.summary, fullrep.summary);
@@ -264,8 +270,8 @@ TEST(FlightCrash, CrashTailReproducesSameErrorAtSameInstruction) {
       TailReplayResult tail = replay_tail_file(prog, path, {});
       EXPECT_TRUE(tail.is_tail);
       ASSERT_TRUE(tail.crashed);
-      EXPECT_EQ(tail.error, r.error);
-      EXPECT_EQ(tail.error_instr, r.error_instr);
+      EXPECT_EQ(tail.replay.error, r.error);
+      EXPECT_EQ(tail.replay.error_instr, r.error_instr);
       // The recorded meta was captured at the crashed state, so a faithful
       // reproduction verifies clean.
       EXPECT_TRUE(tail.replay.verified)
@@ -284,9 +290,186 @@ TEST(FlightCrash, StrictReplayOfCrashTailStaysFaithful) {
   strict.strict = true;
   TailReplayResult tail = replay_tail_file(prog, path, {}, strict);
   EXPECT_TRUE(tail.crashed);
-  EXPECT_EQ(tail.error, r.error);
-  EXPECT_EQ(tail.error_instr, r.error_instr);
+  EXPECT_EQ(tail.replay.error, r.error);
+  EXPECT_EQ(tail.replay.error_instr, r.error_instr);
   std::remove(path.c_str());
+}
+
+// ------------------------------------------- one session, every entry point
+
+// Every replay entry point goes through the same ReplaySession, so each
+// one resumes a tail from its checkpoint and agrees with the others on the
+// verdict, the behaviour, the output and the reproduced crash. Time travel
+// over a tail starts at the checkpoint and cannot go before it.
+TEST(FlightTail, EveryReplayEntryPointAgreesOnTails) {
+  struct Case {
+    const char* name;
+    bytecode::Program prog;
+    bool crashes;
+  };
+  Case cases[] = {
+      {"dump", workloads::counter_locked(4, 120), false},
+      {"crash", workloads::crasher(3, 30, 50), true},
+  };
+  for (const Case& c : cases) {
+    for (uint32_t lanes : {1u, 2u}) {
+      SCOPED_TRACE(std::string(c.name) + " lanes=" + std::to_string(lanes));
+      std::string path = tmp_path("agree");
+      FlightRecordResult rec =
+          flight_record(path, c.prog, lanes, 5, FlightConfig{2, 2});
+      ASSERT_EQ(rec.crashed, c.crashes) << rec.error;
+      FlightInfo info;
+      ASSERT_TRUE(read_flight_info(path, &info));
+      ASSERT_TRUE(info.has_checkpoint);
+      ASSERT_GT(info.checkpoint_instr, 0u);
+
+      TailReplayResult tail = replay_tail_file(c.prog, path, {});
+      EXPECT_TRUE(tail.from_checkpoint);
+      replay::ReplaySession session(c.prog, replay::open_trace_source(path),
+                                    {});
+      EXPECT_EQ(session.start_instr(), info.checkpoint_instr);
+      replay::ReplayResult runs[] = {
+          replay::replay_run(c.prog, replay::TraceFile::load(path), {}),
+          replay::replay_file(c.prog, path, {}),
+          tail.replay,
+          session.finish(),
+      };
+      for (const replay::ReplayResult& r : runs) {
+        EXPECT_TRUE(r.verified) << r.stats.first_violation;
+        EXPECT_EQ(r.summary, rec.summary);
+        EXPECT_EQ(r.output, runs[0].output);
+        EXPECT_TRUE(is_suffix(rec.output, r.output));
+        EXPECT_EQ(r.crashed, c.crashes) << r.error;
+        EXPECT_EQ(r.error, rec.error);
+        EXPECT_EQ(r.error_instr, rec.error_instr);
+      }
+
+      debugger::TimeTravelDebugger tt(c.prog, replay::TraceFile::load(path));
+      EXPECT_EQ(tt.position(), info.checkpoint_instr);
+      tt.goto_instruction(info.checkpoint_instr + 5);
+      EXPECT_EQ(tt.position(), info.checkpoint_instr + 5);
+      tt.goto_instruction(0);
+      EXPECT_EQ(tt.position(), info.checkpoint_instr);
+      replay::ReplayResult end = tt.run_to_end_and_verify();
+      EXPECT_TRUE(end.verified) << end.stats.first_violation;
+      EXPECT_EQ(end.summary, rec.summary);
+      std::remove(path.c_str());
+    }
+  }
+}
+
+// ------------------------------------------------------ hostile descriptors
+
+// Splits a sealed tail into the bytes before its kFlight chunk, the
+// chunk's decoded descriptor, and the bytes after it. The recorder writes
+// kFlight as the first chunk, right after the 8-byte container header.
+struct TailParts {
+  std::vector<uint8_t> head, rest;
+  std::vector<uint8_t> payload;
+};
+
+TailParts split_tail(const std::vector<uint8_t>& file) {
+  TailParts t;
+  EXPECT_EQ(file.at(8), uint8_t(replay::StreamId::kFlight));
+  ByteReader r(file.data() + 9, 4);
+  uint32_t len = r.get_u32_fixed();
+  t.head.assign(file.begin(), file.begin() + 8);
+  t.payload.assign(file.begin() + 13, file.begin() + 13 + len);
+  t.rest.assign(file.begin() + 13 + len + 4, file.end());
+  return t;
+}
+
+// Reassembles a tail around `payload`, resealing the chunk CRC so only the
+// descriptor's content -- not its framing -- is hostile.
+void write_tail(const std::string& path, const TailParts& t,
+                const std::vector<uint8_t>& payload) {
+  ByteWriter w;
+  w.put_bytes(t.head.data(), t.head.size());
+  w.put_u8(uint8_t(replay::StreamId::kFlight));
+  w.put_u32_fixed(uint32_t(payload.size()));
+  w.put_bytes(payload.data(), payload.size());
+  w.put_u32_fixed(replay::chunk_crc(replay::StreamId::kFlight,
+                                    payload.data(), payload.size()));
+  w.put_bytes(t.rest.data(), t.rest.size());
+  write_file(path, w.bytes());
+}
+
+// Encodes `info` field by field as FlightInfo::encode does, except that
+// the seal-reason and checkpoint length prefixes are the given values.
+std::vector<uint8_t> encode_with_lengths(const FlightInfo& info,
+                                         uint64_t reason_len,
+                                         uint64_t checkpoint_len) {
+  ByteWriter w;
+  w.put_string(kFlightSchema);
+  w.put_u8(info.has_checkpoint ? 1 : 0);
+  w.put_uvarint(info.window_epochs);
+  w.put_uvarint(info.epoch_preempts);
+  w.put_uvarint(info.epochs_retained);
+  w.put_uvarint(info.epochs_retired);
+  w.put_uvarint(info.bytes_retired);
+  w.put_uvarint(reason_len);
+  w.put_bytes(info.seal_reason.data(), info.seal_reason.size());
+  w.put_uvarint(info.checkpoint_clock);
+  w.put_uvarint(info.checkpoint_instr);
+  w.put_uvarint(checkpoint_len);
+  w.put_bytes(info.checkpoint.data(), info.checkpoint.size());
+  return w.take();
+}
+
+TEST(FlightHostile, OversizedLengthsAreLocatedErrors) {
+  std::string good = tmp_path("hostile_good");
+  std::string bad = tmp_path("hostile_bad");
+  bytecode::Program prog = workloads::counter_locked(4, 120);
+  flight_record(good, prog, 1, 5, FlightConfig{2, 2});
+  TailParts parts = split_tail(read_file(good));
+  FlightInfo info = FlightInfo::decode(parts.payload);
+  ASSERT_TRUE(info.has_checkpoint);
+  ASSERT_EQ(encode_with_lengths(info, info.seal_reason.size(),
+                                info.checkpoint.size()),
+            parts.payload);
+  const uint64_t kHuge = uint64_t(1) << 62;
+
+  // The DVCK checkpoint's VM-snapshot length is the first varint after its
+  // 8-byte magic/version prologue; replace it, keep the rest verbatim.
+  FlightInfo dvck = info;
+  {
+    ByteReader r(info.checkpoint);
+    r.skip(8);
+    r.get_uvarint();
+    ByteWriter w;
+    w.put_bytes(info.checkpoint.data(), 8);
+    w.put_uvarint(kHuge);
+    w.put_bytes(info.checkpoint.data() + r.position(), r.remaining());
+    dvck.checkpoint = w.take();
+  }
+
+  struct Mutation {
+    const char* what;
+    std::vector<uint8_t> payload;
+    bool descriptor_level;  // read_flight_info decodes it too
+  };
+  Mutation mutations[] = {
+      {"checkpoint length",
+       encode_with_lengths(info, info.seal_reason.size(), kHuge), true},
+      {"seal reason length",
+       encode_with_lengths(info, kHuge, info.checkpoint.size()), true},
+      {"DVCK snapshot length", dvck.encode(), false},
+  };
+  for (const Mutation& m : mutations) {
+    SCOPED_TRACE(m.what);
+    write_tail(bad, parts, m.payload);
+    EXPECT_TRUE(replay::verify_trace_file(bad).ok);  // the framing is sound
+    EXPECT_THROW(replay::replay_file(prog, bad, {}), VmError);
+    EXPECT_THROW(replay_tail_file(prog, bad, {}), VmError);
+    FlightInfo out;
+    if (m.descriptor_level) {
+      EXPECT_THROW(read_flight_info(bad, &out), VmError);
+    } else {
+      EXPECT_TRUE(read_flight_info(bad, &out));
+    }
+  }
+  std::remove(good.c_str());
+  std::remove(bad.c_str());
 }
 
 }  // namespace

@@ -19,9 +19,10 @@
 #                         (incl. critpath/cachesim + an A/B --diff and the
 #                         seeded false-sharing corpus) and schema-check
 #                         them, farm smoke with outcome-cache GC, flight
-#                         smoke (crash-tail seal -> replay -> analyze, also
-#                         under ASan), refresh BENCH_smoke.json,
-#                         BENCH_analyze.json and BENCH_flight.json
+#                         smoke (crash-tail seal -> replay -> analyze ->
+#                         diff -> debug, also under ASan), refresh
+#                         BENCH_smoke.json, and the end-to-end benchmark's
+#                         self-check (perfbench/selfcheck.py)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -31,7 +32,7 @@ check_obs_slice() {
   echo "== obs slice: telemetry symmetry + artifact schemas =="
   cmake -B build -S . >/dev/null
   cmake --build build -j "$jobs" --target test_obs test_analysis \
-    bench_smoke bench_analyze bench_flight dejavu obs_schema_check
+    bench_smoke dejavu obs_schema_check
   ctest --test-dir build --output-on-failure -j "$jobs" -L obs
   ctest --test-dir build --output-on-failure -j "$jobs" -L analysis
 
@@ -56,8 +57,7 @@ check_obs_slice() {
   ./build/tools/obs_schema_check timeline \
     "$art/record_timeline.json" "$art/replay_timeline.json" \
     "$art/bench_timeline.json"
-  ./build/bench/bench_analyze --json BENCH_analyze.json >/dev/null
-  ./build/tools/obs_schema_check bench BENCH_smoke.json BENCH_analyze.json
+  ./build/tools/obs_schema_check bench BENCH_smoke.json
   ./build/tools/obs_schema_check auto \
     "$art/analysis/profile.json" "$art/analysis/locks.json" \
     "$art/analysis/heap.json" "$art/analysis/critpath.json" \
@@ -139,6 +139,19 @@ check_obs_slice() {
   ./build/tools/obs_schema_check flight "$art/flight_info.json"
   ./build/tools/obs_schema_check auto "$art/flight_info.json"
   ./build/tools/dejavu report "$art/crash_tail.djv" >/dev/null
+  # Every replay entry point resumes the tail: the A/B diff must verify
+  # both sides, and the debugger must run it to a verified end.
+  ./build/tools/dejavu analyze crasher --diff "$art/crash_tail.djv" \
+    "$art/crash_tail.djv" > "$art/tail_diff.txt"
+  [[ "$(grep -c '(verified)' "$art/tail_diff.txt")" == 2 ]]
+  printf 'finish\nquit\n' | ./build/tools/dejavu debug crasher \
+    "$art/crash_tail.djv" > "$art/tail_debug.txt"
+  grep -q 'replay verified exact' "$art/tail_debug.txt"
+  # A flag the subcommand does not take is refused.
+  if ./build/tools/dejavu record counter_race --lane 4 \
+      --out "$art/lane_typo.djv" >/dev/null 2>&1; then
+    echo "dejavu record accepted the unknown flag --lane"; exit 1
+  fi
   # Tails flow through the farm unchanged: ingest flags the record, ls shows
   # it, and a bounded-cache run replays it via its embedded checkpoint.
   ./build/tools/dejavu farm ingest --store "$farm/store" --workload crasher \
@@ -148,13 +161,17 @@ check_obs_slice() {
   ./build/tools/dejavu farm run --store "$farm/store" --jobs 2 \
     --cache-max-bytes 100000 --out "$farm/report-flight.json" >/dev/null
   ./build/tools/obs_schema_check farm-report "$farm/report-flight.json"
-  ./build/bench/bench_flight --json BENCH_flight.json >/dev/null
-  ./build/tools/obs_schema_check bench BENCH_flight.json
+
+  echo "== obs slice: end-to-end benchmark self-check (perfbench) =="
+  # Tiny-size run of every workload through the benchmark: verified
+  # replays and analyses, non-empty artifacts, tail output a suffix of the
+  # full replay's, sealed flight rings.
+  python3 perfbench/selfcheck.py
 
   echo "== obs slice: sanitized (build-asan/, ASan+UBSan) =="
   cmake -B build-asan -S . -DDEJAVU_SANITIZE=ON >/dev/null
   cmake --build build-asan -j "$jobs" --target test_obs test_analysis \
-    bench_smoke bench_analyze bench_flight dejavu obs_schema_check
+    bench_smoke dejavu obs_schema_check
   ctest --test-dir build-asan --output-on-failure -j "$jobs" -L obs
   ctest --test-dir build-asan --output-on-failure -j "$jobs" -L analysis
   # Flight smoke under ASan: the seal path (snapshot encode, ring reframe,

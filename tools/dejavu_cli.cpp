@@ -24,7 +24,8 @@
 //   dejavu farm report <report.json>         render a farm report
 //
 // Workloads are the built-in guest programs from src/workloads (listed by
-// `dejavu list`); parameters use sensible defaults.
+// `dejavu list`); parameters use sensible defaults. A flag the subcommand
+// does not take is refused with exit 1.
 //
 // `record` streams chunks to --out as the run proceeds (v4 container);
 // `replay` and `dump` stream them back, so neither side materializes the
@@ -274,9 +275,10 @@ int cmd_replay(const std::string& name, const std::string& path, bool strict,
   // restores fail-fast verification: the first violation throws and the
   // run is abandoned there.
   cfg.strict = strict;
-  // replay_tail_file handles both file kinds: an ordinary full trace
+  // Both file kinds replay through one session: an ordinary full trace
   // replays from the start, a flight tail resumes from its embedded
-  // checkpoint (and reproduces its recorded crash, when it sealed on one).
+  // checkpoint (and reproduces its recorded crash, when it sealed on one);
+  // replay_tail_file adds the tail's provenance for the header line.
   flight::TailReplayResult tr;
   try {
     tr = flight::replay_tail_file(e->make(), path, {}, cfg);
@@ -290,9 +292,9 @@ int cmd_replay(const std::string& name, const std::string& path, bool strict,
   replay::ReplayResult& rep = tr.replay;
   if (tr.is_tail) std::printf("%s\n", tr.info.describe().c_str());
   std::printf("output:\n%s", rep.output.c_str());
-  if (tr.crashed)
+  if (rep.crashed)
     std::printf("reproduced recorded crash: %s (instr %llu)\n",
-                tr.error.c_str(), (unsigned long long)tr.error_instr);
+                rep.error.c_str(), (unsigned long long)rep.error_instr);
   std::printf("replay %s\n", rep.verified ? "verified exact" : "DIVERGED");
   if (!rep.verified) {
     std::printf("first violation: %s (logical clock %llu)\n",
@@ -336,9 +338,9 @@ int cmd_analyze(const std::string& name, const std::string& path,
       flight::replay_tail_file(e->make(), path, {}, cfg);
   replay::ReplayResult& rep = tr.replay;
   if (tr.is_tail) std::printf("%s\n", tr.info.describe().c_str());
-  if (tr.crashed)
+  if (rep.crashed)
     std::printf("reproduced recorded crash: %s (instr %llu)\n",
-                tr.error.c_str(), (unsigned long long)tr.error_instr);
+                rep.error.c_str(), (unsigned long long)rep.error_instr);
   std::filesystem::create_directories(out_dir);
   auto emit = [&](const char* file, const std::string& content) {
     std::string p = out_dir + "/" + file;
@@ -754,7 +756,7 @@ int cmd_analyze_diff(const std::string& name, const std::string& path_a,
 
 // dejavu flight info: render a tail's provenance descriptor.
 int cmd_flight_info(const std::string& path, const std::string& json_out) {
-  flight::FlightInfo info;
+  replay::FlightInfo info;
   if (!flight::read_flight_info(path, &info)) {
     std::fprintf(stderr, "%s is not a flight tail (no flight descriptor)\n",
                  path.c_str());
@@ -778,7 +780,7 @@ int cmd_report(const std::string& path) {
     uint32_t magic = 0;
     if (probe.read(reinterpret_cast<char*>(&magic), 4) &&
         magic == replay::kTraceMagic) {
-      flight::FlightInfo info;
+      replay::FlightInfo info;
       if (flight::read_flight_info(path, &info)) {
         std::printf("%s\n", info.describe().c_str());
         return 0;
@@ -1091,10 +1093,85 @@ int cmd_debug(const std::string& name, const std::string& path) {
   return 0;
 }
 
+// The flags each subcommand takes (farm and flight: per verb). Any other
+// --flag is refused, so a misspelt or retired flag cannot be silently
+// ignored. Value flags consume the token after them.
+struct CommandFlags {
+  const char* command;
+  std::vector<std::string> value_flags;
+  std::vector<std::string> bool_flags;
+};
+
+const CommandFlags kCommandFlags[] = {
+    {"help", {}, {}},
+    {"list", {}, {}},
+    {"record",
+     {"--seed", "--out", "--lanes", "--flight", "--flight-epoch",
+      "--metrics-json", "--timeline"},
+     {"--realtime"}},
+    {"flight info", {"--json"}, {}},
+    {"replay", {"--metrics-json", "--timeline"}, {"--strict"}},
+    {"analyze", {"--out-dir", "--top", "--metrics-json", "--timeline"},
+     {"--strict", "--races", "--diff"}},
+    {"report", {}, {}},
+    {"dump", {}, {}},
+    {"diff", {}, {}},
+    {"verify", {}, {}},
+    {"convert", {}, {"--v5"}},
+    {"sweep", {"--seeds", "--metrics-json", "--timeline"}, {}},
+    {"fuzz",
+     {"--seed", "--iters", "--jobs", "--out-dir", "--inject-skew", "--repro",
+      "--metrics-json", "--timeline"},
+     {"--minimize", "--no-minimize", "--no-faults", "--no-baselines",
+      "--no-lanes"}},
+    {"debug", {}, {}},
+    {"farm ingest", {"--store", "--workload", "--seed"}, {}},
+    {"farm ls", {"--store", "--top"}, {}},
+    {"farm gc", {"--store", "--top", "--max-entries", "--max-bytes"}, {}},
+    {"farm run", {"--store", "--jobs", "--top", "--cache-max-bytes", "--out"},
+     {"--no-cache"}},
+    {"farm report", {}, {}},
+};
+
+// Returns the first --flag in args[first..] that `spec` does not take, or
+// "" when every flag is known.
+std::string unknown_flag(const CommandFlags& spec,
+                         const std::vector<std::string>& args, size_t first) {
+  auto listed = [](const std::vector<std::string>& v, const std::string& f) {
+    return std::find(v.begin(), v.end(), f) != v.end();
+  };
+  for (size_t i = first; i < args.size(); ++i) {
+    if (args[i].rfind("--", 0) != 0) continue;
+    if (listed(spec.value_flags, args[i])) {
+      ++i;
+    } else if (!listed(spec.bool_flags, args[i])) {
+      return args[i];
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
+  if (!args.empty()) {
+    std::string cmd = args[0];
+    size_t first = 1;
+    if ((cmd == "farm" || cmd == "flight") && args.size() >= 2) {
+      cmd += " " + args[1];
+      first = 2;
+    }
+    for (const CommandFlags& spec : kCommandFlags) {
+      if (cmd != spec.command) continue;
+      std::string bad = unknown_flag(spec, args, first);
+      if (!bad.empty()) {
+        std::fprintf(stderr, "unknown flag %s for %s\n", bad.c_str(),
+                     cmd.c_str());
+        return 1;
+      }
+    }
+  }
   auto flag_value = [&](const char* flag, const std::string& dflt) {
     for (size_t i = 0; i + 1 < args.size(); ++i) {
       if (args[i] == flag) return args[i + 1];
