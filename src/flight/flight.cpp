@@ -30,16 +30,10 @@ FlightRecorder::FlightRecorder(uint32_t version, uint32_t lanes,
     : version_(version), lanes_(lanes == 0 ? 1 : lanes), cfg_(cfg) {
   DV_CHECK_MSG(cfg_.window_epochs >= 1, "flight window must be >= 1 epoch");
   DV_CHECK_MSG(lanes_ <= replay::kMaxLanes, "flight lane count out of range");
-  c_checkpoints_ = registry_.counter("flight.checkpoints");
-  c_epochs_retired_ = registry_.counter("flight.epochs.retired");
-  c_bytes_retired_ = registry_.counter("flight.bytes.retired");
-  g_epochs_retained_ = registry_.gauge("flight.epochs.retained");
-  g_bytes_retained_ = registry_.gauge("flight.bytes.retained");
   // Epoch 0: execution from boot until the first checkpoint. It carries no
   // checkpoint -- if the run ends inside it, the tail is simply the whole
   // trace and replays from the beginning.
   epochs_.emplace_back();
-  g_epochs_retained_->set(1);
 }
 
 void FlightRecorder::write_chunk(StreamId id, const uint8_t* payload,
@@ -66,7 +60,6 @@ void FlightRecorder::write_chunk(StreamId id, const uint8_t* payload,
   uint64_t framed = e.chunks.back().size();
   e.framed_bytes += framed;
   bytes_retained_ += framed;
-  g_bytes_retained_->set(int64_t(bytes_retained_));
 }
 
 void FlightRecorder::begin_epoch(std::vector<uint8_t> checkpoint,
@@ -79,9 +72,8 @@ void FlightRecorder::begin_epoch(std::vector<uint8_t> checkpoint,
   e.clock = clock;
   e.instr = instr;
   epochs_.push_back(std::move(e));
-  c_checkpoints_->add();
+  checkpoints_++;
   retire_old_epochs();
-  g_epochs_retained_->set(int64_t(epochs_.size()));
 }
 
 void FlightRecorder::retire_old_epochs() {
@@ -96,11 +88,8 @@ void FlightRecorder::retire_old_epochs() {
     DV_CHECK(bytes_retained_ >= victim.framed_bytes);
     bytes_retained_ -= victim.framed_bytes;
     epochs_retired_++;
-    c_epochs_retired_->add();
-    c_bytes_retired_->add(victim.framed_bytes);
     epochs_.pop_front();
   }
-  g_bytes_retained_->set(int64_t(bytes_retained_));
 }
 
 void FlightRecorder::seal_to_file(const std::string& path,
@@ -207,7 +196,7 @@ void FlightRecorder::seal_to_file(const std::string& path,
 
 FlightStats FlightRecorder::stats() const {
   FlightStats s;
-  s.checkpoints = c_checkpoints_->value();
+  s.checkpoints = checkpoints_;
   s.epochs_retained = epochs_.size();
   s.epochs_retired = epochs_retired_;
   s.bytes_retained = bytes_retained_;

@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/metrics.hpp"
 #include "src/replay/trace_io.hpp"
 
 namespace dejavu::flight {
@@ -42,7 +41,7 @@ struct FlightConfig {
   uint32_t epoch_preempts = 64;
 };
 
-// Ring statistics, also exported through the recorder's metric registry.
+// Ring statistics.
 struct FlightStats {
   uint64_t checkpoints = 0;      // epochs opened by begin_epoch
   uint64_t epochs_retained = 0;  // currently in the ring (incl. the open one)
@@ -67,7 +66,6 @@ class FlightRecorder : public replay::TraceSink {
   void seal_to_file(const std::string& path, const std::string& reason);
 
   FlightStats stats() const;
-  obs::MetricsSnapshot metrics() const { return registry_.snapshot(); }
 
  private:
   struct Epoch {
@@ -93,12 +91,7 @@ class FlightRecorder : public replay::TraceSink {
   bool meta_seen_ = false;
   bool sealed_ = false;
 
-  obs::MetricRegistry registry_;
-  obs::Counter* c_checkpoints_ = nullptr;
-  obs::Counter* c_epochs_retired_ = nullptr;
-  obs::Counter* c_bytes_retired_ = nullptr;
-  obs::Gauge* g_epochs_retained_ = nullptr;
-  obs::Gauge* g_bytes_retained_ = nullptr;
+  uint64_t checkpoints_ = 0;
   uint64_t bytes_retained_ = 0;
   uint64_t bytes_retired_ = 0;
   uint64_t epochs_retired_ = 0;

@@ -1,9 +1,9 @@
 // One-call flight-recorder sessions (src/flight).
 //
-// record_flight runs a guest with the recording engine writing into a
-// FlightRecorder ring instead of a file: zero trace bytes reach disk while
-// the run is healthy. When the guest crashes (VmError) -- or at a clean
-// exit, for an explicit dump -- the retained window is sealed to
+// record_flight runs a guest through a replay::RecordSession whose sink is
+// a FlightRecorder ring instead of a file: zero trace bytes reach disk
+// while the run is healthy. When the guest crashes (VmError) -- or at a
+// clean exit, for an explicit dump -- the retained window is sealed to
 // `tail_path` as a self-contained replayable trace.
 //
 // Tails replay through replay::ReplaySession like any trace: a flight tail
@@ -23,18 +23,10 @@
 
 namespace dejavu::flight {
 
-struct FlightRecordResult {
-  std::string tail_path;
-  bool crashed = false;
-  std::string error;       // the VmError text when crashed
-  uint64_t error_instr = 0;  // VM instruction count at the crash
+// A recording's result (crashed/error/error_instr included) plus what the
+// ring did with it.
+struct FlightRecordResult : replay::RecordResult {
   std::string seal_reason;
-  vm::BehaviorSummary summary;
-  std::string output;
-  replay::EngineStats stats;
-  obs::MetricsSnapshot metrics;         // engine metrics
-  obs::MetricsSnapshot flight_metrics;  // recorder ring metrics
-  std::vector<obs::TimelineEvent> timeline;
   FlightStats flight;
 };
 

@@ -7,9 +7,6 @@
 #include "src/common/check.hpp"
 #include "src/common/rng.hpp"
 #include "src/replay/session.hpp"
-#include "src/replay/trace_io.hpp"
-#include "src/threads/timer.hpp"
-#include "src/vm/env.hpp"
 
 namespace dejavu::fuzz {
 
@@ -43,7 +40,6 @@ class DroppingSink : public replay::TraceSink {
     if (calls_++ != drop_index_) inner_->write_chunk(id, payload, n, lane);
   }
   void flush() override { inner_->flush(); }
-  uint64_t calls() const { return calls_; }
 
  private:
   std::unique_ptr<replay::TraceSink> inner_;
@@ -51,22 +47,58 @@ class DroppingSink : public replay::TraceSink {
   uint64_t calls_ = 0;
 };
 
-// Counts into caller-owned storage: the engine consumes (and outlives us
-// with) the sink, so the tally must live outside it.
-class CountingSink : public replay::TraceSink {
+// skew_schedule's sink. Chunks start at record boundaries, so it can walk
+// lane 0's schedule records -- one varint delta each, plus a Checkpoint
+// after every checkpoint_interval-th -- and rewrite the one delta.
+class ScheduleSkewSink : public replay::TraceSink {
  public:
-  explicit CountingSink(uint64_t* calls) : calls_(calls) {}
+  ScheduleSkewSink(std::unique_ptr<replay::TraceSink> inner, uint64_t nth,
+                   uint64_t checkpoint_interval)
+      : inner_(std::move(inner)), nth_(nth), interval_(checkpoint_interval) {}
+
   using replay::TraceSink::write_chunk;
-  void write_chunk(replay::StreamId, const uint8_t*, size_t,
-                   replay::LaneId) override {
-    ++*calls_;
+  void write_chunk(replay::StreamId id, const uint8_t* payload, size_t n,
+                   replay::LaneId lane) override {
+    if (id != replay::StreamId::kSchedule || lane != 0 || deltas_ >= nth_) {
+      inner_->write_chunk(id, payload, n, lane);
+      return;
+    }
+    ByteReader r(payload, n);
+    ByteWriter w;
+    while (!r.at_end()) {
+      if (checkpoint_next_) {
+        replay::Checkpoint::read_from(r).write_to(w);
+        checkpoint_next_ = false;
+        continue;
+      }
+      uint64_t delta = r.get_uvarint();
+      if (++deltas_ == nth_) delta++;  // the injected off-by-one
+      w.put_uvarint(delta);
+      checkpoint_next_ = deltas_ % interval_ == 0;
+    }
+    inner_->write_chunk(id, w.bytes().data(), w.size(), lane);
+  }
+  void flush() override { inner_->flush(); }
+  const std::vector<uint8_t>* in_memory() const override {
+    return inner_->in_memory();
   }
 
  private:
-  uint64_t* calls_;
+  std::unique_ptr<replay::TraceSink> inner_;
+  uint64_t nth_;
+  uint64_t interval_;
+  uint64_t deltas_ = 0;           // lane-0 deltas seen so far
+  bool checkpoint_next_ = false;  // a Checkpoint record follows
 };
 
 }  // namespace
+
+std::unique_ptr<replay::TraceSink> skew_schedule(
+    std::unique_ptr<replay::TraceSink> inner, uint32_t nth,
+    uint32_t checkpoint_interval) {
+  return std::make_unique<ScheduleSkewSink>(std::move(inner), nth,
+                                            checkpoint_interval);
+}
 
 FaultReport inject_trace_faults(const CaseSpec& spec,
                                 const OracleOptions& oo, uint64_t seed,
@@ -78,50 +110,25 @@ FaultReport inject_trace_faults(const CaseSpec& spec,
       oo.scratch_dir + "/fault-base-" + std::to_string(spec.seed) + ".djv";
 
   bytecode::Program prog = build_program(spec);
-  vm::VmOptions opts;
-  opts.heap.gc = spec.sched.mark_sweep ? heap::GcKind::kMarkSweep
-                                       : heap::GcKind::kSemispaceCopying;
-  opts.max_instructions = oo.max_instructions;
-  replay::SymmetryConfig cfg;
-  cfg.checkpoint_interval = spec.sched.checkpoint_interval;
-  cfg.trace_chunk_bytes = spec.sched.chunk_bytes;
-  cfg.strict = true;
-
-  auto record_with_sink = [&](std::unique_ptr<replay::TraceSink> sink) {
-    vm::ScriptedEnvironment env(spec.sched.clock_base, spec.sched.clock_step,
-                                spec.sched.inputs, spec.sched.rand_seed);
-    std::unique_ptr<threads::TimerSource> timer;
-    if (spec.sched.timer_seed == 0) {
-      timer = std::make_unique<threads::NullTimer>();
-    } else {
-      timer = std::make_unique<threads::VirtualTimer>(
-          spec.sched.timer_seed, spec.sched.timer_min, spec.sched.timer_max);
-    }
-    vm::NativeRegistry natives = fuzz_natives();
-    replay::DejaVuEngine rec(std::move(sink), cfg);
-    vm::Vm v(prog, opts, env, *timer, &rec, &natives);
-    v.run();
-  };
+  vm::VmOptions opts = case_opts(spec, oo);
+  replay::SymmetryConfig cfg = case_cfg(spec);
+  OracleOptions unskewed = oo;  // the corruptions are the only faults here
+  unskewed.test_skew_schedule_delta = 0;
 
   // The uncorrupted base recording must verify and replay clean; anything
   // else is an oracle problem, not a fault-injection result.
+  uint64_t total_chunks = 0;
   try {
-    vm::ScriptedEnvironment env(spec.sched.clock_base, spec.sched.clock_step,
-                                spec.sched.inputs, spec.sched.rand_seed);
-    std::unique_ptr<threads::TimerSource> timer;
-    if (spec.sched.timer_seed == 0) {
-      timer = std::make_unique<threads::NullTimer>();
-    } else {
-      timer = std::make_unique<threads::VirtualTimer>(
-          spec.sched.timer_seed, spec.sched.timer_min, spec.sched.timer_max);
-    }
-    vm::NativeRegistry natives = fuzz_natives();
-    replay::record_run_to(good_path, prog, opts, env, *timer, &natives, cfg);
+    replay::RecordResult rec =
+        record_case(prog, spec, unskewed, cfg,
+                    std::make_unique<replay::FileTraceSink>(good_path));
+    if (rec.crashed) throw VmError("guest crashed: " + rec.error);
     replay::TraceVerifyReport base = replay::verify_trace_file(good_path);
     if (!base.ok) {
       report.base_detail = "base recording failed verify: " + base.error;
       return report;
     }
+    total_chunks = base.valid_chunks + 2;  // data chunks, meta and seal
     replay::ReplayResult r = replay::replay_file(prog, good_path, opts, cfg);
     if (!r.verified) {
       report.base_detail = "base recording failed replay verification";
@@ -200,12 +207,10 @@ FaultReport inject_trace_faults(const CaseSpec& spec,
   // mid-recording (not a clean prefix -- the seal's totals expose the gap,
   // or the meta/seal itself goes missing).
   {
-    uint64_t total_chunks = 0;
-    record_with_sink(std::make_unique<CountingSink>(&total_chunks));
-    DV_CHECK(total_chunks >= 2);  // meta + seal at minimum
     uint64_t drop = rng.next_below(total_chunks);
-    record_with_sink(std::make_unique<DroppingSink>(
-        std::make_unique<replay::FileTraceSink>(bad_path), drop));
+    record_case(prog, spec, unskewed, cfg,
+                std::make_unique<DroppingSink>(
+                    std::make_unique<replay::FileTraceSink>(bad_path), drop));
     check_detected("short-write", "dropped chunk " + std::to_string(drop) +
                                       " of " + std::to_string(total_chunks));
   }

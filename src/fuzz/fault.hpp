@@ -1,4 +1,4 @@
-// Trace-container fault injection.
+// Trace-container fault injection, and the injected-bug drill's sink.
 //
 // Records one known-good case to a v4 file, then derives corrupted
 // variants -- seeded bit flips (framing and payload alike), truncations at
@@ -11,13 +11,23 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/fuzz/oracle.hpp"
 #include "src/fuzz/spec.hpp"
+#include "src/replay/trace_io.hpp"
 
 namespace dejavu::fuzz {
+
+// The injected-bug drill: wraps `inner` in a sink that over-reports lane
+// 0's nth (1-based) preemptive schedule delta by one yield point, an
+// off-by-one in the Figure 2 bookkeeping that replay must *detect*. The
+// fuzzer uses it to prove its oracle and minimizer catch a real bug.
+std::unique_ptr<replay::TraceSink> skew_schedule(
+    std::unique_ptr<replay::TraceSink> inner, uint32_t nth,
+    uint32_t checkpoint_interval);
 
 struct FaultFinding {
   std::string mode;    // "flip" / "truncate" / "zero-span" / "short-write"

@@ -8,7 +8,7 @@
 #include "src/baselines/russinovich_cogswell.hpp"
 #include "src/bytecode/verifier.hpp"
 #include "src/common/check.hpp"
-#include "src/replay/session.hpp"
+#include "src/fuzz/fault.hpp"
 #include "src/replay/trace_tools.hpp"
 #include "src/threads/timer.hpp"
 #include "src/vm/env.hpp"
@@ -30,24 +30,6 @@ std::unique_ptr<threads::TimerSource> make_timer(const ScheduleSpec& sc,
                                                  sc.timer_max);
 }
 
-vm::VmOptions make_opts(const CaseSpec& spec, const OracleOptions& oo) {
-  vm::VmOptions opts;
-  opts.heap.gc = spec.sched.mark_sweep ? heap::GcKind::kMarkSweep
-                                       : heap::GcKind::kSemispaceCopying;
-  opts.max_instructions = oo.max_instructions;
-  return opts;
-}
-
-replay::SymmetryConfig make_cfg(const CaseSpec& spec, const OracleOptions& oo,
-                                bool record_side) {
-  replay::SymmetryConfig cfg;
-  cfg.checkpoint_interval = spec.sched.checkpoint_interval;
-  cfg.trace_chunk_bytes = spec.sched.chunk_bytes;
-  cfg.strict = true;
-  if (record_side) cfg.test_skew_schedule_delta = oo.test_skew_schedule_delta;
-  return cfg;
-}
-
 // Bare run with arbitrary hooks under the case's environment script --
 // the idiom the baseline stages share.
 vm::BehaviorSummary run_hooks(const bytecode::Program& prog,
@@ -57,7 +39,7 @@ vm::BehaviorSummary run_hooks(const bytecode::Program& prog,
   vm::ScriptedEnvironment env = make_env(spec.sched);
   auto timer = make_timer(spec.sched, cooperative);
   vm::NativeRegistry natives = fuzz_natives();
-  vm::Vm v(prog, make_opts(spec, oo), env, *timer, hooks, &natives);
+  vm::Vm v(prog, case_opts(spec, oo), env, *timer, hooks, &natives);
   v.run();
   if (output != nullptr) *output = v.output();
   return v.summary();
@@ -83,6 +65,45 @@ std::string summary_delta(const vm::BehaviorSummary& a,
 }
 
 }  // namespace
+
+vm::VmOptions case_opts(const CaseSpec& spec, const OracleOptions& oo) {
+  vm::VmOptions opts;
+  opts.heap.gc = spec.sched.mark_sweep ? heap::GcKind::kMarkSweep
+                                       : heap::GcKind::kSemispaceCopying;
+  opts.max_instructions = oo.max_instructions;
+  return opts;
+}
+
+replay::SymmetryConfig case_cfg(const CaseSpec& spec) {
+  replay::SymmetryConfig cfg;
+  cfg.checkpoint_interval = spec.sched.checkpoint_interval;
+  cfg.trace_chunk_bytes = spec.sched.chunk_bytes;
+  cfg.strict = true;
+  return cfg;
+}
+
+replay::RecordResult record_case(const bytecode::Program& prog,
+                                 const CaseSpec& spec,
+                                 const OracleOptions& oo,
+                                 const replay::SymmetryConfig& cfg,
+                                 std::unique_ptr<replay::TraceSink> sink,
+                                 bool cooperative) {
+  vm::ScriptedEnvironment env = make_env(spec.sched);
+  auto timer = make_timer(spec.sched, cooperative);
+  vm::NativeRegistry natives = fuzz_natives();
+  bool in_memory = sink == nullptr;
+  if (in_memory)
+    sink = std::make_unique<replay::VectorTraceSink>(
+        replay::trace_version_for_lanes(cfg.lanes));
+  if (oo.test_skew_schedule_delta != 0)
+    sink = skew_schedule(std::move(sink), oo.test_skew_schedule_delta,
+                         cfg.checkpoint_interval);
+  replay::RecordSession session(prog, std::move(sink), case_opts(spec, oo),
+                                env, *timer, &natives, cfg);
+  replay::RecordResult r = session.finish();
+  if (in_memory) r.trace = session.take_trace();
+  return r;
+}
 
 vm::NativeRegistry fuzz_natives() {
   vm::NativeRegistry reg;
@@ -123,27 +144,24 @@ CaseOutcome run_case(const CaseSpec& spec, const OracleOptions& oo) {
     return fail("verify", e.what());
   }
 
-  vm::VmOptions opts = make_opts(spec, oo);
-  vm::NativeRegistry natives = fuzz_natives();
+  vm::VmOptions opts = case_opts(spec, oo);
+  replay::SymmetryConfig cfg = case_cfg(spec);
 
   // -- record: the reference recording ------------------------------------
   replay::RecordResult rec;
   try {
-    vm::ScriptedEnvironment env = make_env(spec.sched);
-    auto timer = make_timer(spec.sched);
-    rec = replay::record_run(prog, opts, env, *timer, &natives,
-                             make_cfg(spec, oo, /*record_side=*/true));
+    rec = record_case(prog, spec, oo, cfg, nullptr);
   } catch (const VmError& e) {
     return fail("record", e.what());
   }
+  if (rec.crashed) return fail("record", rec.error);
   out.record_summary = rec.summary;
   out.record_output = rec.output;
 
   // -- replay-mem: strict replay of the in-memory trace -------------------
   replay::ReplayResult mem;
   try {
-    mem = replay::replay_run(prog, rec.trace, opts,
-                             make_cfg(spec, oo, /*record_side=*/false));
+    mem = replay::replay_run(prog, rec.trace, opts, cfg);
   } catch (const ReplayDivergence& e) {
     out.forensics = e.forensics();
     return fail("replay-mem", e.what());
@@ -167,11 +185,9 @@ CaseOutcome run_case(const CaseSpec& spec, const OracleOptions& oo) {
   std::string path = oo.scratch_dir + "/case-" + std::to_string(spec.seed) +
                      ".djv";
   try {
-    vm::ScriptedEnvironment env = make_env(spec.sched);
-    auto timer = make_timer(spec.sched);
-    replay::RecordFileResult recf =
-        replay::record_run_to(path, prog, opts, env, *timer, &natives,
-                              make_cfg(spec, oo, /*record_side=*/true));
+    replay::RecordResult recf = record_case(
+        prog, spec, oo, cfg, std::make_unique<replay::FileTraceSink>(path));
+    if (recf.crashed) return fail("record-file", recf.error);
     if (recf.output != rec.output)
       return fail("record-file", "streamed recording output differs");
     if (!(recf.summary == rec.summary))
@@ -191,8 +207,7 @@ CaseOutcome run_case(const CaseSpec& spec, const OracleOptions& oo) {
 
   // -- replay-file: strict replay streamed from disk ----------------------
   try {
-    replay::ReplayResult rf = replay::replay_file(
-        prog, path, opts, make_cfg(spec, oo, /*record_side=*/false));
+    replay::ReplayResult rf = replay::replay_file(prog, path, opts, cfg);
     if (!rf.verified) {
       if (rf.divergence.has_value())
         out.forensics = rf.divergence->serialize();
@@ -216,20 +231,16 @@ CaseOutcome run_case(const CaseSpec& spec, const OracleOptions& oo) {
   // -- lane-cross: the 2-lane engine against the single-lane reference ----
   if (oo.lane_cross) {
     try {
-      replay::SymmetryConfig lcfg = make_cfg(spec, oo, /*record_side=*/true);
+      replay::SymmetryConfig lcfg = cfg;
       lcfg.lanes = 2;
-      vm::ScriptedEnvironment env = make_env(spec.sched);
-      auto timer = make_timer(spec.sched);
-      replay::RecordResult rec2 =
-          replay::record_run(prog, opts, env, *timer, &natives, lcfg);
+      replay::RecordResult rec2 = record_case(prog, spec, oo, lcfg, nullptr);
+      if (rec2.crashed) return fail("lane-cross", rec2.error);
 
       // The lane partition changes dispatch order, so the interleaving is
       // not K-invariant; what §14 does promise is that recording on K
       // lanes is byte-stable...
-      vm::ScriptedEnvironment env_again = make_env(spec.sched);
-      auto timer_again = make_timer(spec.sched);
-      replay::RecordResult rec2_again = replay::record_run(
-          prog, opts, env_again, *timer_again, &natives, lcfg);
+      replay::RecordResult rec2_again =
+          record_case(prog, spec, oo, lcfg, nullptr);
       std::vector<uint8_t> v5 = rec2.trace.serialize();
       if (rec2_again.trace.serialize() != v5)
         return fail("lane-cross",
@@ -242,8 +253,7 @@ CaseOutcome run_case(const CaseSpec& spec, const OracleOptions& oo) {
 
       // ...and that strict multi-lane replay verifies and reproduces the
       // 2-lane recording exactly.
-      replay::ReplayResult rep2 = replay::replay_run(
-          prog, back, opts, make_cfg(spec, oo, /*record_side=*/false));
+      replay::ReplayResult rep2 = replay::replay_run(prog, back, opts, cfg);
       if (!rep2.verified) {
         if (rep2.divergence.has_value())
           out.forensics = rep2.divergence->serialize();
@@ -306,10 +316,9 @@ CaseOutcome run_case(const CaseSpec& spec, const OracleOptions& oo) {
     std::string bare_out;
     run_hooks(prog, spec, oo, nullptr, /*cooperative=*/true, &bare_out);
 
-    vm::ScriptedEnvironment env = make_env(spec.sched);
-    threads::NullTimer coop;
-    replay::RecordResult dv = replay::record_run(
-        prog, opts, env, coop, &natives, make_cfg(spec, oo, true));
+    replay::RecordResult dv =
+        record_case(prog, spec, oo, cfg, nullptr, /*cooperative=*/true);
+    if (dv.crashed) return fail("coop-cross", dv.error);
 
     baselines::RcRecorder rc_rec;
     std::string rc_out;

@@ -36,9 +36,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "src/fuzz/spec.hpp"
+#include "src/replay/session.hpp"
 #include "src/vm/natives.hpp"
 #include "src/vm/vm.hpp"
 
@@ -52,8 +54,9 @@ struct OracleOptions {
   bool lane_cross = true;
   // Directory for scratch trace files (created if missing).
   std::string scratch_dir = "/tmp/dejavu-fuzz";
-  // Forwarded to SymmetryConfig::test_skew_schedule_delta on the record
-  // side only -- the injected-bug drill.
+  // The injected-bug drill: when nonzero, every DejaVu recording writes
+  // through skew_schedule (src/fuzz/fault.hpp), over-reporting this
+  // (1-based) schedule delta.
   uint32_t test_skew_schedule_delta = 0;
   // Per-run instruction ceiling: a runaway case fails its stage with a
   // VmError instead of hanging the fuzzer.
@@ -76,6 +79,21 @@ struct CaseOutcome {
 // src/ cannot depend on tests/). host.mix mixes its args and calls back
 // Main.cb; host.pure sums.
 vm::NativeRegistry fuzz_natives();
+
+// The VM options and symmetry configuration every run of `spec` uses.
+vm::VmOptions case_opts(const CaseSpec& spec, const OracleOptions& oo);
+replay::SymmetryConfig case_cfg(const CaseSpec& spec);
+
+// Records `spec` once through a replay::RecordSession under the case's
+// scripted environment and its timer (none when `cooperative`), skewed
+// when oo asks for the drill. A null `sink` records in memory, and the
+// result carries the trace.
+replay::RecordResult record_case(const bytecode::Program& prog,
+                                 const CaseSpec& spec,
+                                 const OracleOptions& oo,
+                                 const replay::SymmetryConfig& cfg,
+                                 std::unique_ptr<replay::TraceSink> sink,
+                                 bool cooperative = false);
 
 CaseOutcome run_case(const CaseSpec& spec, const OracleOptions& opts);
 

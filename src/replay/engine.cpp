@@ -60,54 +60,35 @@ constexpr uint32_t kEngineStateMagic = 0x53455644;  // "DVES"
 constexpr uint32_t kEngineStateVersion = 1;
 }  // namespace
 
-DejaVuEngine::DejaVuEngine(SymmetryConfig cfg)
-    : mode_(Mode::kRecord), cfg_(cfg) {
-  lane_count_ = cfg_.lanes == 0 ? 1 : cfg_.lanes;
-  DV_CHECK_MSG(lane_count_ <= kMaxLanes,
-               "lane count " << lane_count_ << " out of range");
-  lanes_.resize(lane_count_);
-  track_heap_owner_ = lane_count_ > 1;
-  uint32_t version = lane_count_ > 1 ? kTraceVersionMulti : kTraceVersion;
-  auto sink = std::make_unique<VectorTraceSink>(version);
-  mem_sink_ = sink.get();
-  writer_ = std::make_unique<TraceWriter>(std::move(sink),
-                                          cfg_.trace_chunk_bytes, version);
-  init_obs();
-}
-
 DejaVuEngine::DejaVuEngine(std::unique_ptr<TraceSink> sink, SymmetryConfig cfg)
     : mode_(Mode::kRecord), cfg_(cfg) {
-  lane_count_ = cfg_.lanes == 0 ? 1 : cfg_.lanes;
-  DV_CHECK_MSG(lane_count_ <= kMaxLanes,
-               "lane count " << lane_count_ << " out of range");
-  lanes_.resize(lane_count_);
-  track_heap_owner_ = lane_count_ > 1;
-  // The sink wrote its container header at construction; the caller must
-  // have created it with the matching version (v5 when lanes > 1).
+  init_lanes(cfg_.lanes);
+  // The sink wrote its container header at construction; the caller
+  // created it with trace_version_for_lanes(cfg.lanes), as here.
   writer_ = std::make_unique<TraceWriter>(
       std::move(sink), cfg_.trace_chunk_bytes,
-      lane_count_ > 1 ? kTraceVersionMulti : kTraceVersion);
+      trace_version_for_lanes(lane_count_));
   init_obs();
 }
-
-DejaVuEngine::DejaVuEngine(TraceFile trace, SymmetryConfig cfg)
-    : DejaVuEngine(std::make_unique<TraceFileSource>(std::move(trace)), cfg) {}
 
 DejaVuEngine::DejaVuEngine(std::unique_ptr<TraceSource> source,
                            SymmetryConfig cfg)
     : mode_(Mode::kReplay), cfg_(cfg), source_(std::move(source)) {
   cfg_.checkpoint_interval = source_->meta().checkpoint_interval;
-  lane_count_ = source_->meta().lane_count == 0 ? 1
-                                                : source_->meta().lane_count;
-  DV_CHECK_MSG(lane_count_ <= kMaxLanes,
-               "lane count " << lane_count_ << " out of range");
-  cfg_.lanes = lane_count_;  // replay follows the recording
-  lanes_.resize(lane_count_);
-  track_heap_owner_ = lane_count_ > 1;
+  init_lanes(source_->meta().lane_count);  // replay follows the recording
   init_obs();
 }
 
 DejaVuEngine::~DejaVuEngine() = default;
+
+void DejaVuEngine::init_lanes(uint32_t lanes) {
+  lane_count_ = lanes == 0 ? 1 : lanes;
+  DV_CHECK_MSG(lane_count_ <= kMaxLanes,
+               "lane count " << lane_count_ << " out of range");
+  cfg_.lanes = lane_count_;
+  lanes_.resize(lane_count_);
+  track_heap_owner_ = lane_count_ > 1;
+}
 
 // Registers every metric before attach, so the event hot path is a pointer
 // bump and never an allocation or a registry lookup (allocation symmetry:
@@ -624,10 +605,6 @@ bool DejaVuEngine::yield_point(bool hardware_bit) {
       // recordThreadSwitch(nyp) -- into this lane's schedule stream.
       ByteWriter w;
       uint64_t delta = uint64_t(lane.nyp);
-      if (cfg_.test_skew_schedule_delta != 0 &&
-          c_.preempt->value() + 1 == cfg_.test_skew_schedule_delta) {
-        delta++;  // injected off-by-one (see SymmetryConfig)
-      }
       w.put_uvarint(delta);
       writer_->append(StreamId::kSchedule, w.bytes().data(), w.size(),
                       lane_id);
@@ -940,9 +917,6 @@ void DejaVuEngine::detach(vm::Vm& vm) {
       }
     }
     writer_->finish(meta);
-    if (mem_sink_ != nullptr) {
-      result_ = TraceFile::deserialize(mem_sink_->bytes());
-    }
     return;
   }
 
@@ -1179,15 +1153,6 @@ void split_flight_checkpoint(const std::vector<uint8_t>& blob,
   half("VM snapshot", vm_snapshot);
   half("engine state", engine_state);
   DV_CHECK_MSG(r.at_end(), "trailing bytes in flight checkpoint");
-}
-
-TraceFile DejaVuEngine::take_trace() {
-  DV_CHECK_MSG(mode_ == Mode::kRecord && detached_,
-               "take_trace before the recorded run finished");
-  DV_CHECK_MSG(mem_sink_ != nullptr,
-               "take_trace on a streaming recorder (the trace went to its "
-               "sink)");
-  return std::move(result_);
 }
 
 }  // namespace dejavu::replay

@@ -1,6 +1,9 @@
 // The DejaVu engine: record/replay via symmetric instrumentation.
 //
-// One DejaVuEngine is installed into a Vm as its ExecHooks and implements
+// One DejaVuEngine is installed into a Vm as its ExecHooks. Its mode is
+// fixed at construction: record mode writes through a TraceSink, replay
+// mode reads a TraceSource. replay::RecordSession and replay::ReplaySession
+// (session.hpp) build the engine and VM of every run. The engine implements
 // the paper's mechanisms:
 //
 //  * Figure 2's yield-point protocol. Record mode counts live yield points
@@ -95,14 +98,6 @@ struct SymmetryConfig {
   // is counted in stats (the ablation bench runs non-strict).
   bool strict = true;
 
-  // Test-only fault injection: when nonzero, record mode over-reports the
-  // Nth preemptive schedule delta (1-based) by one yield point, simulating
-  // an off-by-one in the Figure 2 bookkeeping. Replay then switches one
-  // yield point late and must *detect* the divergence (checkpoint or final
-  // verification mismatch). The fuzzer uses this to prove its oracle and
-  // minimizer catch a real engine bug end to end.
-  uint32_t test_skew_schedule_delta = 0;
-
   // I/O warm-up probe file. Empty = a path unique to this engine instance
   // is chosen at attach, so concurrent record sessions never collide. The
   // path never influences recorded behaviour (the warm-up audit detail is
@@ -138,39 +133,31 @@ struct EngineStats {
 
 class DejaVuEngine : public vm::ExecHooks {
  public:
-  // Record mode, in-memory: the completed trace is available through
-  // take_trace() after the run.
-  explicit DejaVuEngine(SymmetryConfig cfg = {});
-  // Record mode, streaming: chunks are flushed to the sink as recording
-  // proceeds, so record-side memory stays O(chunk) instead of O(run).
-  DejaVuEngine(std::unique_ptr<TraceSink> sink, SymmetryConfig cfg = {});
-  // Replay mode from a materialized trace.
-  DejaVuEngine(TraceFile trace, SymmetryConfig cfg = {});
-  // Replay mode streaming from a source (e.g. a v4 file on disk); chunks
-  // are pulled on demand, never the whole stream.
+  // Record mode: chunks are flushed to the sink as recording proceeds, so
+  // record-side memory stays O(chunk) whatever the sink does with them.
+  // replay::RecordSession builds every recording engine; the default
+  // constructor records a single-lane run into a throwaway in-memory sink.
+  DejaVuEngine() : DejaVuEngine(std::make_unique<VectorTraceSink>()) {}
+  explicit DejaVuEngine(std::unique_ptr<TraceSink> sink,
+                        SymmetryConfig cfg = {});
+  // Replay mode streaming from a source (a file on disk, or a materialized
+  // TraceFile); chunks are pulled on demand. Built by replay::ReplaySession.
   DejaVuEngine(std::unique_ptr<TraceSource> source, SymmetryConfig cfg = {});
   ~DejaVuEngine() override;
 
   Mode mode() const { return mode_; }
   EngineStats stats() const;
-  // Record mode: true when writing through an external sink (no in-memory
-  // copy is kept; take_trace() is unavailable).
-  bool streaming() const { return mode_ == Mode::kRecord && mem_sink_ == nullptr; }
 
   // ---- telemetry (host-side only; see src/obs) ---------------------------
   // Every registered metric, including the core counters behind stats().
   obs::MetricsSnapshot metrics() const { return registry_.snapshot(); }
   // Timeline events captured so far (empty unless cfg.obs.timeline).
   std::vector<obs::TimelineEvent> timeline_events() const;
-  const obs::Timeline* timeline() const { return timeline_.get(); }
   // Forensics captured at the *first* divergence (strict or not). In strict
   // mode the same report rides the thrown ReplayDivergence's forensics().
   const std::optional<obs::DivergenceReport>& divergence() const {
     return divergence_;
   }
-
-  // Record mode, after the run: the completed trace (in-memory mode only).
-  TraceFile take_trace();
 
   // ---- flight-tail resume (driven by ReplaySession) ----------------------
   // Replay mode, before the VM boots: arm a mid-trace resume from the
@@ -188,9 +175,6 @@ class DejaVuEngine : public vm::ExecHooks {
   // analyzers' subscriptions; with none registered every wants_* predicate
   // stays false and the VM hot path is untouched.
   void add_analyzer(obs::AnalysisObserver* a);
-  const std::vector<obs::AnalysisObserver*>& analyzers() const {
-    return analyzers_;
-  }
   // Stream probe points (bytes consumed so far) for the analyzer-symmetry
   // tests: identical positions with analyzers on vs off proves analysis
   // never changes trace consumption.
@@ -315,6 +299,8 @@ class DejaVuEngine : public vm::ExecHooks {
   void serialize_resume_state(ByteWriter& w) const;
   void restore_resume_state(ByteReader& r);
 
+  // Fixes the lane count (record: cfg.lanes; replay: the trace meta).
+  void init_lanes(uint32_t lanes);
   // Telemetry plumbing (all host-side; registered before attach so the hot
   // path never allocates).
   void init_obs();
@@ -391,11 +377,8 @@ class DejaVuEngine : public vm::ExecHooks {
   bool track_heap_owner_ = false;
   std::unordered_map<uint64_t, uint32_t> heap_owner_;
 
-  // Record side: chunked writer over a sink. mem_sink_ points into the
-  // writer's sink when recording in-memory (legacy path), null when
-  // streaming to an external sink.
+  // Record side: chunked writer over the sink.
   std::unique_ptr<TraceWriter> writer_;
-  VectorTraceSink* mem_sink_ = nullptr;
 
   // Replay side: streamed from a source; per-lane cursors live in lanes_.
   std::unique_ptr<TraceSource> source_;
@@ -409,7 +392,6 @@ class DejaVuEngine : public vm::ExecHooks {
 
   bool io_class_loaded_ = false;
   bool detached_ = false;
-  TraceFile result_;  // record, in-memory mode: assembled at detach
 
   // Flight resume: the engine half of the checkpoint, held from
   // prepare_resume until the resume-style attach consumes it.

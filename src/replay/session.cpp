@@ -10,22 +10,69 @@ vm::VmOptions with_lanes(vm::VmOptions opts, uint32_t lanes) {
   opts.lanes = lanes == 0 ? 1 : lanes;
   return opts;
 }
-}  // namespace
 
-RecordResult record_run(const bytecode::Program& prog, vm::VmOptions opts,
-                        vm::Environment& env, threads::TimerSource& timer,
-                        const vm::NativeRegistry* natives,
-                        SymmetryConfig cfg) {
-  DejaVuEngine engine(cfg);
-  vm::Vm v(prog, with_lanes(opts, cfg.lanes), env, timer, &engine, natives);
-  v.run();
-  RecordResult r;
+// Runs a session's VM to its end and fills in what every run reports. A
+// guest VmError ends the run like an exit: it is reported in `r`, and the
+// engine still detaches, so a recording's sink gets its meta and seal and
+// a replay still verifies. ReplayDivergence propagates.
+void run_to_end(vm::Vm& v, const DejaVuEngine& engine, RunResult& r) {
+  try {
+    if (!v.booted()) v.boot();
+    while (!v.finished()) {
+      if (v.step(1u << 20) == 0 && !v.stopped_at_probe()) break;
+    }
+  } catch (const ReplayDivergence&) {
+    throw;
+  } catch (const VmError& e) {
+    r.crashed = true;
+    r.error = e.what();
+    r.error_instr = v.instr_count();
+  }
+  v.finish();
   r.summary = v.summary();
   r.output = v.output();
   r.stats = engine.stats();
   r.metrics = engine.metrics();
   r.timeline = engine.timeline_events();
-  r.trace = engine.take_trace();
+}
+}  // namespace
+
+RecordSession::RecordSession(const bytecode::Program& prog,
+                             std::unique_ptr<TraceSink> sink,
+                             vm::VmOptions opts, vm::Environment& env,
+                             threads::TimerSource& timer,
+                             const vm::NativeRegistry* natives,
+                             SymmetryConfig cfg)
+    : sink_(sink.get()),
+      engine_(std::make_unique<DejaVuEngine>(std::move(sink), cfg)),
+      vm_(std::make_unique<vm::Vm>(prog, with_lanes(opts, cfg.lanes), env,
+                                   timer, engine_.get(), natives)) {}
+
+RecordResult RecordSession::finish() {
+  RecordResult r;
+  run_to_end(*vm_, *engine_, r);
+  return r;
+}
+
+TraceFile RecordSession::take_trace() {
+  DV_CHECK_MSG(vm_->finished(),
+               "take_trace before the recorded run finished");
+  const std::vector<uint8_t>* bytes = sink_->in_memory();
+  DV_CHECK_MSG(bytes != nullptr,
+               "take_trace on a session whose sink keeps no trace in memory");
+  return TraceFile::deserialize(*bytes);
+}
+
+RecordResult record_run(const bytecode::Program& prog, vm::VmOptions opts,
+                        vm::Environment& env, threads::TimerSource& timer,
+                        const vm::NativeRegistry* natives,
+                        SymmetryConfig cfg) {
+  RecordSession s(prog,
+                  std::make_unique<VectorTraceSink>(
+                      trace_version_for_lanes(cfg.lanes)),
+                  opts, env, timer, natives, cfg);
+  RecordResult r = s.finish();
+  r.trace = s.take_trace();
   return r;
 }
 
@@ -35,19 +82,11 @@ RecordFileResult record_run_to(const std::string& path,
                                threads::TimerSource& timer,
                                const vm::NativeRegistry* natives,
                                SymmetryConfig cfg) {
-  uint32_t lanes = cfg.lanes == 0 ? 1 : cfg.lanes;
-  uint32_t version = lanes > 1 ? kTraceVersionMulti : kTraceVersion;
-  DejaVuEngine engine(std::make_unique<FileTraceSink>(path, version), cfg);
-  vm::Vm v(prog, with_lanes(opts, lanes), env, timer, &engine, natives);
-  v.run();
-  RecordFileResult r;
-  r.path = path;
-  r.summary = v.summary();
-  r.output = v.output();
-  r.stats = engine.stats();
-  r.metrics = engine.metrics();
-  r.timeline = engine.timeline_events();
-  return r;
+  return RecordSession(prog,
+                       std::make_unique<FileTraceSink>(
+                           path, trace_version_for_lanes(cfg.lanes)),
+                       opts, env, timer, natives, cfg)
+      .finish();
 }
 
 BuiltinAnalyzers::BuiltinAnalyzers(const obs::ObsConfig& oc) {
@@ -145,29 +184,11 @@ ReplaySession::ReplaySession(const bytecode::Program& prog,
 }
 
 ReplayResult ReplaySession::finish() {
+  // A crash tail reproduces its recorded crash; the recorded meta was
+  // captured at the same crashed state, so a faithful replay verifies.
   ReplayResult r;
-  try {
-    while (!vm_->finished()) {
-      if (vm_->step(1u << 20) == 0 && !vm_->stopped_at_probe()) break;
-    }
-  } catch (const ReplayDivergence&) {
-    throw;  // a symmetry violation, not a reproduced crash
-  } catch (const VmError& e) {
-    // A crash tail reproduces its recorded crash: report it, then detach
-    // below so the final verification still runs (the recorded meta was
-    // captured at the same crashed state, so a faithful replay verifies
-    // clean).
-    r.crashed = true;
-    r.error = e.what();
-    r.error_instr = vm_->instr_count();
-  }
-  vm_->finish();
-  r.summary = vm_->summary();
-  r.output = vm_->output();
-  r.stats = engine_->stats();
+  run_to_end(*vm_, *engine_, r);
   r.verified = r.stats.verified_ok;
-  r.metrics = engine_->metrics();
-  r.timeline = engine_->timeline_events();
   r.divergence = engine_->divergence();
   r.analysis = analyzers_.collect();
   r.post_violation = engine_->strict_carried_over();

@@ -1,10 +1,11 @@
 // Record and replay sessions.
 //
-// record_run executes a guest program on a fresh VM with a DejaVu recorder
-// attached and returns the trace plus the observed behaviour. Every replay
-// goes through one ReplaySession: it builds the replaying engine and VM,
-// re-executes from the trace and verifies accuracy (§1: the replayed code
-// must exhibit *exactly* the same behaviour). A flight-recorder tail
+// Every recording goes through one RecordSession, which builds the
+// recording engine and VM over any TraceSink (memory, a file, a flight
+// ring); record_run, record_run_to and flight::record_flight wrap it. Every
+// replay goes through one ReplaySession: it builds the replaying engine and
+// VM, re-executes from the trace and verifies accuracy (§1: the replayed
+// code must exhibit *exactly* the same behaviour). A flight-recorder tail
 // resumes from its embedded checkpoint there, so each replay entry point --
 // replay_run, replay_file, flight::replay_tail_file, the debugger and time
 // travel -- accepts full traces and tails alike. replay_run and
@@ -31,33 +32,29 @@
 
 namespace dejavu::replay {
 
-struct RecordResult {
-  TraceFile trace;
+struct RunResult {  // what every run reports, recorded or replayed
   vm::BehaviorSummary summary;
   std::string output;
   EngineStats stats;
   obs::MetricsSnapshot metrics;            // every engine metric
   std::vector<obs::TimelineEvent> timeline;  // empty unless cfg.obs.timeline
+  // The guest raised a VmError at VM instruction count `error_instr`. The
+  // engine still detached: a recording's trace is complete and replays the
+  // crash; a replay's `verified` says whether it reproduced it faithfully.
+  bool crashed = false;
+  std::string error;
+  uint64_t error_instr = 0;
 };
 
-// Result of a streamed recording: the trace went to `path` chunk by chunk
-// (recorder memory stayed O(chunk)); there is no in-memory TraceFile.
-struct RecordFileResult {
-  std::string path;
-  vm::BehaviorSummary summary;
-  std::string output;
-  EngineStats stats;
-  obs::MetricsSnapshot metrics;
-  std::vector<obs::TimelineEvent> timeline;
+struct RecordResult : RunResult {
+  TraceFile trace;  // record_run only: the trace, materialized in memory
 };
 
-struct ReplayResult {
-  vm::BehaviorSummary summary;
-  std::string output;
-  EngineStats stats;
+// record_run_to's result: the trace went to a file, so `trace` is empty.
+using RecordFileResult = RecordResult;
+
+struct ReplayResult : RunResult {
   bool verified = false;  // accuracy check passed
-  obs::MetricsSnapshot metrics;
-  std::vector<obs::TimelineEvent> timeline;
   // First-divergence forensics (non-strict replays; strict replays carry
   // the same report on the thrown ReplayDivergence).
   std::optional<obs::DivergenceReport> divergence;
@@ -68,13 +65,6 @@ struct ReplayResult {
   // and the run was finished non-strict so the artifacts are complete; they
   // describe a post-violation execution.
   bool post_violation = false;
-  // The guest raised a VmError during the replay -- a tail sealed on a
-  // crash reproduces it -- at VM instruction count `error_instr`. The run
-  // was still detached, so `verified` says whether the reproduction was
-  // faithful.
-  bool crashed = false;
-  std::string error;
-  uint64_t error_instr = 0;
 };
 
 // The built-in analyzers selected by SymmetryConfig::obs, owned by the
@@ -93,15 +83,47 @@ struct BuiltinAnalyzers {
   obs::AnalysisResults collect() const;
 };
 
-// Records one execution. The environment and timer supply the
-// non-determinism (host-real or scripted/seeded).
+// A recording VM bundled with its engine. The one place that sets up a
+// recording: the session pairs cfg.lanes with VmOptions::lanes, and the
+// sink must have been created for trace_version_for_lanes(cfg.lanes).
+// The environment, timer and natives supply the non-determinism
+// (host-real or scripted/seeded) and must outlive the session.
+class RecordSession {
+ public:
+  RecordSession(const bytecode::Program& prog, std::unique_ptr<TraceSink> sink,
+                vm::VmOptions opts, vm::Environment& env,
+                threads::TimerSource& timer,
+                const vm::NativeRegistry* natives = nullptr,
+                SymmetryConfig cfg = {});
+
+  vm::Vm& vm() { return *vm_; }
+  const DejaVuEngine& engine() const { return *engine_; }
+
+  // Runs the guest to completion and detaches the engine, which writes
+  // the meta block and seal to the sink. A guest VmError is reported in
+  // the result (RecordResult::crashed); ReplayDivergence propagates.
+  RecordResult finish();
+
+  // After finish(), when the sink keeps the container in memory (a
+  // VectorTraceSink, or a decorator over one): the recorded trace. Throws
+  // VmError before finish() or for any other sink.
+  TraceFile take_trace();
+
+ private:
+  const TraceSink* sink_;  // owned by the engine's writer
+  std::unique_ptr<DejaVuEngine> engine_;
+  std::unique_ptr<vm::Vm> vm_;
+};
+
+// Records one execution into memory.
 RecordResult record_run(const bytecode::Program& prog, vm::VmOptions opts,
                         vm::Environment& env, threads::TimerSource& timer,
                         const vm::NativeRegistry* natives = nullptr,
                         SymmetryConfig cfg = {});
 
-// Records one execution straight to a v4 trace file, flushing chunks as the
-// run proceeds instead of materializing the trace in memory.
+// Records one execution straight to a v4 (v5 when cfg.lanes > 1) trace
+// file, flushing chunks as the run proceeds instead of materializing the
+// trace in memory.
 RecordFileResult record_run_to(const std::string& path,
                                const bytecode::Program& prog,
                                vm::VmOptions opts, vm::Environment& env,

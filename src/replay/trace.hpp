@@ -41,6 +41,12 @@ inline constexpr uint32_t kTraceVersion = 4;         // chunked + checksummed
 inline constexpr uint32_t kTraceVersionLegacy = 3;   // unframed blob
 inline constexpr uint32_t kTraceVersionMulti = 5;    // multi-lane + order log
 
+// The container a recording on `lanes` scheduler lanes is written in:
+// multi-lane traces need v5, single-lane ones stay classic v4.
+inline constexpr uint32_t trace_version_for_lanes(uint32_t lanes) {
+  return lanes > 1 ? kTraceVersionMulti : kTraceVersion;
+}
+
 // Container lane type (mirrors threads::LaneId without a dependency).
 using LaneId = uint32_t;
 // Wire-format bound: lane data streams are encoded in the chunk id byte.

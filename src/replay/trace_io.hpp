@@ -140,10 +140,14 @@ class TraceSink {
                            uint64_t instr) {
     (void)checkpoint; (void)clock; (void)instr;
   }
+
+  // The container bytes written so far, when the sink keeps them in memory
+  // (VectorTraceSink, or a decorator over one); null otherwise.
+  virtual const std::vector<uint8_t>* in_memory() const { return nullptr; }
 };
 
-// Chunks appended to an in-memory byte vector (the legacy "whole trace in
-// RAM" path, and TraceFile::serialize()).
+// Chunks appended to an in-memory byte vector (record_run's sink, and
+// TraceFile::serialize()).
 class VectorTraceSink : public TraceSink {
  public:
   explicit VectorTraceSink(uint32_t version = kTraceVersion);
@@ -152,6 +156,9 @@ class VectorTraceSink : public TraceSink {
                    LaneId lane) override;
   const std::vector<uint8_t>& bytes() const { return w_.bytes(); }
   std::vector<uint8_t> take() { return w_.take(); }
+  const std::vector<uint8_t>* in_memory() const override {
+    return &w_.bytes();
+  }
 
  private:
   ByteWriter w_;
@@ -203,7 +210,6 @@ class TraceWriter {
 
   uint64_t stream_bytes(StreamId id, LaneId lane = 0) const;
   size_t buffered_bytes() const;
-  uint32_t version() const { return version_; }
   TraceSink& sink() { return *sink_; }
 
   // Invoked after each data chunk reaches the sink (stream, payload bytes).

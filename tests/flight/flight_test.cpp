@@ -109,9 +109,9 @@ TEST(FlightRecord, ZeroTraceBytesOnDiskUntilSeal) {
   auto sink = std::make_unique<FlightRecorder>(replay::kTraceVersion, 1,
                                                FlightConfig{3, 4});
   FlightRecorder* rec = sink.get();
-  replay::DejaVuEngine engine(std::move(sink), cfg);
-  vm::Vm v(prog, {}, w.env, w.timer, &engine);
-  v.run();
+  replay::RecordSession session(prog, std::move(sink), {}, w.env, w.timer,
+                                nullptr, cfg);
+  session.finish();
   // The whole run completed; the recorder retained a window in memory and
   // wrote nothing anywhere.
   FlightStats st = rec->stats();
@@ -279,6 +279,21 @@ TEST(FlightCrash, CrashTailReproducesSameErrorAtSameInstruction) {
       std::remove(path.c_str());
     }
   }
+}
+
+// A guest fault belongs to the guest: its text, and with it the seal
+// reason and the tail's bytes, must not name the platform's source files.
+TEST(FlightCrash, GuestFaultTextCarriesNoSourcePath) {
+  std::string path = tmp_path("pathfree");
+  bytecode::Program prog = workloads::crasher(3, 30, 50);
+  FlightRecordResult r = flight_record(path, prog, 1, 5, FlightConfig{3, 3});
+  ASSERT_TRUE(r.crashed);
+  EXPECT_EQ(r.error, "division by zero");
+  EXPECT_EQ(r.seal_reason, "crash: division by zero");
+  FlightInfo info;
+  ASSERT_TRUE(read_flight_info(path, &info));
+  EXPECT_EQ(info.seal_reason, "crash: division by zero");
+  std::remove(path.c_str());
 }
 
 TEST(FlightCrash, StrictReplayOfCrashTailStaysFaithful) {

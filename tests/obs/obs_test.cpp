@@ -5,6 +5,7 @@
 // report that pinpoints where execution went wrong.
 #include <gtest/gtest.h>
 
+#include "src/fuzz/fault.hpp"
 #include "src/obs/divergence.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/metrics.hpp"
@@ -170,14 +171,26 @@ TEST(Divergence, ExtractFindsEmbeddedBlock) {
 
 // ----------------------------------------------- engine integration (obs)
 
+// skew_nth != 0 records through fuzz::skew_schedule, which over-reports
+// that schedule delta by one yield point.
 replay::RecordResult record_with(replay::SymmetryConfig cfg,
-                                 uint64_t timer_seed = 9) {
+                                 uint64_t timer_seed = 9,
+                                 uint32_t skew_nth = 0) {
   vm::VmOptions opts;
   vm::ScriptedEnvironment env(500, 3, {11, 22, 33}, 5);
   threads::VirtualTimer timer(timer_seed, 4, 48);
   vm::NativeRegistry natives = vmtest::make_test_natives();
   bytecode::Program prog = workloads::clock_mixer(2, 12);
-  return replay::record_run(prog, opts, env, timer, &natives, cfg);
+  std::unique_ptr<replay::TraceSink> sink =
+      std::make_unique<replay::VectorTraceSink>();
+  if (skew_nth != 0)
+    sink = fuzz::skew_schedule(std::move(sink), skew_nth,
+                               cfg.checkpoint_interval);
+  replay::RecordSession session(prog, std::move(sink), opts, env, timer,
+                                &natives, cfg);
+  replay::RecordResult rec = session.finish();
+  rec.trace = session.take_trace();
+  return rec;
 }
 
 // The tentpole contract (§2.4): flipping every telemetry knob must not
@@ -233,14 +246,13 @@ TEST(ObsEngine, TimelineCoversPhasesAndReplayVerifies) {
 }
 
 // The forensics drill: an injected record-side schedule skew
-// (SymmetryConfig::test_skew_schedule_delta) must produce a divergence
-// report that pinpoints the thread, the remaining yield budget and the
-// faulting instruction.
+// (fuzz::skew_schedule) must produce a divergence report that pinpoints
+// the thread, the remaining yield budget and the faulting instruction.
 TEST(ObsEngine, SkewedScheduleYieldsForensicReport) {
   replay::SymmetryConfig rec_cfg;
   rec_cfg.checkpoint_interval = 8;
-  rec_cfg.test_skew_schedule_delta = 1;  // over-report the first delta
-  replay::RecordResult rec = record_with(rec_cfg);
+  // Over-report the first delta.
+  replay::RecordResult rec = record_with(rec_cfg, 9, /*skew_nth=*/1);
 
   replay::SymmetryConfig rep_cfg;
   rep_cfg.checkpoint_interval = 8;
@@ -275,8 +287,7 @@ TEST(ObsEngine, SkewedScheduleYieldsForensicReport) {
 TEST(ObsEngine, StrictThrowCarriesForensics) {
   replay::SymmetryConfig rec_cfg;
   rec_cfg.checkpoint_interval = 8;
-  rec_cfg.test_skew_schedule_delta = 1;
-  replay::RecordResult rec = record_with(rec_cfg);
+  replay::RecordResult rec = record_with(rec_cfg, 9, /*skew_nth=*/1);
 
   replay::SymmetryConfig rep_cfg;
   rep_cfg.checkpoint_interval = 8;

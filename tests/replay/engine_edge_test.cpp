@@ -15,14 +15,19 @@ RecordResult quick_record(uint64_t seed = 7) {
 }
 
 TEST(EngineEdge, TakeTraceBeforeFinishThrows) {
-  DejaVuEngine engine{SymmetryConfig{}};
-  EXPECT_THROW(engine.take_trace(), VmError);
+  vm::ScriptedEnvironment env(1000, 7, {}, 17);
+  threads::NullTimer timer;
+  RecordSession session(workloads::fig1_race(),
+                        std::make_unique<VectorTraceSink>(), {}, env, timer);
+  EXPECT_THROW(session.take_trace(), VmError);
+  session.finish();
+  EXPECT_NO_THROW(session.take_trace());
 }
 
 TEST(EngineEdge, AttachTwiceThrows) {
   vm::ScriptedEnvironment env(1000, 7, {}, 17);
   threads::NullTimer timer;
-  DejaVuEngine engine{SymmetryConfig{}};
+  DejaVuEngine engine;
   vm::Vm v1(workloads::fig1_race(), {}, env, timer, &engine);
   v1.run();
   vm::Vm v2(workloads::fig1_race(), {}, env, timer, &engine);
@@ -32,10 +37,13 @@ TEST(EngineEdge, AttachTwiceThrows) {
 TEST(EngineEdge, ReplayerReportsModeAndStats) {
   RecordResult rec = quick_record();
   EXPECT_GT(rec.stats.preempt_switches, 0u);
-  DejaVuEngine rep(rec.trace);
-  EXPECT_EQ(rep.mode(), Mode::kReplay);
-  DejaVuEngine recd{SymmetryConfig{}};
-  EXPECT_EQ(recd.mode(), Mode::kRecord);
+  ReplaySession rep(workloads::counter_race(2, 8), rec.trace, {});
+  EXPECT_EQ(rep.engine().mode(), Mode::kReplay);
+  vm::ScriptedEnvironment env(1000, 7, {}, 17);
+  threads::NullTimer timer;
+  RecordSession recd(workloads::counter_race(2, 8),
+                     std::make_unique<VectorTraceSink>(), {}, env, timer);
+  EXPECT_EQ(recd.engine().mode(), Mode::kRecord);
 }
 
 TEST(EngineEdge, TruncatedScheduleDetected) {

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "src/fuzz/fault.hpp"
 #include "src/replay/session.hpp"
 #include "src/replay/trace_tools.hpp"
 #include "src/workloads/workloads.hpp"
@@ -21,6 +22,9 @@ struct LaneSetup {
   std::vector<int64_t> inputs{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
   vm::VmOptions opts;
   SymmetryConfig cfg;
+  // Nonzero: record through fuzz::skew_schedule, which over-reports lane
+  // 0's skew_nth-th schedule delta by one yield point.
+  uint32_t skew_nth = 0;
 };
 
 RecordResult record_with(const bytecode::Program& prog, const LaneSetup& s) {
@@ -29,7 +33,16 @@ RecordResult record_with(const bytecode::Program& prog, const LaneSetup& s) {
   vm::NativeRegistry natives = vmtest::make_test_natives();
   SymmetryConfig cfg = s.cfg;
   cfg.lanes = s.lanes;
-  return record_run(prog, s.opts, env, timer, &natives, cfg);
+  std::unique_ptr<TraceSink> sink =
+      std::make_unique<VectorTraceSink>(trace_version_for_lanes(cfg.lanes));
+  if (s.skew_nth != 0)
+    sink = fuzz::skew_schedule(std::move(sink), s.skew_nth,
+                               cfg.checkpoint_interval);
+  RecordSession session(prog, std::move(sink), s.opts, env, timer, &natives,
+                        cfg);
+  RecordResult rec = session.finish();
+  rec.trace = session.take_trace();
+  return rec;
 }
 
 std::string tmp_path(const char* stem) {
@@ -329,12 +342,12 @@ TEST(LaneDiff, FirstDisagreeingOrderEventIsPinpointed) {
 }
 
 TEST(LaneDivergence, SkewedMultiLaneScheduleIsDetected) {
-  // The injected off-by-one of test_skew_schedule_delta must be caught by
+  // The injected off-by-one of fuzz::skew_schedule must be caught by
   // the lane-structured engine too (checkpoint or final verification).
   bytecode::Program prog = workloads::counter_race(4, 20);
   LaneSetup s;
   s.lanes = 2;
-  s.cfg.test_skew_schedule_delta = 2;
+  s.skew_nth = 2;
   RecordResult rec = record_with(prog, s);
   SymmetryConfig rcfg;
   rcfg.strict = false;

@@ -1,8 +1,11 @@
 // Property P1 -- accuracy: replay reproduces the recorded execution
 // exactly, across workloads, seeds, heap configurations and environments.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include "src/replay/session.hpp"
 #include "src/workloads/workloads.hpp"
@@ -195,6 +198,38 @@ TEST(Replay, GcStressRecordingReplays) {
   s.timer_min = 5;
   s.timer_max = 60;
   expect_exact_replay(workloads::counter_locked(2, 6), s);
+}
+
+// A guest crash ends a full recording like an exit: the file is sealed,
+// verifies, and replays the same error at the same instruction.
+TEST(Replay, CrashedFullRecordingReplaysTheCrash) {
+  for (uint32_t lanes : {1u, 2u}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    bytecode::Program prog = workloads::crasher(3, 30, 50);
+    std::string path = "/tmp/dejavu_replay_test_crash_" +
+                       std::to_string(::getpid()) + ".djv";
+    vm::ScriptedEnvironment env(1000, 7, {1, 2, 3, 4, 5, 6, 7, 8}, 17);
+    threads::VirtualTimer timer(5, 40, 400);
+    SymmetryConfig cfg;
+    cfg.lanes = lanes;
+    RecordFileResult rec = record_run_to(path, prog, {}, env, timer, nullptr,
+                                         cfg);
+    ASSERT_TRUE(rec.crashed);
+    EXPECT_EQ(rec.error, "division by zero");
+    EXPECT_GT(rec.error_instr, 0u);
+    EXPECT_EQ(rec.summary.instr_count, rec.error_instr);
+
+    TraceVerifyReport v = verify_trace_file(path);
+    EXPECT_TRUE(v.ok) << v.error;
+
+    ReplayResult rep = replay_file(prog, path, {});
+    EXPECT_TRUE(rep.crashed);
+    EXPECT_EQ(rep.error, rec.error);
+    EXPECT_EQ(rep.error_instr, rec.error_instr);
+    EXPECT_EQ(rep.output, rec.output);
+    EXPECT_TRUE(rep.verified) << rep.stats.first_violation;
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

@@ -33,20 +33,17 @@ TEST(Symmetry, AuditLogsIdenticalBetweenRecordAndReplay) {
   SymmetryConfig cfg;
   vm::ScriptedEnvironment env(1000, 7, {}, 17);
   threads::VirtualTimer timer(13, 4, 60);
-  DejaVuEngine rec_engine(cfg);
-  vm::Vm rec_vm(ablation_workload(), {}, env, timer, &rec_engine);
-  rec_vm.run();
-  TraceFile trace = rec_engine.take_trace();
+  RecordSession rec(ablation_workload(), std::make_unique<VectorTraceSink>(),
+                    {}, env, timer, nullptr, cfg);
+  rec.finish();
+  ReplaySession rep(ablation_workload(), rec.take_trace(), {}, cfg);
+  rep.finish();
 
-  vm::ScriptedEnvironment env2(0, 1, {}, 0);
-  threads::NullTimer timer2;
-  DejaVuEngine rep_engine(std::move(trace), cfg);
-  vm::Vm rep_vm(ablation_workload(), {}, env2, timer2, &rep_engine);
-  rep_vm.run();
-
-  size_t div = rec_vm.audit().first_divergence(rep_vm.audit());
-  EXPECT_EQ(div, SIZE_MAX) << "record: " << rec_vm.audit().describe(div)
-                           << " vs replay: " << rep_vm.audit().describe(div);
+  const vm::AuditLog& rec_audit = rec.vm().audit();
+  const vm::AuditLog& rep_audit = rep.vm().audit();
+  size_t div = rec_audit.first_divergence(rep_audit);
+  EXPECT_EQ(div, SIZE_MAX) << "record: " << rec_audit.describe(div)
+                           << " vs replay: " << rep_audit.describe(div);
 }
 
 TEST(Symmetry, EngineClassesPreloadedInBothModes) {

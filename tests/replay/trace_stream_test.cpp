@@ -208,8 +208,8 @@ TEST(TraceStream, StreamingRecorderKeepsMemoryBounded) {
   // Not a benchmark, but a structural check: while recording through a
   // file sink with small chunks, the engine's writer never accumulates
   // more than one chunk per stream (verified indirectly: the file already
-  // contains almost all payload bytes the moment the run ends, before any
-  // take_trace-style materialization happened).
+  // contains almost all payload bytes the moment the run ends, and nothing
+  // is materialized in memory).
   Harness h;
   h.cfg.trace_chunk_bytes = 64;
   std::string path = temp_path("dv_stream_bounded.djv");
@@ -219,10 +219,15 @@ TEST(TraceStream, StreamingRecorderKeepsMemoryBounded) {
                      src->stream_info(StreamId::kEvents).bytes;
   EXPECT_GT(payload, 0u);
   EXPECT_GT(rec.stats.preempt_switches, 0u);
-  // A streaming engine exposes no in-memory trace.
-  DejaVuEngine probe(std::make_unique<FileTraceSink>(
-      temp_path("dv_stream_probe.djv")), h.cfg);
-  EXPECT_TRUE(probe.streaming());
+  // A session streaming to a file keeps no in-memory trace.
+  vm::ScriptedEnvironment env(1000, 7, {1, 2, 3, 4, 5, 6, 7, 8}, 17);
+  threads::VirtualTimer timer(7, 3, 60);
+  vm::NativeRegistry natives = vmtest::make_test_natives();
+  RecordSession probe(
+      h.prog, std::make_unique<FileTraceSink>(temp_path("dv_stream_probe.djv")),
+      h.opts, env, timer, &natives, h.cfg);
+  probe.finish();
+  EXPECT_THROW(probe.take_trace(), VmError);
   std::remove(path.c_str());
   std::remove(temp_path("dv_stream_probe.djv").c_str());
 }

@@ -147,6 +147,15 @@ check_obs_slice() {
   printf 'finish\nquit\n' | ./build/tools/dejavu debug crasher \
     "$art/crash_tail.djv" > "$art/tail_debug.txt"
   grep -q 'replay verified exact' "$art/tail_debug.txt"
+  # A full recording survives the guest dying too: the crash ends the run,
+  # the file is sealed, and its replay reproduces the crash exactly.
+  ./build/tools/dejavu record crasher --seed 5 --out "$art/crash_full.djv" \
+    > "$art/crash_full_record.txt"
+  grep -q 'guest CRASHED' "$art/crash_full_record.txt"
+  ./build/tools/dejavu replay crasher "$art/crash_full.djv" \
+    > "$art/crash_full_replay.txt"
+  grep -q 'reproduced recorded crash' "$art/crash_full_replay.txt"
+  grep -q 'replay verified exact' "$art/crash_full_replay.txt"
   # A flag the subcommand does not take is refused.
   if ./build/tools/dejavu record counter_race --lane 4 \
       --out "$art/lane_typo.djv" >/dev/null 2>&1; then

@@ -199,28 +199,31 @@ int cmd_record(const std::string& name, uint64_t seed, bool realtime,
   replay::SymmetryConfig cfg;
   cfg.lanes = lanes;
   cfg.obs.timeline = !tel.timeline.empty();
+  vm::HostEnvironment host_env;
+  threads::RealTimeTimer host_timer(std::chrono::microseconds(100));
+  vm::ScriptedEnvironment scripted_env(1000, 7, {1, 2, 3, 4, 5, 6, 7, 8}, 17);
+  threads::VirtualTimer seeded_timer(seed == 0 ? 7 : seed, 40, 400);
+  vm::Environment& env = realtime ? static_cast<vm::Environment&>(host_env)
+                                  : scripted_env;
+  threads::TimerSource& timer =
+      realtime ? static_cast<threads::TimerSource&>(host_timer) : seeded_timer;
+  // Flight mode (--flight N) writes zero trace bytes anywhere while the
+  // run lasts: the bounded in-memory ring seals to --out at the end.
+  flight::FlightRecordResult fr;
+  replay::RecordResult& rec = fr;
   if (flight_window > 0) {
-    // Flight mode: the run writes zero trace bytes anywhere; the bounded
-    // in-memory ring seals to --out on a crash or at clean exit.
-    flight::FlightConfig fcfg;
-    fcfg.window_epochs = flight_window;
-    fcfg.epoch_preempts = flight_epoch;
-    flight::FlightRecordResult fr;
-    if (realtime) {
-      vm::HostEnvironment env;
-      threads::RealTimeTimer timer(std::chrono::microseconds(100));
-      fr = flight::record_flight(out, e->make(), {}, env, timer, fcfg,
-                                 &natives, cfg);
-    } else {
-      vm::ScriptedEnvironment env(1000, 7, {1, 2, 3, 4, 5, 6, 7, 8}, 17);
-      threads::VirtualTimer timer(seed == 0 ? 7 : seed, 40, 400);
-      fr = flight::record_flight(out, e->make(), {}, env, timer, fcfg,
-                                 &natives, cfg);
-    }
-    std::printf("output:\n%s", fr.output.c_str());
-    if (fr.crashed)
-      std::printf("guest CRASHED: %s (instr %llu)\n", fr.error.c_str(),
-                  (unsigned long long)fr.error_instr);
+    fr = flight::record_flight(out, e->make(), {}, env, timer,
+                               flight::FlightConfig{flight_window,
+                                                    flight_epoch},
+                               &natives, cfg);
+  } else {
+    rec = replay::record_run_to(out, e->make(), {}, env, timer, &natives, cfg);
+  }
+  std::printf("output:\n%s", rec.output.c_str());
+  if (rec.crashed)
+    std::printf("guest CRASHED: %s (instr %llu)\n", rec.error.c_str(),
+                (unsigned long long)rec.error_instr);
+  if (flight_window > 0) {
     std::printf("flight ring: %llu checkpoint(s); %llu epoch(s) retained "
                 "(%llu B), %llu retired (%llu B never written)\n",
                 (unsigned long long)fr.flight.checkpoints,
@@ -231,33 +234,21 @@ int cmd_record(const std::string& name, uint64_t seed, bool realtime,
     std::printf("tail sealed to %s (%s, %lluB)\n", out.c_str(),
                 fr.seal_reason.c_str(),
                 (unsigned long long)std::filesystem::file_size(out));
-    export_telemetry(tel, fr.metrics, fr.timeline, "dejavu record " + name);
-    // A crashed guest is the flight recorder doing its job: the tail
-    // sealed, so the invocation succeeded.
-    return 0;
-  }
-  replay::RecordFileResult rec;
-  if (realtime) {
-    vm::HostEnvironment env;
-    threads::RealTimeTimer timer(std::chrono::microseconds(100));
-    rec = replay::record_run_to(out, e->make(), {}, env, timer, &natives, cfg);
   } else {
-    vm::ScriptedEnvironment env(1000, 7, {1, 2, 3, 4, 5, 6, 7, 8}, 17);
-    threads::VirtualTimer timer(seed == 0 ? 7 : seed, 40, 400);
-    rec = replay::record_run_to(out, e->make(), {}, env, timer, &natives, cfg);
+    std::printf("instrs=%llu switches=%llu preempts=%llu events=%llu "
+                "trace=%lluB\n",
+                (unsigned long long)rec.summary.instr_count,
+                (unsigned long long)rec.summary.switch_count,
+                (unsigned long long)rec.stats.preempt_switches,
+                (unsigned long long)rec.stats.nd_events(),
+                (unsigned long long)std::filesystem::file_size(out));
+    std::printf("trace written to %s (v%u, %u lane%s)\n", out.c_str(),
+                replay::trace_version_for_lanes(lanes), lanes == 0 ? 1 : lanes,
+                lanes > 1 ? "s" : "");
   }
-  std::printf("output:\n%s", rec.output.c_str());
-  std::printf("instrs=%llu switches=%llu preempts=%llu events=%llu "
-              "trace=%lluB\n",
-              (unsigned long long)rec.summary.instr_count,
-              (unsigned long long)rec.summary.switch_count,
-              (unsigned long long)rec.stats.preempt_switches,
-              (unsigned long long)rec.stats.nd_events(),
-              (unsigned long long)std::filesystem::file_size(out));
-  std::printf("trace written to %s (%s, %u lane%s)\n", out.c_str(),
-              lanes > 1 ? "v5" : "v4", lanes == 0 ? 1 : lanes,
-              lanes > 1 ? "s" : "");
   export_telemetry(tel, rec.metrics, rec.timeline, "dejavu record " + name);
+  // A crashed guest still leaves a sealed trace that replays the crash, so
+  // the invocation succeeded.
   return 0;
 }
 
@@ -900,6 +891,8 @@ int cmd_sweep(const std::string& name, int n_seeds, const TelemetryOpts& tel) {
     threads::VirtualTimer timer(uint64_t(seed), 3, 60);
     replay::RecordResult rec =
         replay::record_run(e->make(), {}, env, timer, &natives);
+    if (rec.crashed)
+      throw VmError("seed " + std::to_string(seed) + ": " + rec.error);
     hist[rec.output]++;
     obs::merge_snapshots(&merged, rec.metrics);
     timeline.instant("sweep", "seed_done", 0, 0, "seed", seed, "preempts",
