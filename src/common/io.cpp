@@ -1,11 +1,21 @@
 #include "src/common/io.hpp"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
 
 namespace dejavu {
 
+std::FILE* open_for_replace(const std::string& path) {
+  struct stat st;
+  if (::lstat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode))
+    ::unlink(path.c_str());  // on failure fopen truncates, as before
+  return std::fopen(path.c_str(), "wb");
+}
+
 void write_file(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
+  std::FILE* f = open_for_replace(path);
   DV_CHECK_MSG(f != nullptr, "cannot open for write: " << path);
   if (!bytes.empty()) {
     size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f);

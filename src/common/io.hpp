@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <string_view>
@@ -142,7 +143,18 @@ class ByteReader {
   size_t pos_ = 0;
 };
 
-// Whole-file helpers used by the trace writer/reader.
+// Opens `path` for writing as a new, empty file; nullptr on failure. An
+// existing regular file is unlinked first instead of truncated: on ext4
+// (auto_da_alloc, the default) closing a file that was truncated to zero
+// starts its writeback, and the next O_TRUNC of that path waits for it --
+// tens of milliseconds per rewrite, whatever the size. A fresh inode never
+// waits. Anything else at `path` (a symlink, a device such as /dev/null, a
+// FIFO) is opened exactly as fopen(path, "wb") would. The one visible
+// difference: another hard link to the old file keeps the old bytes.
+std::FILE* open_for_replace(const std::string& path);
+
+// Whole-file helpers used by the trace writer/reader. write_file replaces
+// the file through open_for_replace.
 void write_file(const std::string& path, const std::vector<uint8_t>& bytes);
 std::vector<uint8_t> read_file(const std::string& path);
 

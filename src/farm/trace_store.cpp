@@ -8,6 +8,7 @@
 
 #include "src/common/check.hpp"
 #include "src/common/hash.hpp"
+#include "src/common/io.hpp"
 #include "src/obs/json.hpp"
 #include "src/replay/trace_io.hpp"
 
@@ -160,12 +161,7 @@ IngestResult TraceStore::ingest(const std::string& path,
   r.flight = !source->flight_chunk().empty();
 
   std::filesystem::create_directories(shard_dir(shard));
-  {
-    std::ofstream out(resolve(r), std::ios::binary | std::ios::trunc);
-    if (!out) throw VmError("farm: cannot write " + resolve(r));
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              std::streamsize(bytes.size()));
-  }
+  write_file(resolve(r), bytes);
   append_entry(shard, r);
   records_.push_back(r);
   return IngestResult{false, records_.back()};

@@ -1,30 +1,16 @@
 #include "src/fuzz/fault.hpp"
 
 #include <filesystem>
-#include <fstream>
 #include <memory>
 
 #include "src/common/check.hpp"
+#include "src/common/io.hpp"
 #include "src/common/rng.hpp"
 #include "src/replay/session.hpp"
 
 namespace dejavu::fuzz {
 
 namespace {
-
-std::vector<uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  DV_CHECK_MSG(in.good(), "cannot read " << path);
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>());
-}
-
-void write_file(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  DV_CHECK_MSG(out.good(), "cannot write " << path);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            std::streamsize(bytes.size()));
-}
 
 // Sink decorator simulating a lost write: forwards every chunk except the
 // drop_index-th one (counting all write_chunk calls, any stream). The seal

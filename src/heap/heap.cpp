@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 namespace dejavu::heap {
 
@@ -58,35 +59,41 @@ Heap::Heap(const TypeRegistry& types, HeapConfig cfg)
     : types_(types), cfg_(cfg) {
   space_bytes_ = align8(cfg.size_bytes);
   DV_CHECK_MSG(space_bytes_ >= 4096, "heap too small");
-  size_t total = cfg.gc == GcKind::kSemispaceCopying ? 2 * space_bytes_
-                                                     : space_bytes_;
-  mem_.assign(total, 0);
+  mem_size_ = cfg.gc == GcKind::kSemispaceCopying ? 2 * space_bytes_
+                                                 : space_bytes_;
+  allocate_zeroed();
   from_base_ = 0;
   bump_ = 8;  // address 0 is reserved for null
 }
 
+void Heap::allocate_zeroed() {
+  mem_.reset();  // release first, so the old and new spaces never coexist
+  mem_.reset(static_cast<uint8_t*>(std::calloc(mem_size_, 1)));
+  if (mem_ == nullptr) throw std::bad_alloc();
+}
+
 uint32_t Heap::read_u32(size_t off) const {
-  DV_CHECK(off + 4 <= mem_.size());
+  DV_CHECK(off + 4 <= mem_size_);
   uint32_t v;
-  std::memcpy(&v, mem_.data() + off, 4);
+  std::memcpy(&v, mem_.get() + off, 4);
   return v;
 }
 
 void Heap::write_u32(size_t off, uint32_t v) {
-  DV_CHECK(off + 4 <= mem_.size());
-  std::memcpy(mem_.data() + off, &v, 4);
+  DV_CHECK(off + 4 <= mem_size_);
+  std::memcpy(mem_.get() + off, &v, 4);
 }
 
 uint64_t Heap::read_u64(size_t off) const {
-  DV_CHECK(off + 8 <= mem_.size());
+  DV_CHECK(off + 8 <= mem_size_);
   uint64_t v;
-  std::memcpy(&v, mem_.data() + off, 8);
+  std::memcpy(&v, mem_.get() + off, 8);
   return v;
 }
 
 void Heap::write_u64(size_t off, uint64_t v) {
-  DV_CHECK(off + 8 <= mem_.size());
-  std::memcpy(mem_.data() + off, &v, 8);
+  DV_CHECK(off + 8 <= mem_size_);
+  std::memcpy(mem_.get() + off, &v, 8);
 }
 
 Addr Heap::raw_alloc(size_t bytes_needed, uint32_t class_id) {
@@ -110,7 +117,7 @@ Addr Heap::raw_alloc(size_t bytes_needed, uint32_t class_id) {
           take = fb.size;  // absorb the unsplittable tail
           free_list_.erase(free_list_.begin() + long(i));
         }
-        std::memset(mem_.data() + off, 0, take);
+        std::memset(mem_.get() + off, 0, take);
         write_u32(off + kOffClassId, class_id);
         write_u32(off + kOffSize, uint32_t(take));
         return Addr(off);
@@ -121,7 +128,7 @@ Addr Heap::raw_alloc(size_t bytes_needed, uint32_t class_id) {
     if (bump_ + need <= limit) {
       size_t off = bump_;
       bump_ += need;
-      std::memset(mem_.data() + off, 0, need);
+      std::memset(mem_.get() + off, 0, need);
       write_u32(off + kOffClassId, class_id);
       write_u32(off + kOffSize, uint32_t(need));
       return Addr(off);
@@ -266,7 +273,7 @@ Addr Heap::copy_or_forward(Addr obj, size_t& to_bump) {
   to_bump += size;
   DV_CHECK_MSG(to_bump <= (from_base_ == 0 ? 2 * space_bytes_ : space_bytes_),
                "to-space overflow during copying GC");
-  std::memcpy(mem_.data() + dst, mem_.data() + obj, size);
+  std::memcpy(mem_.get() + dst, mem_.get() + obj, size);
   write_u32(obj + kOffClassId, kClassIdForwarded);
   write_u32(obj + kOffSize, uint32_t(dst));
   if (move_observer_) move_observer_(obj, Addr(dst));
@@ -364,7 +371,7 @@ uint64_t Heap::image_hash() const {
     uint32_t cid = read_u32(off + kOffClassId);
     if (cid != kClassIdFreeBlock) {
       h.update_u64(off - from_base_);  // position, space-relative
-      h.update(mem_.data() + off, size);
+      h.update(mem_.get() + off, size);
     }
     off += size;
   }
@@ -393,7 +400,7 @@ void Heap::serialize(ByteWriter& w) const {
   // (allocation zeroes, GC copies out of from-space only).
   size_t len = bump_ - (from_base_ + 8);
   w.put_uvarint(len);
-  w.put_bytes(mem_.data() + from_base_ + 8, len);
+  w.put_bytes(mem_.get() + from_base_ + 8, len);
 }
 
 void Heap::restore(ByteReader& r) {
@@ -418,12 +425,12 @@ void Heap::restore(ByteReader& r) {
     fb.size = size_t(r.get_uvarint());
     free_list_.push_back(fb);
   }
-  std::fill(mem_.begin(), mem_.end(), uint8_t(0));
+  allocate_zeroed();
   size_t len = size_t(r.get_uvarint());
-  DV_CHECK_MSG(from_base_ + 8 + len <= mem_.size() &&
+  DV_CHECK_MSG(from_base_ + 8 + len <= mem_size_ &&
                    len == bump_ - (from_base_ + 8),
                "checkpoint heap image inconsistent");
-  r.get_bytes(mem_.data() + from_base_ + 8, len);
+  r.get_bytes(mem_.get() + from_base_ + 8, len);
 }
 
 }  // namespace dejavu::heap

@@ -1,6 +1,6 @@
 // The guest heap: a single contiguous address space with type-accurate GC.
 //
-// Everything the guest program can reach lives in one byte vector indexed by
+// Everything the guest program can reach lives in one byte array indexed by
 // 32-bit addresses ("the application JVM's address space"). This matters for
 // two of the paper's pillars:
 //
@@ -25,7 +25,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -97,6 +99,9 @@ class RootProvider {
 
 enum class GcKind { kSemispaceCopying, kMarkSweep };
 
+// size_bytes is a cap, not a commitment: the heap's memory comes zeroed
+// from calloc, so the kernel commits a page only when the guest first
+// touches it. A VM that allocates little costs little, whatever the cap.
 struct HeapConfig {
   size_t size_bytes = 32u << 20;  // per-semispace for copying
   GcKind gc = GcKind::kSemispaceCopying;
@@ -161,8 +166,8 @@ class Heap {
 
   // Raw byte view of the *live* space, for the remote-memory facility and
   // for behaviour hashing. Addresses handed out by alloc_* index into this.
-  const uint8_t* raw() const { return mem_.data(); }
-  size_t raw_size() const { return mem_.size(); }
+  const uint8_t* raw() const { return mem_.get(); }
+  size_t raw_size() const { return mem_size_; }
 
   // Hash of the allocated portion of the live space. Two behaviourally
   // identical runs produce identical heap images (property P1).
@@ -193,9 +198,17 @@ class Heap {
   Addr copy_or_forward(Addr obj, size_t& scan_free);
   void scan_object_refs(Addr obj, const std::function<void(size_t slot_off)>& f);
 
+  // (Re)allocates mem_ as mem_size_ zero bytes, committed on first touch.
+  void allocate_zeroed();
+
+  struct FreeDeleter {
+    void operator()(uint8_t* p) const { std::free(p); }
+  };
+
   const TypeRegistry& types_;
   HeapConfig cfg_;
-  std::vector<uint8_t> mem_;
+  std::unique_ptr<uint8_t[], FreeDeleter> mem_;  // from calloc
+  size_t mem_size_;      // both semispaces (copying) or the whole heap (m-s)
   size_t space_bytes_;   // one semispace (copying) or the whole heap (m-s)
   size_t from_base_;     // base offset of the live space
   size_t bump_;          // next free offset (bump allocation)

@@ -207,7 +207,7 @@ void VectorTraceSink::write_chunk(StreamId id, const uint8_t* payload,
 
 FileTraceSink::FileTraceSink(const std::string& path, uint32_t version)
     : path_(path) {
-  f_ = std::fopen(path.c_str(), "wb");
+  f_ = open_for_replace(path);
   DV_CHECK_MSG(f_ != nullptr, "cannot open trace for write: " << path);
   ByteWriter w;
   w.put_u32_fixed(kTraceMagic);

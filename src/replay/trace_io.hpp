@@ -166,6 +166,7 @@ class VectorTraceSink : public TraceSink {
 
 // Chunks written straight to a file as recording proceeds. A recorder
 // crash leaves every already-flushed chunk intact (and CRC-verifiable).
+// An existing file at `path` is replaced, not truncated (open_for_replace).
 class FileTraceSink : public TraceSink {
  public:
   explicit FileTraceSink(const std::string& path,

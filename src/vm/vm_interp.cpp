@@ -15,6 +15,17 @@ using threads::MonitorId;
 using threads::SwitchReason;
 using threads::Tid;
 
+namespace {
+
+// A guest fault, not a platform bug: its text reaches crash tails and their
+// content hash, so unlike DV_CHECK it carries no source location.
+[[noreturn, gnu::cold, gnu::noinline]] void guest_fault(
+    const std::string& what) {
+  throw VmError(what);
+}
+
+}  // namespace
+
 // ----------------------------------------------------------- run control
 
 void Vm::run() {
@@ -296,7 +307,7 @@ void Vm::emit_monitor_event(MonitorOp op, Tid tid, MonitorId mid, Tid holder,
 }
 
 threads::MonitorId Vm::monitor_of(Addr obj) {
-  DV_CHECK_MSG(obj != heap::kNull, "synchronization on null");
+  if (obj == heap::kNull) guest_fault("synchronization on null");
   uint32_t lw = heap_->lockword(obj);
   if (lw == 0) {
     lw = threads_->create_monitor();  // monitor inflation, deterministic
@@ -404,8 +415,8 @@ void Vm::do_invoke(CompiledMethod* callee) {
 
 void Vm::execute_instruction() {
   instr_count_++;
-  DV_CHECK_MSG(instr_count_ <= opts_.max_instructions,
-               "instruction budget exhausted (runaway?)");
+  if (instr_count_ > opts_.max_instructions) [[unlikely]]
+    guest_fault("instruction budget exhausted (runaway?)");
   ExecContext& c = cur();
   Frame& f = c.frames.back();
   CompiledMethod* m = f.method;
@@ -496,15 +507,13 @@ void Vm::execute_instruction() {
       break;
     case kDiv:
       bin([](int64_t a, int64_t b) {
-        // A guest fault, not a platform bug: its text reaches crash tails
-        // and their content hash, so it carries no source location.
-        if (b == 0) throw VmError("division by zero");
+        if (b == 0) guest_fault("division by zero");
         return a / b;
       });
       break;
     case kMod:
       bin([](int64_t a, int64_t b) {
-        if (b == 0) throw VmError("modulo by zero");
+        if (b == 0) guest_fault("modulo by zero");
         return a % b;
       });
       break;
@@ -593,14 +602,14 @@ void Vm::execute_instruction() {
             prog_, mr.class_name, mr.method_name);
         nargs = named->args.size();
         Addr recv = Addr(peek_slot(uint32_t(nargs - 1)));
-        DV_CHECK_MSG(recv != heap::kNull, "invoke_virtual on null");
+        if (recv == heap::kNull) guest_fault("invoke_virtual on null");
         const RuntimeClass* rc =
             runtime_class_by_type_id(heap_->class_of(recv));
         DV_CHECK_MSG(rc != nullptr, "receiver has no runtime class");
         auto it = rc->vtable.find(mr.method_name);
-        DV_CHECK_MSG(it != rc->vtable.end(),
-                     "no virtual method " << mr.method_name << " on "
-                                          << rc->name);
+        if (it == rc->vtable.end())
+          guest_fault("no virtual method " + mr.method_name + " on " +
+                      rc->name);
         do_invoke(it->second);
       }
       break;
@@ -663,14 +672,14 @@ void Vm::execute_instruction() {
     }
     case kNewArrI: {
       int64_t n = pop_i();
-      DV_CHECK_MSG(n >= 0, "negative array length");
+      if (n < 0) guest_fault("negative array length");
       push_slot(galloc_array_i64(uint64_t(n)));
       cur().frames.back().pc++;
       break;
     }
     case kNewArrR: {
       int64_t n = pop_i();
-      DV_CHECK_MSG(n >= 0, "negative array length");
+      if (n < 0) guest_fault("negative array length");
       push_slot(galloc_array_ref(uint64_t(n)));
       cur().frames.back().pc++;
       break;

@@ -1,4 +1,6 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <limits>
@@ -95,6 +97,29 @@ TEST(ByteIo, EmptyFileRoundTrip) {
   write_file(path, {});
   EXPECT_TRUE(read_file(path).empty());
   std::remove(path.c_str());
+}
+
+// write_file replaces a regular file with a new inode (another hard link
+// keeps the old bytes) but writes through a symlink to its target.
+TEST(ByteIo, WriteFileReplacesRegularFilesAndFollowsSymlinks) {
+  std::string stem = testing::TempDir() + "/dv_io_replace_" +
+                     std::to_string(::getpid());
+  std::string path = stem + ".bin", link = stem + "_link.bin",
+              sym = stem + "_sym.bin";
+  for (const std::string& p : {path, link, sym}) std::remove(p.c_str());
+  write_file(path, {1, 2, 3});
+  ASSERT_EQ(::link(path.c_str(), link.c_str()), 0);
+  write_file(path, {4, 5});
+  EXPECT_EQ(read_file(path), (std::vector<uint8_t>{4, 5}));
+  EXPECT_EQ(read_file(link), (std::vector<uint8_t>{1, 2, 3}));
+
+  ASSERT_EQ(::symlink(path.c_str(), sym.c_str()), 0);
+  write_file(sym, {6});
+  struct stat st;
+  ASSERT_EQ(::lstat(sym.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISLNK(st.st_mode));
+  EXPECT_EQ(read_file(path), (std::vector<uint8_t>{6}));
+  for (const std::string& p : {path, link, sym}) std::remove(p.c_str());
 }
 
 TEST(ByteIo, MissingFileThrows) {

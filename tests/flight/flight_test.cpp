@@ -296,6 +296,25 @@ TEST(FlightCrash, GuestFaultTextCarriesNoSourcePath) {
   std::remove(path.c_str());
 }
 
+// The instruction budget is a guest fault too: a runaway guest seals a
+// tail whose reason names the fault and nothing of the build.
+TEST(FlightCrash, InstructionBudgetFaultCarriesNoSourcePath) {
+  std::string path = tmp_path("budget");
+  bytecode::Program prog = workloads::counter_locked(3, 400);
+  vm::VmOptions opts;
+  opts.max_instructions = 5000;
+  World w(5);
+  FlightRecordResult r = record_flight(path, prog, opts, w.env, w.timer,
+                                       FlightConfig{3, 3});
+  ASSERT_TRUE(r.crashed);
+  EXPECT_EQ(r.error, "instruction budget exhausted (runaway?)");
+  EXPECT_EQ(r.seal_reason, "crash: instruction budget exhausted (runaway?)");
+  FlightInfo info;
+  ASSERT_TRUE(read_flight_info(path, &info));
+  EXPECT_EQ(info.seal_reason, "crash: instruction budget exhausted (runaway?)");
+  std::remove(path.c_str());
+}
+
 TEST(FlightCrash, StrictReplayOfCrashTailStaysFaithful) {
   std::string path = tmp_path("strict");
   bytecode::Program prog = workloads::crasher(3, 30, 50);

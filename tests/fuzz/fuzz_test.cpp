@@ -91,7 +91,7 @@ TEST(FuzzSpec, SerializeParseRoundtrip) {
 TEST(FuzzCampaign, CleanOnHealthyEngine) {
   FuzzOptions opts;
   opts.seed = 1;
-  opts.iters = env_iters(25);
+  opts.iters = env_iters(200);
   opts.fault_every = 10;  // exercise fault injection a few times
   opts.out_dir = scratch_dir("campaign");
   obs::MetricRegistry registry;
@@ -118,7 +118,7 @@ TEST(FuzzCampaign, LaneCrossLegIsCleanOnHealthyEngine) {
   // engine, round-trip through the v5 container, and replay verified.
   FuzzOptions opts;
   opts.seed = 21;
-  opts.iters = env_iters(12);
+  opts.iters = env_iters(100);
   opts.check_baselines = false;
   opts.fault_injection = false;
   opts.out_dir = scratch_dir("lanes");

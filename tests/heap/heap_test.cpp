@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/heap/heap.hpp"
 
 namespace dejavu::heap {
@@ -156,6 +158,55 @@ TEST(Heap, ValidRange) {
   EXPECT_TRUE(h.valid_range(a, 16));
   EXPECT_FALSE(h.valid_range(0, 1));
   EXPECT_FALSE(h.valid_range(a, 1 << 21));
+}
+
+// The store is committed on demand, so restore re-allocates it rather
+// than zero-filling it. A restore over a heap dirtied past the
+// checkpoint's bump pointer (in both semispaces) must equal a restore into
+// a fresh heap: same image hash, same serialized bytes, and zero bytes
+// everywhere past the restored allocation.
+TEST(Heap, RestoreOverADirtiedHeapEqualsRestoreIntoAFreshOne) {
+  for (GcKind kind : {GcKind::kSemispaceCopying, GcKind::kMarkSweep}) {
+    SCOPED_TRACE(kind == GcKind::kMarkSweep ? "mark-sweep" : "copying");
+    uint32_t pair;
+    TypeRegistry types = make_types(&pair);
+    HeapConfig cfg{64 << 10, kind};
+
+    Heap src(types, cfg);
+    for (int i = 0; i < 10; ++i) src.set_field_i64(src.alloc_object(pair), 0, i);
+    ByteWriter ckpt;
+    src.serialize(ckpt);
+    size_t bump = 8 + src.used_bytes();  // no GC ran: live space from 0
+
+    Heap dirty(types, cfg);
+    VectorRoots roots;
+    dirty.set_root_provider(&roots);
+    for (int i = 0; i < 1000; ++i) {
+      Addr a = dirty.alloc_object(pair);
+      dirty.set_field_i64(a, 0, -1);
+      if (i % 3 == 0) roots.roots.push_back(a);
+      if (i == 500) dirty.collect();
+    }
+    ByteReader r1(ckpt.bytes());
+    dirty.restore(r1);
+
+    Heap fresh(types, cfg);
+    ByteReader r2(ckpt.bytes());
+    fresh.restore(r2);
+
+    EXPECT_EQ(dirty.image_hash(), src.image_hash());
+    EXPECT_EQ(dirty.image_hash(), fresh.image_hash());
+    ByteWriter a, b;
+    dirty.serialize(a);
+    fresh.serialize(b);
+    EXPECT_EQ(a.bytes(), ckpt.bytes());
+    EXPECT_EQ(b.bytes(), ckpt.bytes());
+    ASSERT_EQ(dirty.raw_size(), fresh.raw_size());
+    EXPECT_EQ(std::memcmp(dirty.raw(), fresh.raw(), dirty.raw_size()), 0);
+    size_t nonzero = 0;
+    for (size_t i = bump; i < dirty.raw_size(); ++i) nonzero += dirty.raw()[i] != 0;
+    EXPECT_EQ(nonzero, 0u);
+  }
 }
 
 }  // namespace

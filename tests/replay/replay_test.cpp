@@ -1,12 +1,14 @@
 // Property P1 -- accuracy: replay reproduces the recorded execution
 // exactly, across workloads, seeds, heap configurations and environments.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <set>
 #include <string>
 
+#include "src/common/io.hpp"
 #include "src/replay/session.hpp"
 #include "src/workloads/workloads.hpp"
 #include "tests/vm/vm_test_util.hpp"
@@ -230,6 +232,63 @@ TEST(Replay, CrashedFullRecordingReplaysTheCrash) {
     EXPECT_TRUE(rep.verified) << rep.stats.first_violation;
     std::remove(path.c_str());
   }
+}
+
+// Re-recording replaces the file at the path with a new one instead of
+// truncating it in place (open_for_replace): the new trace verifies and
+// replays, and another hard link to the old file keeps the old trace.
+RecordFileResult record_to(const std::string& path,
+                           const bytecode::Program& prog, uint64_t seed) {
+  vm::ScriptedEnvironment env(1000, 7, {1, 2, 3, 4, 5, 6, 7, 8}, 17);
+  threads::VirtualTimer timer(seed, 40, 400);
+  return record_run_to(path, prog, {}, env, timer);
+}
+
+TEST(Replay, ReRecordingToAnExistingPathVerifies) {
+  std::string path = "/tmp/dejavu_replay_test_rerecord_" +
+                     std::to_string(::getpid()) + ".djv";
+  bytecode::Program prog = workloads::counter_locked(3, 40);
+  for (uint64_t seed : {5u, 9u, 5u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    RecordFileResult rec = record_to(path, prog, seed);
+    ASSERT_FALSE(rec.crashed) << rec.error;
+    TraceVerifyReport v = verify_trace_file(path);
+    EXPECT_TRUE(v.ok) << v.error;
+    ReplayResult rep = replay_file(prog, path, {});
+    EXPECT_TRUE(rep.verified) << rep.stats.first_violation;
+    EXPECT_EQ(rep.summary, rec.summary);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Replay, ReRecordingLeavesAHardLinkWithTheOldBytes) {
+  std::string stem = "/tmp/dejavu_replay_test_link_" +
+                     std::to_string(::getpid());
+  std::string path = stem + ".djv", link = stem + "_old.djv";
+  bytecode::Program first = workloads::counter_locked(3, 40);
+  bytecode::Program second = workloads::counter_race(2, 50);
+  std::remove(link.c_str());
+  record_to(path, first, 5);
+  std::vector<uint8_t> old_bytes = read_file(path);
+  ASSERT_EQ(::link(path.c_str(), link.c_str()), 0);
+
+  record_to(path, second, 5);
+  EXPECT_EQ(read_file(link), old_bytes);
+  EXPECT_NE(read_file(path), old_bytes);
+  EXPECT_TRUE(replay_file(first, link, {}).verified);
+  EXPECT_TRUE(replay_file(second, path, {}).verified);
+  std::remove(path.c_str());
+  std::remove(link.c_str());
+}
+
+// Only a regular file is replaced: a device is opened as it is.
+TEST(Replay, RecordingToDevNullLeavesTheDevice) {
+  RecordFileResult rec =
+      record_to("/dev/null", workloads::counter_locked(2, 6), 5);
+  EXPECT_FALSE(rec.crashed) << rec.error;
+  struct stat st;
+  ASSERT_EQ(::stat("/dev/null", &st), 0);
+  EXPECT_TRUE(S_ISCHR(st.st_mode));
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // GC behaviour at the VM level: type-accurate stack scanning, metadata
 // liveness, determinism of collection points, gc-stress survival.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
 
 #include "src/workloads/workloads.hpp"
 #include "tests/vm/vm_test_util.hpp"
@@ -92,6 +95,46 @@ INSTANTIATE_TEST_SUITE_P(BothCollectors, VmGcTest,
                                       ? "Copying"
                                       : "MarkSweep";
                          });
+
+#if defined(__SANITIZE_ADDRESS__)
+#define DV_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define DV_ASAN 1
+#endif
+#endif
+
+// Resident set size of this process, from /proc/self/statm.
+size_t resident_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long size = 0, resident = 0;
+  int n = std::fscanf(f, "%lu %lu", &size, &resident);
+  std::fclose(f);
+  return n == 2 ? size_t(resident) * size_t(::sysconf(_SC_PAGESIZE)) : 0;
+}
+
+// The heap size is a cap, not a commitment: a VM with a 1 GiB semispace
+// (2 GiB of guest address space) boots and runs a small guest while its
+// resident memory grows by only what the guest touches. ASan's allocator
+// keeps its own books, so under it the test only checks that the VM runs.
+TEST(VmHeap, SizeIsACapNotACommitment) {
+  vm::VmOptions opts;
+  opts.heap.size_bytes = size_t(1) << 30;
+  vm::ScriptedEnvironment env(1000, 7, {}, 11);
+  threads::VirtualTimer timer(5, 50, 400);
+  size_t before = resident_bytes();
+  vm::Vm v(workloads::counter_locked(3, 400), opts, env, timer);
+  v.run();
+  size_t after = resident_bytes();
+  size_t grown = after > before ? after - before : 0;
+  EXPECT_EQ(v.output(), "1200\n");
+#ifndef DV_ASAN
+  EXPECT_LT(grown, size_t(64) << 20);
+#else
+  (void)grown;
+#endif
+}
 
 }  // namespace
 }  // namespace dejavu

@@ -208,7 +208,7 @@ echo "== normal build (build/) =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS" -L unit
-DEJAVU_FUZZ_ITERS="${DEJAVU_FUZZ_ITERS:-25}" \
+DEJAVU_FUZZ_ITERS="${DEJAVU_FUZZ_ITERS:-200}" \
   ctest --test-dir build --output-on-failure -j "$JOBS" -L fuzz
 ctest --test-dir build --output-on-failure -j "$JOBS" -L smoke
 
@@ -219,7 +219,7 @@ cmake -B build-asan -S . -DDEJAVU_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" -L unit
 # Sanitizers slow each case ~10x; shrink the campaign, keep the coverage.
-DEJAVU_FUZZ_ITERS="${DEJAVU_ASAN_FUZZ_ITERS:-10}" \
+DEJAVU_FUZZ_ITERS="${DEJAVU_ASAN_FUZZ_ITERS:-50}" \
   ctest --test-dir build-asan --output-on-failure -j "$JOBS" -L fuzz
 
 echo "== all checks passed =="

@@ -64,6 +64,7 @@
 #include <sstream>
 #include <vector>
 
+#include "src/common/io.hpp"
 #include "src/debugger/debugger.hpp"
 #include "src/farm/outcome_cache.hpp"
 #include "src/farm/report.hpp"
@@ -165,10 +166,8 @@ struct TelemetryOpts {
 };
 
 void write_text_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.good()) throw VmError("cannot write " + path);
-  out << content << "\n";
-  if (!out.good()) throw VmError("short write to " + path);
+  std::string text = content + "\n";
+  dejavu::write_file(path, std::vector<uint8_t>(text.begin(), text.end()));
 }
 
 void export_telemetry(const TelemetryOpts& tel,
@@ -854,14 +853,7 @@ int cmd_convert(const std::string& in, const std::string& out, bool to_v5) {
   if (to_v5 || trace.multi_lane()) {
     // Multi-lane traces only exist in the v5 container; --v5 additionally
     // lifts a single-lane trace into a one-lane v5 file.
-    std::vector<uint8_t> bytes = replay::convert_to_v5(trace);
-    std::ofstream f(out, std::ios::binary | std::ios::trunc);
-    if (!f.good()) {
-      std::fprintf(stderr, "cannot write %s\n", out.c_str());
-      return 1;
-    }
-    f.write(reinterpret_cast<const char*>(bytes.data()),
-            std::streamsize(bytes.size()));
+    dejavu::write_file(out, replay::convert_to_v5(trace));
     version = "v5";
   } else {
     trace.save(out);  // save() writes the classic v4 container
