@@ -101,6 +101,8 @@ CaseSpec generate_case(uint64_t seed) {
   sc.checkpoint_interval = kIntervals[rng.next_below(4)];
   sc.chunk_bytes = uint32_t(rng.next_range(8, 1024));
   sc.mark_sweep = rng.next_below(2) == 1;
+  constexpr uint32_t kBufferCapacities[] = {64, 256, 1u << 16};
+  sc.buffer_capacity = kBufferCapacities[rng.next_below(3)];
   return spec;
 }
 

@@ -119,6 +119,7 @@ struct Shrinker {
     try_mutation([](ScheduleSpec& s) { s.chunk_bytes = 64; });
     try_mutation([](ScheduleSpec& s) { s.checkpoint_interval = 2; });
     try_mutation([](ScheduleSpec& s) { s.mark_sweep = false; });
+    try_mutation([](ScheduleSpec& s) { s.buffer_capacity = 1u << 16; });
     try_mutation([](ScheduleSpec& s) { s.timer_seed = 1; });
     return changed;
   }

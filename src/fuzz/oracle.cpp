@@ -78,6 +78,7 @@ replay::SymmetryConfig case_cfg(const CaseSpec& spec) {
   replay::SymmetryConfig cfg;
   cfg.checkpoint_interval = spec.sched.checkpoint_interval;
   cfg.trace_chunk_bytes = spec.sched.chunk_bytes;
+  cfg.buffer_capacity = spec.sched.buffer_capacity;
   cfg.strict = true;
   return cfg;
 }
@@ -201,6 +202,12 @@ CaseOutcome run_case(const CaseSpec& spec, const OracleOptions& oo) {
       return fail("record-file",
                   "streamed trace differs from in-memory trace: " +
                       diff.description);
+    // Both sinks got the same chunks from the same writer, so the
+    // containers must agree byte for byte, framing included.
+    if (read_file(path) != rec.trace.serialize())
+      return fail("record-file",
+                  "streamed container bytes differ from the in-memory "
+                  "container");
   } catch (const VmError& e) {
     return fail("record-file", e.what());
   }
@@ -241,19 +248,15 @@ CaseOutcome run_case(const CaseSpec& spec, const OracleOptions& oo) {
       // lanes is byte-stable...
       replay::RecordResult rec2_again =
           record_case(prog, spec, oo, lcfg, nullptr);
-      std::vector<uint8_t> v5 = rec2.trace.serialize();
-      if (rec2_again.trace.serialize() != v5)
+      if (rec2_again.trace.serialize() != rec2.trace.serialize())
         return fail("lane-cross",
                     "2-lane recording is not byte-stable across re-records");
 
-      // ...that the v5 container round-trips bit-for-bit...
-      replay::TraceFile back = replay::TraceFile::deserialize(v5);
-      if (back.serialize() != v5)
-        return fail("lane-cross", "v5 container does not round-trip");
-
-      // ...and that strict multi-lane replay verifies and reproduces the
-      // 2-lane recording exactly.
-      replay::ReplayResult rep2 = replay::replay_run(prog, back, opts, cfg);
+      // ...and that strict multi-lane replay of those v5 bytes (already
+      // through the reader's walk) verifies and reproduces the 2-lane
+      // recording exactly.
+      replay::ReplayResult rep2 =
+          replay::replay_run(prog, rec2.trace, opts, cfg);
       if (!rep2.verified) {
         if (rep2.divergence.has_value())
           out.forensics = rep2.divergence->serialize();

@@ -8,17 +8,18 @@
 //                 output/BehaviorSummary must equal the recording
 //   record-file   the same schedule recorded again through the streamed v4
 //                 file path (spec-chosen chunk size): behaviour must equal
-//                 the in-memory recording and the trace bytes must decode
-//                 to the identical schedule/event streams
+//                 the in-memory recording, the trace bytes must decode to
+//                 the identical schedule/event streams, and the file must
+//                 hold the in-memory container byte for byte
 //   replay-file   strict replay streamed from the v4 file: must verify and
 //                 match replay-mem
 //   lane-cross    the same case recorded on 2 lanes. The lane partition
 //                 changes dispatch order (interleavings are not
 //                 K-invariant), so the leg checks §14's actual contract:
 //                 the 2-lane recording is byte-stable across re-records,
-//                 the v5 container round-trips bit-for-bit, and strict
-//                 multi-lane replay verifies with output/BehaviorSummary
-//                 equal to the 2-lane recording
+//                 and strict multi-lane replay of its v5 bytes verifies
+//                 with output/BehaviorSummary equal to the 2-lane
+//                 recording
 //   rc-baseline   Russinovich-Cogswell: record under the same timer, then
 //                 replay through the scheduler director -- must verify and
 //                 reproduce the RC-recorded output
@@ -49,8 +50,8 @@ namespace dejavu::fuzz {
 struct OracleOptions {
   bool check_baselines = true;
   // Run the lane-cross leg: record the case again on 2 lanes and require
-  // byte-stable re-recording, a bit-for-bit v5 round-trip and a verified
-  // strict replay that reproduces the 2-lane recording.
+  // byte-stable re-recording and a verified strict replay that reproduces
+  // the 2-lane recording.
   bool lane_cross = true;
   // Directory for scratch trace files (created if missing).
   std::string scratch_dir = "/tmp/dejavu-fuzz";

@@ -302,6 +302,7 @@ std::string serialize_case(const CaseSpec& spec) {
   out << "rand " << sc.rand_seed << '\n';
   out << "cfg " << sc.checkpoint_interval << ' ' << sc.chunk_bytes << ' '
       << (sc.mark_sweep ? 1 : 0) << '\n';
+  out << "buffer " << sc.buffer_capacity << '\n';
   out << "inputs " << sc.inputs.size();
   for (int64_t v : sc.inputs) out << ' ' << v;
   out << '\n';
@@ -340,6 +341,10 @@ CaseSpec parse_case(const std::string& text) {
       if (!(in >> sc.checkpoint_interval >> sc.chunk_bytes >> mark_sweep))
         throw VmError("fuzz case: bad cfg line");
       sc.mark_sweep = mark_sweep != 0;
+    } else if (tag == "buffer") {  // optional: older repros lack it
+      if (!(in >> sc.buffer_capacity) || sc.buffer_capacity == 0 ||
+          sc.buffer_capacity > (1u << 20))
+        throw VmError("fuzz case: bad buffer line");
     } else if (tag == "inputs") {
       if (!(in >> n)) throw VmError("fuzz case: bad inputs line");
       sc.inputs.clear();

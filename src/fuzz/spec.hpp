@@ -7,7 +7,8 @@
 // vocabulary (arithmetic, loops, monitors, timed waits, allocation, native
 // calls, environment reads) plus a ScheduleSpec naming every source of
 // non-determinism (timer seed and quantum range, scripted clock/input/rand,
-// checkpoint interval, trace chunk geometry, collector choice).
+// checkpoint interval, trace chunk geometry, guest trace-buffer size,
+// collector choice).
 //
 // build_program compiles a spec -- deterministically -- into a verified
 // bytecode::Program through bytecode::ProgramBuilder, so every generated
@@ -79,6 +80,9 @@ struct ScheduleSpec {
   uint32_t checkpoint_interval = 64;
   uint32_t chunk_bytes = uint32_t(replay::kDefaultChunkBytes);
   bool mark_sweep = false;  // collector choice (copying otherwise)
+  // Guest trace-buffer bytes: small buffers put flush/refill boundaries
+  // (audited I/O) in the middle of the run.
+  uint32_t buffer_capacity = 1u << 16;
 };
 
 struct CaseSpec {

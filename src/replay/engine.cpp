@@ -312,8 +312,8 @@ void DejaVuEngine::attach(vm::Vm& vm) {
         lane.nyp = 0;
         continue;
       }
+      // Parked in the cursor until the switch it schedules fires.
       uint64_t delta = lane.schedule_r->get_uvarint();
-      mirror_cursor(*lane.schedule_r, lane.sched_buf);
       lane.nyp = int64_t(delta) - int64_t(elapsed);
     }
     resume_state_.clear();
@@ -652,6 +652,9 @@ bool DejaVuEngine::yield_point(bool hardware_bit) {
         lane.preempts++;
         if (lane.c_preempts != nullptr) lane.c_preempts->add();
         do_switch = true;
+        // The firing delta's bytes reach the guest buffer now, where record
+        // mirrored them; reload_nyp then reads (and parks) the next one.
+        mirror_cursor(*lane.schedule_r, lane.sched_buf);
         lane.nyp = reload_nyp(lane, lane_id);
         if (h_sched_delta_ != nullptr && !lane.schedule_exhausted)
           h_sched_delta_->record(uint64_t(lane.nyp));
@@ -685,8 +688,13 @@ int64_t DejaVuEngine::reload_nyp(LaneState& lane, threads::LaneId lane_id) {
       lane.schedule_exhausted = true;
       return 0;
     }
+    // Figure 2 needs the delta one switch ahead, but record mirrors it at
+    // the switch it schedules: its bytes stay parked in the cursor until
+    // yield_point mirrors them there. The buffers are still allocated at
+    // read time, as an immediate mirror would, so a missing preallocation
+    // stays visible.
     uint64_t delta = lane.schedule_r->get_uvarint();
-    mirror_cursor(*lane.schedule_r, lane.sched_buf);
+    ensure_buffers_allocated("schedule read-ahead");
     return int64_t(delta);
   } catch (const ReplayDivergence&) {
     throw;  // check_checkpoint in strict mode

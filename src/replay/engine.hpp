@@ -140,8 +140,9 @@ class DejaVuEngine : public vm::ExecHooks {
   DejaVuEngine() : DejaVuEngine(std::make_unique<VectorTraceSink>()) {}
   explicit DejaVuEngine(std::unique_ptr<TraceSink> sink,
                         SymmetryConfig cfg = {});
-  // Replay mode streaming from a source (a file on disk, or a materialized
-  // TraceFile); chunks are pulled on demand. Built by replay::ReplaySession.
+  // Replay mode streaming from a source (a file on disk, or a TraceFile
+  // held in memory); chunks are pulled on demand. Built by
+  // replay::ReplaySession.
   DejaVuEngine(std::unique_ptr<TraceSource> source, SymmetryConfig cfg = {});
   ~DejaVuEngine() override;
 
@@ -286,7 +287,9 @@ class DejaVuEngine : public vm::ExecHooks {
   void before_instrumentation();
   void record_event_bytes(const ByteWriter& w);
   uint8_t replay_event_tag(EventTag expect);
-  // Read the lane's next schedule delta (and due checkpoint).
+  // Read the lane's next schedule delta (and the due checkpoint, which is
+  // mirrored at once). The delta's bytes stay parked in the cursor's
+  // pending mirror until the switch it schedules fires.
   int64_t reload_nyp(LaneState& lane, threads::LaneId lane_id);
   Checkpoint collect_checkpoint() const;
   void check_checkpoint(const Checkpoint& recorded);

@@ -24,7 +24,7 @@
 #include "src/obs/analysis/profiler.hpp"
 #include "src/obs/analysis/race_detector.hpp"
 #include "src/replay/engine.hpp"
-#include "src/replay/trace.hpp"
+#include "src/replay/trace_io.hpp"
 #include "src/threads/timer.hpp"
 #include "src/vm/env.hpp"
 #include "src/vm/natives.hpp"
@@ -47,7 +47,7 @@ struct RunResult {  // what every run reports, recorded or replayed
 };
 
 struct RecordResult : RunResult {
-  TraceFile trace;  // record_run only: the trace, materialized in memory
+  TraceFile trace;  // record_run only: the recorded container bytes
 };
 
 // record_run_to's result: the trace went to a file, so `trace` is empty.
@@ -105,8 +105,9 @@ class RecordSession {
   RecordResult finish();
 
   // After finish(), when the sink keeps the container in memory (a
-  // VectorTraceSink, or a decorator over one): the recorded trace. Throws
-  // VmError before finish() or for any other sink.
+  // VectorTraceSink, or a decorator over one): the recorded trace, its
+  // bytes exactly as the sink holds them. Throws VmError before finish()
+  // or for any other sink.
   TraceFile take_trace();
 
  private:
@@ -122,8 +123,8 @@ RecordResult record_run(const bytecode::Program& prog, vm::VmOptions opts,
                         SymmetryConfig cfg = {});
 
 // Records one execution straight to a v4 (v5 when cfg.lanes > 1) trace
-// file, flushing chunks as the run proceeds instead of materializing the
-// trace in memory.
+// file, flushing chunks as the run proceeds instead of keeping the trace
+// in memory. The file holds the bytes record_run would have kept.
 RecordFileResult record_run_to(const std::string& path,
                                const bytecode::Program& prog,
                                vm::VmOptions opts, vm::Environment& env,

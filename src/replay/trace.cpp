@@ -4,7 +4,6 @@
 
 #include "src/common/check.hpp"
 #include "src/common/hash.hpp"
-#include "src/replay/trace_io.hpp"
 
 namespace dejavu::replay {
 
@@ -95,51 +94,6 @@ TraceMeta read_meta_payload_ex(ByteReader& r, uint32_t version) {
     meta.lane_preempts[i] = r.get_uvarint();
   }
   return meta;
-}
-
-std::vector<uint8_t> TraceFile::serialize() const {
-  return multi_lane() ? serialize_v5(*this) : serialize_v4(*this);
-}
-
-TraceFile TraceFile::deserialize(const std::vector<uint8_t>& bytes) {
-  ByteReader r(bytes);
-  if (r.remaining() >= 8 && r.get_u32_fixed() == kTraceMagic &&
-      r.get_u32_fixed() == kTraceVersionLegacy) {
-    // Compatibility reader for the unframed v3 blob.
-    TraceFile t;
-    t.meta = read_meta_payload(r);
-    for (std::vector<uint8_t>* s : {&t.schedule, &t.events}) {
-      uint64_t n = r.get_uvarint();
-      DV_CHECK_MSG(n <= r.remaining(), "truncated v3 stream");
-      s->resize(size_t(n));
-      r.get_bytes(s->data(), s->size());
-    }
-    DV_CHECK_MSG(r.at_end(), "trailing bytes in trace file");
-    return t;
-  }
-  // Anything else, a bad header included, is judged by the container walk
-  // every other reader shares.
-  return deserialize_chunked(bytes);
-}
-
-std::vector<uint8_t> TraceFile::serialize_v3() const {
-  ByteWriter w;
-  w.put_u32_fixed(kTraceMagic);
-  w.put_u32_fixed(kTraceVersionLegacy);
-  write_meta_payload(w, meta);
-  w.put_uvarint(schedule.size());
-  w.put_bytes(schedule.data(), schedule.size());
-  w.put_uvarint(events.size());
-  w.put_bytes(events.data(), events.size());
-  return w.take();
-}
-
-void TraceFile::save(const std::string& path) const {
-  write_file(path, serialize());
-}
-
-TraceFile TraceFile::load(const std::string& path) {
-  return deserialize(read_file(path));
 }
 
 uint64_t fingerprint_program(const bytecode::Program& prog) {

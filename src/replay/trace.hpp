@@ -20,11 +20,11 @@
 // against a different program) and the final behaviour summary, which
 // replay verifies on completion -- accuracy (§1) is checked, not assumed.
 //
-// On disk the streams are stored in the chunked, checksummed v4 container
-// (src/replay/trace_io.hpp): every chunk is stream-tagged, length-framed
-// and CRC-32 protected, so recording can flush incrementally and a flipped
-// bit is caught at load with a precise location. The unframed v3 blob
-// layout is still readable through a compatibility path.
+// This header holds the format's vocabulary: versions, event tags, the
+// checkpoint and meta blocks. The streams are stored in the chunked,
+// checksummed v4/v5 container, and a trace held in memory (TraceFile) is
+// those container bytes; both live in src/replay/trace_io.hpp. The
+// unframed v3 blob layout is still readable, converted to v4 at load.
 #pragma once
 
 #include <cstdint>
@@ -107,53 +107,6 @@ TraceMeta read_meta_payload(ByteReader& r);
 void write_meta_payload_ex(ByteWriter& w, const TraceMeta& meta,
                            uint32_t version);
 TraceMeta read_meta_payload_ex(ByteReader& r, uint32_t version);
-
-// A fully materialized trace. This remains the convenient in-memory
-// representation for tests, tools and the time-travel debugger; large
-// traces can instead be streamed through TraceSink/TraceSource
-// (src/replay/trace_io.hpp) without ever being resident as a whole.
-struct TraceFile {
-  TraceMeta meta;
-  // Lane 0's streams (the only streams in a v3/v4 trace).
-  std::vector<uint8_t> schedule;
-  std::vector<uint8_t> events;
-  // v5 multi-lane payload: streams of lanes 1..lane_count-1 (index 0 of
-  // these vectors is lane 1) and the cross-lane order stream. Empty for
-  // single-lane traces.
-  std::vector<std::vector<uint8_t>> extra_schedules;
-  std::vector<std::vector<uint8_t>> extra_events;
-  std::vector<uint8_t> order;
-  // Flight-recorder tail descriptor (kFlight chunk payload, src/flight).
-  // Empty for full traces; a materialized tail carries it so the resume
-  // checkpoint survives TraceFile round-trips.
-  std::vector<uint8_t> flight;
-
-  bool multi_lane() const { return meta.lane_count > 1 || !order.empty(); }
-  const std::vector<uint8_t>& schedule_of(LaneId lane) const {
-    return lane == 0 ? schedule : extra_schedules[lane - 1];
-  }
-  const std::vector<uint8_t>& events_of(LaneId lane) const {
-    return lane == 0 ? events : extra_events[lane - 1];
-  }
-
-  // Container bytes: v4 for single-lane traces, v5 when multi_lane().
-  // deserialize() accepts v3, v4 and v5 layouts.
-  std::vector<uint8_t> serialize() const;
-  static TraceFile deserialize(const std::vector<uint8_t>& bytes);
-
-  // Legacy v3 writer, kept for compatibility tests and `dejavu convert`.
-  std::vector<uint8_t> serialize_v3() const;
-
-  void save(const std::string& path) const;
-  static TraceFile load(const std::string& path);
-
-  size_t total_bytes() const {
-    size_t n = schedule.size() + events.size() + order.size();
-    for (const auto& s : extra_schedules) n += s.size();
-    for (const auto& e : extra_events) n += e.size();
-    return n;
-  }
-};
 
 // Structural hash of a program: class/field/method names, signatures and
 // code. Replaying a trace against a program with a different fingerprint

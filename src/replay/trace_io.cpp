@@ -347,47 +347,11 @@ size_t TraceWriter::buffered_bytes() const {
 
 // ---------------------------------------------------------------- reading
 
-namespace {
-
-// Lane-aware stream selector over a materialized TraceFile. Returns
-// nullptr for a (stream, lane) the file does not carry.
-const std::vector<uint8_t>* stream_of(const TraceFile& t, StreamId id,
-                                      LaneId lane) {
-  switch (id) {
-    case StreamId::kOrder:
-      return lane == 0 ? &t.order : nullptr;
-    case StreamId::kSchedule:
-      if (lane == 0) return &t.schedule;
-      return lane - 1 < t.extra_schedules.size() ? &t.extra_schedules[lane - 1]
-                                                 : nullptr;
-    case StreamId::kEvents:
-      if (lane == 0) return &t.events;
-      return lane - 1 < t.extra_events.size() ? &t.extra_events[lane - 1]
-                                              : nullptr;
-    default:
-      return nullptr;
-  }
-}
-
-}  // namespace
-
-TraceFileSource::TraceFileSource(TraceFile trace) : owned_(std::move(trace)) {}
-TraceFileSource::TraceFileSource(const TraceFile* trace) : borrowed_(trace) {}
-
-const TraceMeta& TraceFileSource::meta() const { return file().meta; }
-
-StreamInfo TraceFileSource::stream_info(StreamId id, LaneId lane) const {
-  const std::vector<uint8_t>* s = stream_of(file(), id, lane);
-  if (s == nullptr) return StreamInfo{};
-  return StreamInfo{s->size(), s->empty() ? size_t(0) : size_t(1)};
-}
-
-bool TraceFileSource::read_chunk(StreamId id, LaneId lane, size_t index,
-                                 std::vector<uint8_t>* out) {
-  const std::vector<uint8_t>* s = stream_of(file(), id, lane);
-  if (s == nullptr || index > 0 || s->empty()) return false;
-  *out = *s;
-  return true;
+const StreamIndex* ContainerIndex::find(StreamId id, LaneId lane) const {
+  if (id == StreamId::kOrder) return lane == 0 ? &order : nullptr;
+  if (id != StreamId::kSchedule && id != StreamId::kEvents) return nullptr;
+  const auto& v = id == StreamId::kSchedule ? schedule : events;
+  return lane < v.size() ? &v[lane] : nullptr;
 }
 
 namespace {
@@ -398,33 +362,24 @@ namespace {
 // and version, known stream ids, per-chunk CRC, a single meta and flight
 // chunk, nothing after the seal, v4/v5 seal totals, and the meta lane
 // count against the lanes present.
-struct ScannedChunk {
-  uint64_t payload_offset = 0;
-  uint32_t payload_len = 0;
-};
-
-struct LaneChunks {
-  std::vector<ScannedChunk> chunks;
-  uint64_t bytes = 0;
-};
-
 struct ScanOutcome {
   bool ok = false;
   std::string error;      // first located problem
-  uint32_t version = 0;
   bool sealed = false;
   bool meta_seen = false;
   TraceMeta meta;
-  std::vector<LaneChunks> sched, events;  // indexed by lane
-  LaneChunks order;
-  std::vector<uint8_t> flight;  // kFlight payload (empty if none)
+  ContainerIndex index;
   bool flight_seen = false;
   size_t valid_chunks = 0;  // data chunks whose CRC verified
 };
 
-LaneChunks& lane_slot(std::vector<LaneChunks>& v, LaneId lane) {
+StreamIndex& lane_slot(std::vector<StreamIndex>& v, LaneId lane) {
   if (lane >= v.size()) v.resize(lane + 1);
   return v[lane];
+}
+
+StreamInfo info_of(const StreamIndex* s) {
+  return s == nullptr ? StreamInfo{} : StreamInfo{s->bytes, s->chunks.size()};
 }
 
 // Payloads are read in pieces of at most this many bytes, so a hostile
@@ -438,6 +393,7 @@ constexpr size_t kPayloadReadStep = 1 << 20;
 template <typename Read>
 ScanOutcome scan_chunks(Read&& read) {
   ScanOutcome out;
+  ContainerIndex& idx = out.index;
   std::ostringstream err;
   auto fail = [&](const std::string& what) {
     out.error = what;
@@ -448,9 +404,9 @@ ScanOutcome scan_chunks(Read&& read) {
   if (read(header, 8) != 8) return fail("file shorter than the trace header");
   ByteReader hr(header, 8);
   if (hr.get_u32_fixed() != kTraceMagic) return fail("not a DejaVu trace (bad magic)");
-  out.version = hr.get_u32_fixed();
-  if (out.version != kTraceVersion && out.version != kTraceVersionMulti) {
-    err << "trace version " << out.version << " is not v4";
+  idx.version = hr.get_u32_fixed();
+  if (idx.version != kTraceVersion && idx.version != kTraceVersionMulti) {
+    err << "trace version " << idx.version << " is not v4";
     return fail(err.str());
   }
 
@@ -469,7 +425,7 @@ ScanOutcome scan_chunks(Read&& read) {
     uint32_t len = cr.get_u32_fixed();
     StreamId id = StreamId::kMeta;
     LaneId lane = 0;
-    bool known = out.version == kTraceVersion
+    bool known = idx.version == kTraceVersion
                      ? raw_id <= uint8_t(StreamId::kFlight) &&
                            (id = StreamId(raw_id), lane = 0, true)
                      : parse_wire_stream_id(raw_id, &id, &lane);
@@ -511,22 +467,22 @@ ScanOutcome scan_chunks(Read&& read) {
     uint64_t payload_offset = offset + kChunkHeaderBytes;
     switch (id) {
       case StreamId::kSchedule: {
-        LaneChunks& lc = lane_slot(out.sched, lane);
+        StreamIndex& lc = lane_slot(idx.schedule, lane);
         lc.chunks.push_back({payload_offset, len});
         lc.bytes += len;
         out.valid_chunks++;
         break;
       }
       case StreamId::kEvents: {
-        LaneChunks& lc = lane_slot(out.events, lane);
+        StreamIndex& lc = lane_slot(idx.events, lane);
         lc.chunks.push_back({payload_offset, len});
         lc.bytes += len;
         out.valid_chunks++;
         break;
       }
       case StreamId::kOrder:
-        out.order.chunks.push_back({payload_offset, len});
-        out.order.bytes += len;
+        idx.order.chunks.push_back({payload_offset, len});
+        idx.order.bytes += len;
         out.valid_chunks++;
         break;
       case StreamId::kFlight:
@@ -536,7 +492,7 @@ ScanOutcome scan_chunks(Read&& read) {
           err << "duplicate flight chunk at offset " << offset;
           return fail(err.str());
         }
-        out.flight = payload;
+        idx.flight = payload;
         out.flight_seen = true;
         break;
       case StreamId::kMeta: {
@@ -546,7 +502,7 @@ ScanOutcome scan_chunks(Read&& read) {
         }
         try {
           ByteReader mr(payload.data(), len);
-          out.meta = read_meta_payload_ex(mr, out.version);
+          out.meta = read_meta_payload_ex(mr, idx.version);
           DV_CHECK_MSG(mr.at_end(), "trailing bytes");
         } catch (const VmError&) {
           err << "malformed meta chunk at offset " << offset;
@@ -556,7 +512,7 @@ ScanOutcome scan_chunks(Read&& read) {
         break;
       }
       case StreamId::kSeal: {
-        if (out.version == kTraceVersion) {
+        if (idx.version == kTraceVersion) {
           if (len != 24) {
             err << "malformed seal chunk at offset " << offset;
             return fail(err.str());
@@ -566,19 +522,15 @@ ScanOutcome scan_chunks(Read&& read) {
           uint64_t want_events = sr.get_u64_fixed();
           uint32_t want_schunks = sr.get_u32_fixed();
           uint32_t want_echunks = sr.get_u32_fixed();
-          uint64_t have_sched = out.sched.empty() ? 0 : out.sched[0].bytes;
-          uint64_t have_events = out.events.empty() ? 0 : out.events[0].bytes;
-          size_t have_schunks =
-              out.sched.empty() ? 0 : out.sched[0].chunks.size();
-          size_t have_echunks =
-              out.events.empty() ? 0 : out.events[0].chunks.size();
-          if (want_sched != have_sched || want_events != have_events ||
-              want_schunks != have_schunks || want_echunks != have_echunks) {
+          StreamInfo s = info_of(idx.find(StreamId::kSchedule, 0));
+          StreamInfo e = info_of(idx.find(StreamId::kEvents, 0));
+          if (want_sched != s.bytes || want_events != e.bytes ||
+              want_schunks != s.chunks || want_echunks != e.chunks) {
             err << "seal totals disagree with the chunks present (seal says "
                 << want_sched << "+" << want_events << " bytes in "
                 << want_schunks << "+" << want_echunks << " chunks; file has "
-                << have_sched << "+" << have_events << " bytes in "
-                << have_schunks << "+" << have_echunks << " chunks)";
+                << s.bytes << "+" << e.bytes << " bytes in " << s.chunks
+                << "+" << e.chunks << " chunks)";
             return fail(err.str());
           }
         } else {
@@ -587,37 +539,31 @@ ScanOutcome scan_chunks(Read&& read) {
             err << "malformed seal chunk at offset " << offset;
             return fail(err.str());
           }
-          size_t touched = std::max(out.sched.size(), out.events.size());
+          size_t touched = std::max(idx.schedule.size(), idx.events.size());
           if (st.lanes < touched) {
             err << "seal lane count " << st.lanes
                 << " below lanes present in the file (" << touched << ")";
             return fail(err.str());
           }
-          if (st.order_bytes != out.order.bytes ||
-              st.order_chunks != out.order.chunks.size()) {
+          if (st.order_bytes != idx.order.bytes ||
+              st.order_chunks != idx.order.chunks.size()) {
             err << "seal totals disagree with the order chunks present";
             return fail(err.str());
           }
           for (uint32_t k = 0; k < st.lanes; ++k) {
-            uint64_t have_sched = k < out.sched.size() ? out.sched[k].bytes : 0;
-            uint64_t have_events =
-                k < out.events.size() ? out.events[k].bytes : 0;
-            size_t have_schunks =
-                k < out.sched.size() ? out.sched[k].chunks.size() : 0;
-            size_t have_echunks =
-                k < out.events.size() ? out.events[k].chunks.size() : 0;
-            if (st.sched_bytes[k] != have_sched ||
-                st.events_bytes[k] != have_events ||
-                st.sched_chunks[k] != have_schunks ||
-                st.events_chunks[k] != have_echunks) {
+            StreamInfo s = info_of(idx.find(StreamId::kSchedule, k));
+            StreamInfo e = info_of(idx.find(StreamId::kEvents, k));
+            if (st.sched_bytes[k] != s.bytes || st.events_bytes[k] != e.bytes ||
+                st.sched_chunks[k] != s.chunks ||
+                st.events_chunks[k] != e.chunks) {
               err << "seal totals disagree with the chunks present in lane "
                   << k;
               return fail(err.str());
             }
           }
           // Pad lane indexes so every lane the seal promises is queryable.
-          lane_slot(out.sched, st.lanes - 1);
-          lane_slot(out.events, st.lanes - 1);
+          lane_slot(idx.schedule, st.lanes - 1);
+          lane_slot(idx.events, st.lanes - 1);
         }
         out.sealed = true;
         break;
@@ -632,8 +578,9 @@ ScanOutcome scan_chunks(Read&& read) {
     return fail(err.str());
   }
   if (!out.meta_seen) return fail("sealed trace has no meta chunk");
-  if (out.version == kTraceVersionMulti &&
-      out.meta.lane_count < std::max(out.sched.size(), out.events.size())) {
+  if (idx.version == kTraceVersionMulti &&
+      out.meta.lane_count <
+          std::max(idx.schedule.size(), idx.events.size())) {
     err << "meta lane count " << out.meta.lane_count
         << " disagrees with the lanes present in the file";
     return fail(err.str());
@@ -648,19 +595,97 @@ ScanOutcome scan_chunked_file(std::FILE* f) {
   });
 }
 
-// True when the file starts with the unframed v3 layout's header, which
-// has no chunks to walk. Leaves `f` rewound to its start.
-bool is_legacy_file(std::FILE* f) {
-  uint8_t header[8];
-  bool whole = std::fread(header, 1, 8, f) == 8;
-  std::fseek(f, 0, SEEK_SET);
-  if (!whole) return false;
+// True when `header` (8 bytes) opens the unframed v3 layout, which has no
+// chunks to walk.
+bool is_legacy_header(const uint8_t* header) {
   ByteReader hr(header, 8);
   return hr.get_u32_fixed() == kTraceMagic &&
          hr.get_u32_fixed() == kTraceVersionLegacy;
 }
 
+// Leaves `f` rewound to its start.
+bool is_legacy_file(std::FILE* f) {
+  uint8_t header[8];
+  bool whole = std::fread(header, 1, 8, f) == 8;
+  std::fseek(f, 0, SEEK_SET);
+  return whole && is_legacy_header(header);
+}
+
+// The unframed v3 blob -- magic | version 3 | meta payload | uvarint len |
+// schedule | uvarint len | events -- re-encoded as v4 bytes through the
+// one writer, each stream appended whole. No stream length is trusted past
+// the bytes present.
+std::vector<uint8_t> upgrade_v3(const std::vector<uint8_t>& blob) {
+  ByteReader r(blob);
+  r.skip(8);
+  TraceMeta meta = read_meta_payload(r);
+  auto sink = std::make_unique<VectorTraceSink>();
+  VectorTraceSink* mem = sink.get();
+  TraceWriter w(std::move(sink));
+  for (StreamId id : {StreamId::kSchedule, StreamId::kEvents}) {
+    uint64_t n = r.get_uvarint();
+    DV_CHECK_MSG(n <= r.remaining(), "truncated v3 stream");
+    w.append(id, blob.data() + r.position(), size_t(n));
+    r.skip(size_t(n));
+  }
+  DV_CHECK_MSG(r.at_end(), "trailing bytes in trace file");
+  w.finish(meta);
+  return mem->take();
+}
+
 }  // namespace
+
+TraceFile TraceFile::deserialize(std::vector<uint8_t> bytes) {
+  if (bytes.size() >= 8 && is_legacy_header(bytes.data()))
+    bytes = upgrade_v3(bytes);
+  // Anything else, a bad header included, is judged by the container walk
+  // every other reader shares.
+  size_t pos = 0;
+  ScanOutcome scan = scan_chunks([&](uint8_t* dst, size_t n) {
+    size_t m = std::min(n, bytes.size() - pos);
+    std::memcpy(dst, bytes.data() + pos, m);
+    pos += m;
+    return m;
+  });
+  if (!scan.ok) throw VmError(scan.error);
+  TraceFile t;
+  t.meta = std::move(scan.meta);
+  t.index_ = std::move(scan.index);
+  t.bytes_ = std::move(bytes);
+  return t;
+}
+
+TraceFile TraceFile::load(const std::string& path) {
+  return deserialize(read_file(path));
+}
+
+void TraceFile::save(const std::string& path) const {
+  write_file(path, bytes_);
+}
+
+size_t TraceFile::total_bytes() const {
+  uint64_t n = index_.order.bytes;
+  for (const StreamIndex& s : index_.schedule) n += s.bytes;
+  for (const StreamIndex& s : index_.events) n += s.bytes;
+  return size_t(n);
+}
+
+TraceFileSource::TraceFileSource(TraceFile trace) : owned_(std::move(trace)) {}
+TraceFileSource::TraceFileSource(const TraceFile* trace) : borrowed_(trace) {}
+
+StreamInfo TraceFileSource::stream_info(StreamId id, LaneId lane) const {
+  return info_of(file().index().find(id, lane));
+}
+
+bool TraceFileSource::read_chunk(StreamId id, LaneId lane, size_t index,
+                                 std::vector<uint8_t>* out) {
+  const StreamIndex* s = file().index().find(id, lane);
+  if (s == nullptr || index >= s->chunks.size()) return false;
+  const ChunkRef& c = s->chunks[index];
+  const uint8_t* p = file().serialize().data() + c.payload_offset;
+  out->assign(p, p + c.payload_len);
+  return true;
+}
 
 FileTraceSource::FileTraceSource(const std::string& path) : path_(path) {
   f_ = std::fopen(path.c_str(), "rb");
@@ -671,57 +696,23 @@ FileTraceSource::FileTraceSource(const std::string& path) : path_(path) {
     f_ = nullptr;
     throw VmError("trace " + path + ": " + scan.error);
   }
-  meta_ = scan.meta;
-  auto adopt = [](std::vector<StreamIndex>& dst,
-                  const std::vector<LaneChunks>& src) {
-    dst.resize(src.size());
-    for (size_t k = 0; k < src.size(); ++k) {
-      dst[k].bytes = src[k].bytes;
-      dst[k].chunks.reserve(src[k].chunks.size());
-      for (const auto& c : src[k].chunks)
-        dst[k].chunks.push_back({c.payload_offset, c.payload_len});
-    }
-  };
-  adopt(sched_, scan.sched);
-  adopt(events_, scan.events);
-  order_.bytes = scan.order.bytes;
-  order_.chunks.reserve(scan.order.chunks.size());
-  for (const auto& c : scan.order.chunks)
-    order_.chunks.push_back({c.payload_offset, c.payload_len});
-  flight_ = std::move(scan.flight);
+  meta_ = std::move(scan.meta);
+  index_ = std::move(scan.index);
 }
 
 FileTraceSource::~FileTraceSource() {
   if (f_ != nullptr) std::fclose(f_);
 }
 
-const TraceMeta& FileTraceSource::meta() const { return meta_; }
-
-FileTraceSource::StreamIndex* FileTraceSource::index_of(StreamId id,
-                                                        LaneId lane) {
-  return const_cast<StreamIndex*>(
-      static_cast<const FileTraceSource*>(this)->index_of(id, lane));
-}
-
-const FileTraceSource::StreamIndex* FileTraceSource::index_of(
-    StreamId id, LaneId lane) const {
-  if (id == StreamId::kOrder) return lane == 0 ? &order_ : nullptr;
-  if (id != StreamId::kSchedule && id != StreamId::kEvents) return nullptr;
-  const auto& v = id == StreamId::kSchedule ? sched_ : events_;
-  return lane < v.size() ? &v[lane] : nullptr;
-}
-
 StreamInfo FileTraceSource::stream_info(StreamId id, LaneId lane) const {
-  const StreamIndex* idx = index_of(id, lane);
-  if (idx == nullptr) return StreamInfo{};
-  return StreamInfo{idx->bytes, idx->chunks.size()};
+  return info_of(index_.find(id, lane));
 }
 
 bool FileTraceSource::read_chunk(StreamId id, LaneId lane, size_t index,
                                  std::vector<uint8_t>* out) {
-  const StreamIndex* idx = index_of(id, lane);
-  if (idx == nullptr || index >= idx->chunks.size()) return false;
-  const ChunkRef& c = idx->chunks[index];
+  const StreamIndex* s = index_.find(id, lane);
+  if (s == nullptr || index >= s->chunks.size()) return false;
+  const ChunkRef& c = s->chunks[index];
   out->resize(c.payload_len);
   DV_CHECK_MSG(std::fseek(f_, long(c.payload_offset), SEEK_SET) == 0,
                "seek failed: " << path_);
@@ -737,8 +728,8 @@ std::unique_ptr<TraceSource> open_trace_source(const std::string& path) {
   DV_CHECK_MSG(f != nullptr, "cannot open trace: " << path);
   bool legacy = is_legacy_file(f);
   std::fclose(f);
-  // v3 has no framing to stream by; load it whole through the
-  // compatibility reader. Everything else goes through the container walk.
+  // v3 has no framing to stream by; load it whole, upgraded to v4 bytes.
+  // Everything else goes through the container walk.
   if (legacy) return std::make_unique<TraceFileSource>(TraceFile::load(path));
   return std::make_unique<FileTraceSource>(path);
 }
@@ -825,86 +816,6 @@ Checkpoint read_checkpoint(StreamCursor& c) {
   return cp;
 }
 
-// --------------------------------------------------------- v4/v5 <-> file
-
-std::vector<uint8_t> serialize_v4(const TraceFile& trace) {
-  DV_CHECK_MSG(!trace.multi_lane(),
-               "multi-lane trace cannot use the v4 container");
-  auto sink = std::make_unique<VectorTraceSink>();
-  VectorTraceSink* mem = sink.get();
-  if (!trace.flight.empty()) {
-    mem->write_chunk(StreamId::kFlight, trace.flight.data(),
-                     trace.flight.size());
-  }
-  TraceWriter w(std::move(sink));
-  w.append(StreamId::kSchedule, trace.schedule.data(), trace.schedule.size());
-  w.append(StreamId::kEvents, trace.events.data(), trace.events.size());
-  w.finish(trace.meta);
-  return mem->take();
-}
-
-std::vector<uint8_t> serialize_v5(const TraceFile& trace) {
-  uint32_t lanes = std::max<uint32_t>(
-      trace.meta.lane_count,
-      uint32_t(1 + std::max(trace.extra_schedules.size(),
-                            trace.extra_events.size())));
-  DV_CHECK_MSG(lanes <= kMaxLanes, "lane count " << lanes << " out of range");
-  auto sink = std::make_unique<VectorTraceSink>(kTraceVersionMulti);
-  VectorTraceSink* mem = sink.get();
-  if (!trace.flight.empty()) {
-    mem->write_chunk(StreamId::kFlight, trace.flight.data(),
-                     trace.flight.size());
-  }
-  TraceWriter w(std::move(sink), kDefaultChunkBytes, kTraceVersionMulti);
-  for (uint32_t k = 0; k < lanes; ++k) {
-    const std::vector<uint8_t>* s = stream_of(trace, StreamId::kSchedule, k);
-    const std::vector<uint8_t>* e = stream_of(trace, StreamId::kEvents, k);
-    if (s != nullptr) w.append(StreamId::kSchedule, s->data(), s->size(), k);
-    if (e != nullptr) w.append(StreamId::kEvents, e->data(), e->size(), k);
-  }
-  w.append(StreamId::kOrder, trace.order.data(), trace.order.size());
-  TraceMeta meta = trace.meta;
-  meta.lane_count = lanes;
-  w.finish(meta);
-  return mem->take();
-}
-
-TraceFile deserialize_chunked(const std::vector<uint8_t>& bytes) {
-  size_t pos = 0;
-  ScanOutcome scan = scan_chunks([&](uint8_t* dst, size_t n) {
-    size_t m = std::min(n, bytes.size() - pos);
-    std::memcpy(dst, bytes.data() + pos, m);
-    pos += m;
-    return m;
-  });
-  if (!scan.ok) throw VmError(scan.error);
-  auto concat = [&](const LaneChunks& lc) {
-    std::vector<uint8_t> s;
-    s.reserve(lc.bytes);
-    for (const ScannedChunk& c : lc.chunks) {
-      const uint8_t* p = bytes.data() + c.payload_offset;
-      s.insert(s.end(), p, p + c.payload_len);
-    }
-    return s;
-  };
-  TraceFile t;
-  t.meta = scan.meta;
-  // The walk has checked that the meta promises every lane present; each
-  // promised lane is addressable, even if it stayed empty.
-  size_t lanes = std::max<size_t>(t.meta.lane_count, 1);
-  scan.sched.resize(lanes);
-  scan.events.resize(lanes);
-  t.schedule = concat(scan.sched[0]);
-  t.events = concat(scan.events[0]);
-  for (size_t k = 1; k < lanes; ++k) {
-    t.extra_schedules.push_back(concat(scan.sched[k]));
-    t.extra_events.push_back(concat(scan.events[k]));
-  }
-  t.order = concat(scan.order);
-  t.flight = std::move(scan.flight);
-  return t;
-}
-
 // ---------------------------------------------------------------- verify
 
 std::string TraceVerifyReport::describe() const {
@@ -940,8 +851,9 @@ TraceVerifyReport verify_trace_file(const std::string& path) {
       TraceFile t = TraceFile::load(path);
       rep.ok = true;
       rep.sealed = true;  // v3 blobs are all-or-nothing
-      rep.schedule_bytes = t.schedule.size();
-      rep.events_bytes = t.events.size();
+      const ContainerIndex& idx = t.index();
+      rep.schedule_bytes = info_of(idx.find(StreamId::kSchedule, 0)).bytes;
+      rep.events_bytes = info_of(idx.find(StreamId::kEvents, 0)).bytes;
       rep.valid_chunks = 0;
     } catch (const VmError& e) {
       rep.error = std::string("v3 structural parse failed: ") + e.what();
@@ -952,12 +864,12 @@ TraceVerifyReport verify_trace_file(const std::string& path) {
   ScanOutcome scan = scan_chunked_file(f);
   std::fclose(f);
   rep.ok = scan.ok;
-  rep.version = scan.version;
+  rep.version = scan.index.version;
   rep.sealed = scan.sealed;
   rep.valid_chunks = scan.valid_chunks;
-  for (const auto& lc : scan.sched) rep.schedule_bytes += lc.bytes;
-  for (const auto& lc : scan.events) rep.events_bytes += lc.bytes;
-  rep.order_bytes = scan.order.bytes;
+  for (const auto& lc : scan.index.schedule) rep.schedule_bytes += lc.bytes;
+  for (const auto& lc : scan.index.events) rep.events_bytes += lc.bytes;
+  rep.order_bytes = scan.index.order.bytes;
   rep.lanes = scan.meta_seen ? scan.meta.lane_count : 1;
   rep.error = scan.error;
   return rep;

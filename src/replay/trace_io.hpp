@@ -1,4 +1,4 @@
-// Streaming trace I/O: the chunked, checksummed v4 container.
+// Trace storage: the chunked, checksummed v4/v5 container.
 //
 // v3 stored a recording as one unframed blob, which forced the recorder to
 // keep both streams resident until detach and turned any corruption into an
@@ -25,17 +25,22 @@
 // full chunks to a TraceSink as recording proceeds, so record-side memory
 // is O(chunk), not O(run). Appends are entry-aligned (a single logical
 // record never spans chunks), which keeps every chunk independently
-// decodable for salvage and partial dumps.
+// decodable for salvage and partial dumps. It is the only writer: a
+// recording, a v3 blob upgraded at load and `dejavu convert` all go
+// through it.
 //
 // Reader side: one structural walk checks a container -- header, stream
 // ids, every CRC, single meta/flight chunk, seal totals, meta lane count --
-// and every reader runs it: FileTraceSource at open (bounded memory, then
+// and builds a ContainerIndex of where each (stream, lane)'s chunks lie.
+// Every reader runs it: FileTraceSource at open (bounded memory, then
 // chunks stream on demand, so replay never needs a whole stream resident),
 // verify_trace_file (which reports instead of throwing) and
-// TraceFile::deserialize/load (over the whole-file bytes). StreamCursor
-// layers varint/string decoding over the chunk sequence and retains
-// consumed bytes for the engine's guest-buffer mirroring (§2.4: both modes
-// must touch identical bytes).
+// TraceFile::deserialize/load. A TraceFile is a trace held in memory: the
+// container bytes exactly as recorded plus their index, so serializing it
+// returns the recording unchanged and TraceFileSource serves its chunks as
+// they are. StreamCursor layers varint/string decoding over the chunk
+// sequence and retains consumed bytes for the engine's guest-buffer
+// mirroring (§2.4: both modes must touch identical bytes).
 #pragma once
 
 #include <cstdio>
@@ -146,8 +151,7 @@ class TraceSink {
   virtual const std::vector<uint8_t>* in_memory() const { return nullptr; }
 };
 
-// Chunks appended to an in-memory byte vector (record_run's sink, and
-// TraceFile::serialize()).
+// Chunks appended to an in-memory byte vector (record_run's sink).
 class VectorTraceSink : public TraceSink {
  public:
   explicit VectorTraceSink(uint32_t version = kTraceVersion);
@@ -272,9 +276,62 @@ class TraceSource {
   }
 };
 
-// Serves a materialized TraceFile (owned or borrowed) as a one-chunk-per-
-// stream source -- the v3 compatibility path, and the adapter that lets
-// every tool accept both representations.
+// Where one chunk's payload lies in its container.
+struct ChunkRef {
+  uint64_t payload_offset = 0;
+  uint32_t payload_len = 0;
+};
+
+// One (stream, lane)'s chunks, in container order.
+struct StreamIndex {
+  std::vector<ChunkRef> chunks;
+  uint64_t bytes = 0;  // payload bytes over all chunks
+};
+
+// What the container walk learns about a well-formed v4/v5 container.
+struct ContainerIndex {
+  uint32_t version = 0;
+  std::vector<StreamIndex> schedule, events;  // indexed by lane
+  StreamIndex order;
+  std::vector<uint8_t> flight;  // kFlight payload (empty if none)
+
+  // Null for a (stream, lane) the container has no chunks for.
+  const StreamIndex* find(StreamId id, LaneId lane) const;
+};
+
+// A trace held in memory: the container bytes (v4, or v5 when multi-lane)
+// exactly as they were recorded or loaded, plus the walk's index over them.
+// Nothing is decoded or re-encoded on the way in or out, so serialize()
+// and save() return the recording byte for byte. A v3 blob is upgraded to
+// v4 bytes once, at deserialize/load, through the ordinary TraceWriter.
+class TraceFile {
+ public:
+  // The meta block, decoded from the container. Read-only by convention:
+  // TraceFileSource serves it to replay, while serialize() and save()
+  // return the bytes, which carry their own copy.
+  TraceMeta meta;
+
+  TraceFile() = default;
+  // Accepts v3, v4 and v5 bytes; throws VmError, located, on anything the
+  // container walk rejects.
+  static TraceFile deserialize(std::vector<uint8_t> bytes);
+  static TraceFile load(const std::string& path);
+
+  const std::vector<uint8_t>& serialize() const { return bytes_; }
+  void save(const std::string& path) const;
+
+  uint32_t version() const { return index_.version; }
+  const ContainerIndex& index() const { return index_; }
+  // Payload bytes of every data stream: schedule and events of every lane,
+  // and the order stream.
+  size_t total_bytes() const;
+
+ private:
+  std::vector<uint8_t> bytes_;
+  ContainerIndex index_;
+};
+
+// Serves a TraceFile's chunks (owned or borrowed) straight from its bytes.
 class TraceFileSource : public TraceSource {
  public:
   explicit TraceFileSource(TraceFile trace);         // owning
@@ -282,12 +339,12 @@ class TraceFileSource : public TraceSource {
 
   using TraceSource::read_chunk;
   using TraceSource::stream_info;
-  const TraceMeta& meta() const override;
+  const TraceMeta& meta() const override { return file().meta; }
   StreamInfo stream_info(StreamId id, LaneId lane) const override;
   bool read_chunk(StreamId id, LaneId lane, size_t index,
                   std::vector<uint8_t>* out) override;
   const std::vector<uint8_t>& flight_chunk() const override {
-    return file().flight;
+    return file().index().flight;
   }
 
  private:
@@ -296,10 +353,10 @@ class TraceFileSource : public TraceSource {
   const TraceFile* borrowed_ = nullptr;
 };
 
-// Streams a v4/v5 file: one CRC-verifying scan at open (O(chunk) memory)
-// builds a per-(stream, lane) chunk index and loads the meta block;
-// read_chunk then seeks on demand. Throws VmError with the offending
-// stream/offset on corruption, truncation, or a missing seal.
+// Streams a v4/v5 file: one CRC-verifying walk at open (O(chunk) memory)
+// builds the container index and loads the meta block; read_chunk then
+// seeks on demand. Throws VmError with the offending stream/offset on
+// corruption, truncation, or a missing seal.
 class FileTraceSource : public TraceSource {
  public:
   explicit FileTraceSource(const std::string& path);
@@ -309,32 +366,19 @@ class FileTraceSource : public TraceSource {
 
   using TraceSource::read_chunk;
   using TraceSource::stream_info;
-  const TraceMeta& meta() const override;
+  const TraceMeta& meta() const override { return meta_; }
   StreamInfo stream_info(StreamId id, LaneId lane) const override;
   bool read_chunk(StreamId id, LaneId lane, size_t index,
                   std::vector<uint8_t>* out) override;
   const std::vector<uint8_t>& flight_chunk() const override {
-    return flight_;
+    return index_.flight;
   }
 
  private:
-  struct ChunkRef {
-    uint64_t payload_offset = 0;
-    uint32_t payload_len = 0;
-  };
-  struct StreamIndex {
-    std::vector<ChunkRef> chunks;
-    uint64_t bytes = 0;
-  };
-  StreamIndex* index_of(StreamId id, LaneId lane);
-  const StreamIndex* index_of(StreamId id, LaneId lane) const;
-
   std::FILE* f_ = nullptr;
   std::string path_;
   TraceMeta meta_;
-  std::vector<StreamIndex> sched_, events_;  // indexed by lane
-  StreamIndex order_;
-  std::vector<uint8_t> flight_;  // kFlight payload (empty if none)
+  ContainerIndex index_;
 };
 
 // Opens `path` as a streaming source: v4/v5 files stream from disk; v3
@@ -379,16 +423,6 @@ class StreamCursor {
 // Checkpoint block decoded from a streamed schedule (same field layout as
 // Checkpoint::read_from over a ByteReader).
 Checkpoint read_checkpoint(StreamCursor& c);
-
-// --------------------------------------------------------- v4/v5 <-> file
-
-std::vector<uint8_t> serialize_v4(const TraceFile& trace);
-std::vector<uint8_t> serialize_v5(const TraceFile& trace);
-// Parses any chunked container (v4 or v5) back into a TraceFile. Runs the
-// same structural walk as FileTraceSource and verify_trace_file (one
-// function in trace_io.cpp), so all three accept and reject the same files
-// with the same located message.
-TraceFile deserialize_chunked(const std::vector<uint8_t>& bytes);
 
 // ---------------------------------------------------------------- verify
 

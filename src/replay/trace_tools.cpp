@@ -73,16 +73,6 @@ std::vector<DecodedOrderEvent> decode_order(TraceSource& src) {
   return out;
 }
 
-DecodedSchedule decode_schedule(const TraceFile& trace, LaneId lane) {
-  TraceFileSource src(&trace);
-  return decode_schedule(src, lane);
-}
-
-std::vector<DecodedEvent> decode_events(const TraceFile& trace, LaneId lane) {
-  TraceFileSource src(&trace);
-  return decode_events(src, lane);
-}
-
 TraceStats trace_stats(TraceSource& src) {
   TraceStats s;
   s.lanes = src.lane_count();
@@ -117,13 +107,29 @@ TraceStats trace_stats(TraceSource& src) {
   return s;
 }
 
-std::vector<uint8_t> convert_to_v5(const TraceFile& trace) {
-  return serialize_v5(trace);
-}
-
-TraceStats trace_stats(const TraceFile& trace) {
-  TraceFileSource src(&trace);
-  return trace_stats(src);
+std::vector<uint8_t> convert_trace(TraceSource& src, uint32_t version) {
+  const TraceMeta& meta = src.meta();
+  DV_CHECK_MSG(version == kTraceVersionMulti || meta.lane_count <= 1,
+               "a " << meta.lane_count << "-lane trace needs the v5 container");
+  auto sink = std::make_unique<VectorTraceSink>(version);
+  VectorTraceSink* mem = sink.get();
+  const std::vector<uint8_t>& flight = src.flight_chunk();
+  if (!flight.empty())
+    mem->write_chunk(StreamId::kFlight, flight.data(), flight.size());
+  // A one-byte chunk target emits every appended chunk as it is.
+  TraceWriter w(std::move(sink), 1, version);
+  std::vector<uint8_t> chunk;
+  auto copy = [&](StreamId id, LaneId lane) {
+    for (size_t i = 0; src.read_chunk(id, lane, i, &chunk); ++i)
+      w.append(id, chunk.data(), chunk.size(), lane);
+  };
+  for (LaneId lane = 0; lane < src.lane_count(); ++lane) {
+    copy(StreamId::kSchedule, lane);
+    copy(StreamId::kEvents, lane);
+  }
+  copy(StreamId::kOrder, 0);
+  w.finish(meta);
+  return mem->take();
 }
 
 namespace {
@@ -224,11 +230,6 @@ std::string dump_trace(TraceSource& src, size_t max_lines) {
   return os.str();
 }
 
-std::string dump_trace(const TraceFile& trace, size_t max_lines) {
-  TraceFileSource src(&trace);
-  return dump_trace(src, max_lines);
-}
-
 namespace {
 
 std::string describe_order(const DecodedOrderEvent& e) {
@@ -322,11 +323,6 @@ TraceDiff diff_traces(TraceSource& a, TraceSource& b) {
                 d.first_order_divergence == SIZE_MAX;
   d.description = d.identical ? "identical" : why.str();
   return d;
-}
-
-TraceDiff diff_traces(const TraceFile& a, const TraceFile& b) {
-  TraceFileSource sa(&a), sb(&b);
-  return diff_traces(sa, sb);
 }
 
 }  // namespace dejavu::replay

@@ -9,8 +9,8 @@
 // (the paper's family of replay-based understanding tools, §1).
 //
 // Every tool operates on a TraceSource, so a multi-gigabyte v4 file is
-// inspected by streaming chunks, never loaded whole. TraceFile overloads
-// adapt the materialized representation (and v3 traces) for convenience.
+// inspected by streaming chunks, never loaded whole. A trace held in
+// memory is inspected through a TraceFileSource over it.
 #pragma once
 
 #include <string>
@@ -54,9 +54,6 @@ struct DecodedOrderEvent {
 DecodedSchedule decode_schedule(TraceSource& src, LaneId lane = 0);
 std::vector<DecodedEvent> decode_events(TraceSource& src, LaneId lane = 0);
 std::vector<DecodedOrderEvent> decode_order(TraceSource& src);
-DecodedSchedule decode_schedule(const TraceFile& trace, LaneId lane = 0);
-std::vector<DecodedEvent> decode_events(const TraceFile& trace,
-                                        LaneId lane = 0);
 
 // Aggregate statistics for reporting.
 struct TraceStats {
@@ -77,16 +74,18 @@ struct TraceStats {
 };
 
 TraceStats trace_stats(TraceSource& src);
-TraceStats trace_stats(const TraceFile& trace);
 
-// Rewrite a trace in the v5 multi-lane container (a single-lane v4 trace
-// becomes a one-lane v5 trace with identical stream bytes). Multi-lane
-// inputs are returned unchanged -- they already serialize as v5.
-std::vector<uint8_t> convert_to_v5(const TraceFile& trace);
+// Copies `src` chunk for chunk into a new `version` container: the flight
+// descriptor, each lane's schedule and events chunks, the order chunks,
+// then a fresh meta block and seal. No chunk is split or merged, so
+// v4 -> v4 is a copy of every chunk; v4 -> v5 lifts a single-lane trace
+// into a one-lane v5 container and a one-lane v5 trace goes back to v4
+// the same way. Throws VmError when v4 cannot hold the source (more than
+// one lane, or an order stream).
+std::vector<uint8_t> convert_trace(TraceSource& src, uint32_t version);
 
 // Human-readable dump (optionally truncated to `max_lines` per stream).
 std::string dump_trace(TraceSource& src, size_t max_lines = 64);
-std::string dump_trace(const TraceFile& trace, size_t max_lines = 64);
 
 // Where two traces first diverge.
 struct TraceDiff {
@@ -104,6 +103,5 @@ struct TraceDiff {
 };
 
 TraceDiff diff_traces(TraceSource& a, TraceSource& b);
-TraceDiff diff_traces(const TraceFile& a, const TraceFile& b);
 
 }  // namespace dejavu::replay

@@ -155,7 +155,8 @@ TEST(RussinovichCogswell, TraceLargerThanDejaVuPerSwitch) {
   threads::VirtualTimer timer(9, 5, 80);
   vm::NativeRegistry natives = vmtest::make_test_natives();
   replay::RecordResult dv = replay::record_run(prog, {}, env, timer, &natives);
-  EXPECT_GT(rc_bytes, dv.trace.schedule.size());
+  replay::TraceFileSource dv_src(&dv.trace);
+  EXPECT_GT(rc_bytes, dv_src.stream_info(replay::StreamId::kSchedule).bytes);
 }
 
 TEST(RussinovichCogswell, EnvEventsReplayed) {

@@ -88,6 +88,21 @@ TEST(FuzzSpec, SerializeParseRoundtrip) {
   EXPECT_THROW(parse_case("dvfz 99\nend\n"), VmError);
 }
 
+TEST(FuzzSpec, GuestBufferSizeIsACaseDimension) {
+  // Generated cases cover small guest buffers, whose flush boundaries fall
+  // mid-run, as well as the default.
+  std::set<uint32_t> seen;
+  for (uint64_t i = 0; i < 50; ++i)
+    seen.insert(generate_case(case_seed(99, i)).sched.buffer_capacity);
+  EXPECT_EQ(seen, (std::set<uint32_t>{64, 256, 1u << 16}));
+  // A reproducer written before the dimension existed parses to the
+  // default buffer; a hostile size is refused.
+  CaseSpec old = parse_case("dvfz 1\nseed 3\ncfg 4 64 0\nmain 0\nend\n");
+  EXPECT_EQ(old.sched.buffer_capacity, 1u << 16);
+  EXPECT_THROW(parse_case("dvfz 1\nbuffer 0\nend\n"), VmError);
+  EXPECT_THROW(parse_case("dvfz 1\nbuffer 4294967295\nend\n"), VmError);
+}
+
 TEST(FuzzCampaign, CleanOnHealthyEngine) {
   FuzzOptions opts;
   opts.seed = 1;

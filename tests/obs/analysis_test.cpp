@@ -20,6 +20,7 @@
 #include "src/threads/timer.hpp"
 #include "src/vm/env.hpp"
 #include "src/workloads/workloads.hpp"
+#include "tests/replay/trace_test_util.hpp"
 #include "tests/vm/vm_test_util.hpp"
 
 namespace dejavu::obs {
@@ -626,9 +627,10 @@ TEST(StrictCarryOver, ViolationWithAnalyzersFinishesAndFlagsArtifacts) {
   threads::NullTimer timer;
   replay::RecordResult rec =
       replay::record_run(workloads::env_reader(5), {}, env, timer);
-  ASSERT_GT(rec.trace.events.size(), 4u);
-  replay::TraceFile bad = rec.trace;
-  bad.events.resize(bad.events.size() - 3);
+  replay::testutil::TraceStreams s = replay::testutil::streams_of(rec.trace);
+  ASSERT_GT(s.events[0].size(), 4u);
+  s.events[0].resize(s.events[0].size() - 3);
+  replay::TraceFile bad = replay::testutil::build_trace(s);
 
   // Strict without analyzers: fail-fast, as ever.
   replay::SymmetryConfig strict;

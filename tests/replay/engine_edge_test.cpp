@@ -3,6 +3,7 @@
 
 #include "src/replay/session.hpp"
 #include "src/workloads/workloads.hpp"
+#include "tests/replay/trace_test_util.hpp"
 #include "tests/vm/vm_test_util.hpp"
 
 namespace dejavu::replay {
@@ -48,9 +49,10 @@ TEST(EngineEdge, ReplayerReportsModeAndStats) {
 
 TEST(EngineEdge, TruncatedScheduleDetected) {
   RecordResult rec = quick_record();
-  ASSERT_GT(rec.trace.schedule.size(), 2u);
-  TraceFile bad = rec.trace;
-  bad.schedule.resize(bad.schedule.size() / 2);  // drop later switches
+  testutil::TraceStreams s = testutil::streams_of(rec.trace);
+  ASSERT_GT(s.schedule[0].size(), 2u);
+  s.schedule[0].resize(s.schedule[0].size() / 2);  // drop later switches
+  TraceFile bad = testutil::build_trace(s);
   SymmetryConfig cfg;
   cfg.strict = false;
   ReplayResult rep =
@@ -63,9 +65,10 @@ TEST(EngineEdge, TruncatedEventsDetected) {
   threads::NullTimer timer;
   RecordResult rec =
       record_run(workloads::env_reader(5), {}, env, timer);
-  ASSERT_GT(rec.trace.events.size(), 4u);
-  TraceFile bad = rec.trace;
-  bad.events.resize(bad.events.size() - 3);
+  testutil::TraceStreams s = testutil::streams_of(rec.trace);
+  ASSERT_GT(s.events[0].size(), 4u);
+  s.events[0].resize(s.events[0].size() - 3);
+  TraceFile bad = testutil::build_trace(s);
   SymmetryConfig cfg;
   cfg.strict = false;
   ReplayResult rep = replay_run(workloads::env_reader(5), bad, {}, cfg);
@@ -75,9 +78,10 @@ TEST(EngineEdge, TruncatedEventsDetected) {
 
 TEST(EngineEdge, CorruptedDeltaDivergesStrictly) {
   RecordResult rec = quick_record();
-  ASSERT_FALSE(rec.trace.schedule.empty());
-  TraceFile bad = rec.trace;
-  bad.schedule[0] = uint8_t(bad.schedule[0] + 1);  // shift first switch
+  testutil::TraceStreams s = testutil::streams_of(rec.trace);
+  ASSERT_FALSE(s.schedule[0].empty());
+  s.schedule[0][0] = uint8_t(s.schedule[0][0] + 1);  // shift first switch
+  TraceFile bad = testutil::build_trace(s);
   EXPECT_THROW(replay_run(workloads::counter_race(2, 8), bad, {}),
                ReplayDivergence);
 }

@@ -1,10 +1,12 @@
-// Golden-trace corpus: committed v3 and v4 trace files recorded from a
-// fixed recipe. These pin the on-disk formats: any writer change that
+// Golden-trace corpus: committed v3, v4 and v5 trace files recorded from
+// fixed recipes. These pin the on-disk formats: any writer change that
 // alters the bytes (or a reader change that alters how they replay) fails
 // here first, explicitly, instead of surfacing as a compatibility break
-// for traces recorded by an older build.
+// for traces recorded by an older build. The v3 file is a read-only
+// golden: nothing writes v3 any more, and loading it must give the v4
+// golden's bytes.
 //
-// To regenerate after a *deliberate* format change:
+// To regenerate the v4/v5 files after a *deliberate* format change:
 //   DEJAVU_REGEN_GOLDEN=1 ./build/tests/test_replay
 //       (optionally --gtest_filter='GoldenTrace.WritersAreByteStable')
 #include <gtest/gtest.h>
@@ -58,19 +60,13 @@ void write_file(const std::string& path, const std::vector<uint8_t>& bytes) {
 TEST(GoldenTrace, WritersAreByteStable) {
   RecordResult rec = record_recipe();
   std::vector<uint8_t> v4 = rec.trace.serialize();
-  std::vector<uint8_t> v3 = rec.trace.serialize_v3();
   if (std::getenv("DEJAVU_REGEN_GOLDEN") != nullptr) {
     write_file(golden_path("clock_mixer.v4.djv"), v4);
-    write_file(golden_path("clock_mixer.v3.djv"), v3);
     GTEST_SKIP() << "regenerated golden traces";
   }
   std::vector<uint8_t> want_v4 = read_file(golden_path("clock_mixer.v4.djv"));
-  std::vector<uint8_t> want_v3 = read_file(golden_path("clock_mixer.v3.djv"));
   EXPECT_EQ(v4, want_v4) << "v4 writer no longer byte-stable ("
                          << v4.size() << "B now vs " << want_v4.size()
-                         << "B golden)";
-  EXPECT_EQ(v3, want_v3) << "v3 writer no longer byte-stable ("
-                         << v3.size() << "B now vs " << want_v3.size()
                          << "B golden)";
 }
 
@@ -139,7 +135,7 @@ TEST(GoldenTrace, MultiLaneWriterIsByteStable) {
   bool regen = std::getenv("DEJAVU_REGEN_GOLDEN") != nullptr;
   for (uint32_t lanes : {2u, 4u}) {
     RecordResult rec = record_lane_recipe(lanes);
-    ASSERT_TRUE(rec.trace.multi_lane());
+    ASSERT_EQ(rec.trace.version(), kTraceVersionMulti);
     ASSERT_GT(rec.trace.meta.order_events, 0u) << "K=" << lanes;
     std::vector<uint8_t> v5 = rec.trace.serialize();
     std::string path = golden_path(lane_golden_name(lanes).c_str());
@@ -182,8 +178,8 @@ TEST(GoldenTrace, GoldenV5VerifiesReplaysAndDecodes) {
     EXPECT_EQ(stats.lanes, lanes);
     EXPECT_GT(stats.order_events, 0u);
     EXPECT_EQ(stats.order_events, rec.trace.meta.order_events);
-    EXPECT_EQ(dump_trace(*src), dump_trace(rec.trace));
     TraceFileSource fresh(&rec.trace);
+    EXPECT_EQ(dump_trace(*src), dump_trace(fresh));
     TraceDiff d = diff_traces(*src, fresh);
     EXPECT_TRUE(d.identical) << d.description;
   }
@@ -194,12 +190,13 @@ TEST(GoldenTrace, GoldenV3LoadsConvertsAndReplays) {
   std::vector<uint8_t> v4_bytes = read_file(golden_path("clock_mixer.v4.djv"));
   TraceFile trace = TraceFile::deserialize(v3_bytes);
 
-  // `dejavu convert` is byte-stable in both directions.
+  // Loading upgrades v3 to exactly the v4 golden's bytes, and `dejavu
+  // convert`'s chunk copy of it changes nothing.
   EXPECT_EQ(trace.serialize(), v4_bytes);
-  EXPECT_EQ(trace.serialize_v3(), v3_bytes);
+  TraceFileSource from_v3(&trace);
+  EXPECT_EQ(convert_trace(from_v3, kTraceVersion), v4_bytes);
 
   // Both representations carry identical logical streams...
-  TraceFileSource from_v3(&trace);
   auto from_v4 = open_trace_source(golden_path("clock_mixer.v4.djv"));
   TraceDiff d = diff_traces(from_v3, *from_v4);
   EXPECT_TRUE(d.identical) << d.description;

@@ -11,10 +11,14 @@
 #include "src/replay/session.hpp"
 #include "src/replay/trace_tools.hpp"
 #include "src/workloads/workloads.hpp"
+#include "tests/replay/trace_test_util.hpp"
 #include "tests/vm/vm_test_util.hpp"
 
 namespace dejavu::replay {
 namespace {
+
+using testutil::stream_bytes;
+using testutil::streams_of;
 
 struct LaneSetup {
   uint32_t lanes = 2;
@@ -102,14 +106,15 @@ TEST(LaneTrace, SingleLaneRecordsV4MultiLaneRecordsV5) {
   s1.lanes = 1;
   RecordResult r1 = record_with(workloads::counter_race(2, 8), s1);
   EXPECT_EQ(r1.trace.meta.lane_count, 1u);
-  EXPECT_FALSE(r1.trace.multi_lane());
+  EXPECT_EQ(r1.trace.version(), kTraceVersion);
 
   LaneSetup s2;
   s2.lanes = 2;
   RecordResult r2 = record_with(workloads::counter_race(2, 8), s2);
   EXPECT_EQ(r2.trace.meta.lane_count, 2u);
-  EXPECT_EQ(r2.trace.extra_schedules.size(), 1u);
-  EXPECT_EQ(r2.trace.extra_events.size(), 1u);
+  EXPECT_EQ(r2.trace.version(), kTraceVersionMulti);
+  EXPECT_EQ(r2.trace.index().schedule.size(), 2u);
+  EXPECT_EQ(r2.trace.index().events.size(), 2u);
 }
 
 TEST(LaneTrace, SingleLaneTraceIsByteIdenticalToPreLaneEngine) {
@@ -144,32 +149,43 @@ TEST(LaneTrace, OrderStreamCountsMatchMeta) {
   RecordResult rec = record_with(workloads::lock_pingpong(10), s);
   // A monitor-heavy 4-thread workload on 2 lanes must cross lanes.
   EXPECT_GT(rec.trace.meta.order_events, 0u);
-  EXPECT_FALSE(rec.trace.order.empty());
+  EXPECT_GT(rec.trace.index().order.bytes, 0u);
   EXPECT_EQ(rec.trace.meta.lane_clocks.size(), 2u);
   EXPECT_EQ(rec.trace.meta.lane_preempts.size(), 2u);
 }
 
 // ------------------------------------------------------ v4 -> v5 convert
 
+// `trace` copied chunk for chunk into a `version` container.
+std::vector<uint8_t> converted(const TraceFile& trace, uint32_t version) {
+  TraceFileSource src(&trace);
+  return convert_trace(src, version);
+}
+
 TEST(LaneConvert, ConvertToV5RoundTripsSingleLaneTrace) {
   LaneSetup s;
   s.lanes = 1;
   bytecode::Program prog = workloads::counter_race(3, 12);
   RecordResult rec = record_with(prog, s);
-  ASSERT_FALSE(rec.trace.multi_lane());
+  ASSERT_EQ(rec.trace.version(), kTraceVersion);
 
-  std::vector<uint8_t> v5 = convert_to_v5(rec.trace);
+  std::vector<uint8_t> v5 = converted(rec.trace, kTraceVersionMulti);
   EXPECT_NE(v5, rec.trace.serialize());  // the container changed...
   TraceFile back = TraceFile::deserialize(v5);
+  EXPECT_EQ(back.version(), kTraceVersionMulti);
   // ...but the stream bytes and meta did not.
-  EXPECT_EQ(back.schedule, rec.trace.schedule);
-  EXPECT_EQ(back.events, rec.trace.events);
+  EXPECT_EQ(stream_bytes(back, StreamId::kSchedule),
+            stream_bytes(rec.trace, StreamId::kSchedule));
+  EXPECT_EQ(stream_bytes(back, StreamId::kEvents),
+            stream_bytes(rec.trace, StreamId::kEvents));
   EXPECT_EQ(back.meta.preempt_switches, rec.trace.meta.preempt_switches);
-  EXPECT_TRUE(back.extra_schedules.empty());
-  EXPECT_TRUE(back.order.empty());
+  EXPECT_EQ(back.meta.lane_count, 1u);
+  EXPECT_EQ(back.index().order.bytes, 0u);
   ReplayResult rep = replay_run(prog, back, s.opts, s.cfg);
   EXPECT_TRUE(rep.verified) << rep.stats.first_violation;
   EXPECT_EQ(rep.summary, rec.summary);
+  // A one-lane v5 trace converts back to the recorded v4 bytes.
+  EXPECT_EQ(converted(back, kTraceVersion), rec.trace.serialize());
 }
 
 TEST(LaneConvert, ConvertedV5FileOpensThroughEveryReader) {
@@ -177,7 +193,7 @@ TEST(LaneConvert, ConvertedV5FileOpensThroughEveryReader) {
   s.lanes = 1;
   bytecode::Program prog = workloads::lock_pingpong(8);
   RecordResult rec = record_with(prog, s);
-  std::vector<uint8_t> v5 = convert_to_v5(rec.trace);
+  std::vector<uint8_t> v5 = converted(rec.trace, kTraceVersionMulti);
   std::string path = tmp_path("convert");
   {
     std::ofstream out(path, std::ios::binary);
@@ -205,10 +221,11 @@ TEST(LaneProperty, ChunkSizeNeverChangesTheMultiLaneStreams) {
     s.lanes = 3;
     s.cfg.trace_chunk_bytes = chunk;
     RecordResult rec = record_with(prog, s);
-    EXPECT_EQ(rec.trace.schedule, base.trace.schedule) << chunk;
-    EXPECT_EQ(rec.trace.extra_schedules, base.trace.extra_schedules) << chunk;
-    EXPECT_EQ(rec.trace.extra_events, base.trace.extra_events) << chunk;
-    EXPECT_EQ(rec.trace.order, base.trace.order) << chunk;
+    testutil::TraceStreams got = streams_of(rec.trace);
+    testutil::TraceStreams want = streams_of(base.trace);
+    EXPECT_EQ(got.schedule, want.schedule) << chunk;
+    EXPECT_EQ(got.events, want.events) << chunk;
+    EXPECT_EQ(got.order, want.order) << chunk;
     ReplayResult rep = replay_run(prog, rec.trace, s.opts, s.cfg);
     EXPECT_TRUE(rep.verified) << "chunk=" << chunk << ": "
                               << rep.stats.first_violation;
@@ -295,7 +312,7 @@ TEST(LaneDiff, FirstDisagreeingOrderEventIsPinpointed) {
   // Re-encode the order stream with record 1 re-targeted at a different
   // thread -- the kind of cross-lane skew a buggy multi-lane recorder
   // would produce.
-  TraceFile skewed = rec.trace;
+  testutil::TraceStreams skewed_streams = streams_of(rec.trace);
   ByteWriter w;
   for (size_t i = 0; i < order.size(); ++i) {
     DecodedOrderEvent e = order[i];
@@ -307,10 +324,13 @@ TEST(LaneDiff, FirstDisagreeingOrderEventIsPinpointed) {
     w.put_uvarint(e.to);
     w.put_uvarint(e.subject);
   }
-  skewed.order = w.take();
-  ASSERT_NE(skewed.order, rec.trace.order);
+  skewed_streams.order = w.take();
+  TraceFile skewed = testutil::build_trace(skewed_streams);
+  ASSERT_NE(stream_bytes(skewed, StreamId::kOrder),
+            stream_bytes(rec.trace, StreamId::kOrder));
 
-  TraceDiff d = diff_traces(rec.trace, skewed);
+  TraceFileSource skewed_src(&skewed);
+  TraceDiff d = diff_traces(src, skewed_src);
   EXPECT_FALSE(d.identical);
   // Per-lane streams are untouched: only the order stream disagrees.
   EXPECT_EQ(d.first_schedule_divergence, SIZE_MAX);
@@ -321,7 +341,7 @@ TEST(LaneDiff, FirstDisagreeingOrderEventIsPinpointed) {
   EXPECT_NE(d.description.find("lane"), std::string::npos) << d.description;
 
   // A truncated order stream is also pinpointed (at the common length).
-  TraceFile shorter = rec.trace;
+  testutil::TraceStreams shorter_streams = streams_of(rec.trace);
   ByteWriter w2;
   for (size_t i = 0; i + 1 < order.size(); ++i) {
     const DecodedOrderEvent& e = order[i];
@@ -332,8 +352,10 @@ TEST(LaneDiff, FirstDisagreeingOrderEventIsPinpointed) {
     w2.put_uvarint(e.to);
     w2.put_uvarint(e.subject);
   }
-  shorter.order = w2.take();
-  TraceDiff dt = diff_traces(rec.trace, shorter);
+  shorter_streams.order = w2.take();
+  TraceFile shorter = testutil::build_trace(shorter_streams);
+  TraceFileSource shorter_src(&shorter);
+  TraceDiff dt = diff_traces(src, shorter_src);
   EXPECT_FALSE(dt.identical);
   EXPECT_EQ(dt.first_order_divergence, order.size() - 1);
   EXPECT_NE(dt.description.find("order event counts differ"),

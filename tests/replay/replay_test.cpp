@@ -11,6 +11,7 @@
 #include "src/common/io.hpp"
 #include "src/replay/session.hpp"
 #include "src/workloads/workloads.hpp"
+#include "tests/replay/trace_test_util.hpp"
 #include "tests/vm/vm_test_util.hpp"
 
 namespace dejavu::replay {
@@ -50,6 +51,26 @@ void expect_exact_replay(const bytecode::Program& prog,
 
 TEST(Replay, Fig1RaceExact) { expect_exact_replay(workloads::fig1_race()); }
 TEST(Replay, Fig1ClockExact) { expect_exact_replay(workloads::fig1_clock()); }
+
+// Once a lane's schedule stream outgrows its guest buffer, every wrap is an
+// audited flush. Replay reads each schedule delta one switch ahead, but must
+// mirror it at the switch it schedules, as record does, or the flush lands
+// at a different instruction and the final audit digest differs.
+TEST(Replay, ExactPastGuestBufferBoundary) {
+  for (uint32_t lanes : {1u, 2u, 3u}) {
+    for (uint32_t capacity : {64u, 128u, 256u}) {
+      SCOPED_TRACE("lanes " + std::to_string(lanes) + ", buffer " +
+                   std::to_string(capacity));
+      RecordSetup s;
+      s.timer_min = 40;
+      s.timer_max = 400;
+      s.cfg.lanes = lanes;
+      s.cfg.buffer_capacity = capacity;
+      s.cfg.strict = false;  // report the first violation, don't throw
+      expect_exact_replay(workloads::compute(2, 2000), s);
+    }
+  }
+}
 
 TEST(Replay, CounterRaceExactAcrossSeeds) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
@@ -126,7 +147,7 @@ TEST(Replay, CooperativeRunHasEmptySchedule) {
   s.timer_seed = 0;  // no preemption
   RecordResult rec = record_with(workloads::fig1_race(), s);
   EXPECT_EQ(rec.trace.meta.preempt_switches, 0u);
-  EXPECT_TRUE(rec.trace.schedule.empty());
+  EXPECT_TRUE(testutil::stream_bytes(rec.trace, StreamId::kSchedule).empty());
   ReplayResult rep = replay_run(workloads::fig1_race(), rec.trace, s.opts);
   EXPECT_TRUE(rep.verified);
 }

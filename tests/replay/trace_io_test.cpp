@@ -12,25 +12,48 @@
 #include <cstdio>
 
 #include "src/replay/trace_io.hpp"
+#include "tests/replay/trace_test_util.hpp"
 
 namespace dejavu::replay {
 namespace {
 
+using testutil::stream_bytes;
+
+TraceMeta sample_meta() {
+  TraceMeta m;
+  m.program_fingerprint = 0x1234;
+  m.checkpoint_interval = 8;
+  m.preempt_switches = 3;
+  m.nd_events = 2;
+  m.final_checkpoint = Checkpoint{10, 20, 3, 4, 1, 2, 15};
+  m.final_output_hash = 0xaa;
+  m.final_heap_hash = 0xbb;
+  m.final_switch_seq_hash = 0xcc;
+  m.final_instr_count = 999;
+  m.final_audit_digest = 0xdd;
+  return m;
+}
+
+std::vector<uint8_t> sample_schedule() {
+  std::vector<uint8_t> s;
+  for (int i = 0; i < 40; ++i) s.push_back(uint8_t(i));
+  return s;
+}
+
+std::vector<uint8_t> sample_events() {
+  std::vector<uint8_t> e;
+  for (int i = 0; i < 60; ++i) e.push_back(uint8_t(200 - i));
+  return e;
+}
+
+// Header, one schedule chunk, one events chunk, meta, seal.
 TraceFile sample_trace() {
-  TraceFile t;
-  t.meta.program_fingerprint = 0x1234;
-  t.meta.checkpoint_interval = 8;
-  t.meta.preempt_switches = 3;
-  t.meta.nd_events = 2;
-  t.meta.final_checkpoint = Checkpoint{10, 20, 3, 4, 1, 2, 15};
-  t.meta.final_output_hash = 0xaa;
-  t.meta.final_heap_hash = 0xbb;
-  t.meta.final_switch_seq_hash = 0xcc;
-  t.meta.final_instr_count = 999;
-  t.meta.final_audit_digest = 0xdd;
-  for (int i = 0; i < 40; ++i) t.schedule.push_back(uint8_t(i));
-  for (int i = 0; i < 60; ++i) t.events.push_back(uint8_t(200 - i));
-  return t;
+  return testutil::build_trace(sample_meta(), sample_schedule(),
+                               sample_events());
+}
+
+std::vector<uint8_t> sample_v3() {
+  return testutil::v3_blob(sample_meta(), sample_schedule(), sample_events());
 }
 
 std::string temp_path(const char* name) {
@@ -81,29 +104,32 @@ void expect_all_readers_reject(const std::vector<uint8_t>& bytes,
 }
 
 TEST(TraceWriter, TinyChunksRoundTrip) {
-  TraceFile t = sample_trace();
+  TraceMeta meta = sample_meta();
+  std::vector<uint8_t> sched = sample_schedule(), events = sample_events();
   auto sink = std::make_unique<VectorTraceSink>();
   VectorTraceSink* mem = sink.get();
   TraceWriter w(std::move(sink), /*chunk_bytes=*/7);
   // Appends in several pieces, forcing many chunk emissions.
-  for (size_t i = 0; i < t.schedule.size(); i += 3) {
-    size_t n = std::min<size_t>(3, t.schedule.size() - i);
-    w.append(StreamId::kSchedule, t.schedule.data() + i, n);
+  for (size_t i = 0; i < sched.size(); i += 3) {
+    size_t n = std::min<size_t>(3, sched.size() - i);
+    w.append(StreamId::kSchedule, sched.data() + i, n);
   }
-  for (size_t i = 0; i < t.events.size(); i += 5) {
-    size_t n = std::min<size_t>(5, t.events.size() - i);
-    w.append(StreamId::kEvents, t.events.data() + i, n);
+  for (size_t i = 0; i < events.size(); i += 5) {
+    size_t n = std::min<size_t>(5, events.size() - i);
+    w.append(StreamId::kEvents, events.data() + i, n);
   }
-  EXPECT_EQ(w.stream_bytes(StreamId::kSchedule), t.schedule.size());
-  EXPECT_EQ(w.stream_bytes(StreamId::kEvents), t.events.size());
-  w.finish(t.meta);
+  EXPECT_EQ(w.stream_bytes(StreamId::kSchedule), sched.size());
+  EXPECT_EQ(w.stream_bytes(StreamId::kEvents), events.size());
+  w.finish(meta);
   EXPECT_EQ(w.buffered_bytes(), 0u);
 
   TraceFile u = TraceFile::deserialize(mem->bytes());
-  EXPECT_EQ(u.schedule, t.schedule);
-  EXPECT_EQ(u.events, t.events);
-  EXPECT_EQ(u.meta.final_checkpoint, t.meta.final_checkpoint);
-  EXPECT_EQ(u.meta.final_audit_digest, t.meta.final_audit_digest);
+  EXPECT_EQ(stream_bytes(u, StreamId::kSchedule), sched);
+  EXPECT_EQ(stream_bytes(u, StreamId::kEvents), events);
+  EXPECT_EQ(u.meta.final_checkpoint, meta.final_checkpoint);
+  EXPECT_EQ(u.meta.final_audit_digest, meta.final_audit_digest);
+  // The trace is the container as written, chunking included.
+  EXPECT_EQ(u.serialize(), mem->bytes());
 }
 
 TEST(TraceWriter, EntryAlignmentNeverSplitsARecord) {
@@ -156,7 +182,8 @@ TEST(TraceWriter, FlushEmitsPartialChunksMidRecording) {
   }
   // ...and finishing afterwards produces a valid trace.
   w.finish(TraceMeta{});
-  EXPECT_EQ(TraceFile::deserialize(mem->bytes()).events,
+  EXPECT_EQ(stream_bytes(TraceFile::deserialize(mem->bytes()),
+                         StreamId::kEvents),
             (std::vector<uint8_t>{1, 2, 3}));
 }
 
@@ -169,18 +196,17 @@ TEST(StreamCursor, ValuesSpanChunkBoundaries) {
   payload.put_string("hello world");
   payload.put_uvarint(7);
 
-  TraceFile t;
-  t.schedule = payload.bytes();
+  std::vector<uint8_t> sched = payload.bytes();
   auto sink = std::make_unique<VectorTraceSink>();
   VectorTraceSink* mem = sink.get();
   TraceWriter w(std::move(sink), 1);  // 1-byte chunks: worst case
-  for (uint8_t byte : t.schedule) w.append(StreamId::kSchedule, &byte, 1);
-  w.finish(t.meta);
+  for (uint8_t byte : sched) w.append(StreamId::kSchedule, &byte, 1);
+  w.finish(TraceMeta{});
   std::string path = temp_path("dv_cursor_test.djv");
   write_file(path, mem->bytes());
 
   FileTraceSource src(path);
-  EXPECT_EQ(src.stream_info(StreamId::kSchedule).chunks, t.schedule.size());
+  EXPECT_EQ(src.stream_info(StreamId::kSchedule).chunks, sched.size());
   StreamCursor c(src, StreamId::kSchedule);
   EXPECT_EQ(c.get_uvarint(), 300u);
   EXPECT_EQ(c.get_svarint(), -123456789);
@@ -188,14 +214,14 @@ TEST(StreamCursor, ValuesSpanChunkBoundaries) {
   EXPECT_EQ(c.get_uvarint(), 7u);
   EXPECT_TRUE(c.at_end());
   // The mirror buffer saw every consumed byte, in order.
-  EXPECT_EQ(c.pending_mirror(), t.schedule);
+  EXPECT_EQ(c.pending_mirror(), sched);
   c.drain_mirror();
   EXPECT_TRUE(c.pending_mirror().empty());
   std::remove(path.c_str());
 }
 
 TEST(TraceV4, FlippingAnyByteIsDetected) {
-  std::vector<uint8_t> good = serialize_v4(sample_trace());
+  std::vector<uint8_t> good = sample_trace().serialize();
   for (size_t i = 0; i < good.size(); ++i) {
     std::vector<uint8_t> bad = good;
     bad[i] ^= 0x01;
@@ -212,7 +238,7 @@ TEST(TraceV4, FlippingAnyByteIsDetected) {
 }
 
 TEST(TraceV4, TruncationAtEveryPointIsDetected) {
-  std::vector<uint8_t> good = serialize_v4(sample_trace());
+  std::vector<uint8_t> good = sample_trace().serialize();
   for (size_t keep = 0; keep < good.size(); ++keep) {
     std::vector<uint8_t> bad(good.begin(), good.begin() + keep);
     expect_all_readers_reject(
@@ -229,14 +255,14 @@ TEST(ReaderAgreement, MetaLaneCountBelowLanesPresentIsRejectedEverywhere) {
   auto sink = std::make_unique<VectorTraceSink>(kTraceVersionMulti);
   VectorTraceSink* mem = sink.get();
   TraceWriter w(std::move(sink), /*chunk_bytes=*/16, kTraceVersionMulti);
-  TraceFile t = sample_trace();
+  std::vector<uint8_t> sched = sample_schedule(), events = sample_events();
   for (LaneId lane = 0; lane < 3; ++lane) {
-    w.append(StreamId::kSchedule, t.schedule.data(), t.schedule.size(), lane);
-    w.append(StreamId::kEvents, t.events.data(), t.events.size(), lane);
+    w.append(StreamId::kSchedule, sched.data(), sched.size(), lane);
+    w.append(StreamId::kEvents, events.data(), events.size(), lane);
   }
   uint8_t order[4] = {1, 2, 3, 4};
   w.append(StreamId::kOrder, order, sizeof order);
-  TraceMeta meta = t.meta;
+  TraceMeta meta = sample_meta();
   meta.lane_count = 3;
   w.finish(meta);
   std::vector<uint8_t> good = mem->bytes();
@@ -281,11 +307,10 @@ TEST(ReaderAgreement, MetaLaneCountBelowLanesPresentIsRejectedEverywhere) {
 }
 
 TEST(Verify, LocatesAFlippedByteWithStreamAndOffset) {
-  TraceFile t = sample_trace();
   std::string path = temp_path("dv_verify_flip.djv");
-  std::vector<uint8_t> bytes = serialize_v4(t);
-  // serialize_v4 writes one schedule chunk first; flip a byte inside its
-  // payload (header is 8 bytes, chunk header 5).
+  std::vector<uint8_t> bytes = sample_trace().serialize();
+  // The sample's first chunk is its one schedule chunk; flip a byte inside
+  // its payload (header is 8 bytes, chunk header 5).
   size_t flip_at = 8 + kChunkHeaderBytes + 3;
   bytes[flip_at] ^= 0x40;
   write_file(path, bytes);
@@ -308,8 +333,7 @@ TEST(Verify, LocatesAFlippedByteWithStreamAndOffset) {
 }
 
 TEST(Verify, ReportsAllChunkBoundaryTruncations) {
-  TraceFile t = sample_trace();
-  std::vector<uint8_t> good = serialize_v4(t);
+  std::vector<uint8_t> good = sample_trace().serialize();
 
   // Compute every chunk boundary offset by walking the frames.
   std::vector<size_t> boundaries;
@@ -353,12 +377,12 @@ TEST(Verify, CleanFileAndV3FileAreOk) {
   EXPECT_TRUE(rep4.ok) << rep4.error;
   EXPECT_TRUE(rep4.sealed);
   EXPECT_EQ(rep4.version, kTraceVersion);
-  EXPECT_EQ(rep4.schedule_bytes, t.schedule.size());
-  EXPECT_EQ(rep4.events_bytes, t.events.size());
+  EXPECT_EQ(rep4.schedule_bytes, sample_schedule().size());
+  EXPECT_EQ(rep4.events_bytes, sample_events().size());
   EXPECT_NE(rep4.describe().find("OK"), std::string::npos);
 
   std::string v3 = temp_path("dv_verify_v3.djv");
-  write_file(v3, t.serialize_v3());
+  write_file(v3, sample_v3());
   TraceVerifyReport rep3 = verify_trace_file(v3);
   EXPECT_TRUE(rep3.ok) << rep3.error;
   EXPECT_EQ(rep3.version, kTraceVersionLegacy);
@@ -368,26 +392,24 @@ TEST(Verify, CleanFileAndV3FileAreOk) {
 }
 
 TEST(TraceV3, LegacyBlobStillLoads) {
-  TraceFile t = sample_trace();
-  std::vector<uint8_t> v3 = t.serialize_v3();
-  TraceFile u = TraceFile::deserialize(v3);
-  EXPECT_EQ(u.schedule, t.schedule);
-  EXPECT_EQ(u.events, t.events);
-  EXPECT_EQ(u.meta.final_heap_hash, t.meta.final_heap_hash);
-  // And converting (deserialize + serialize) yields an equivalent v4 trace.
-  TraceFile v = TraceFile::deserialize(u.serialize());
-  EXPECT_EQ(v.schedule, t.schedule);
-  EXPECT_EQ(v.events, t.events);
+  TraceFile u = TraceFile::deserialize(sample_v3());
+  EXPECT_EQ(stream_bytes(u, StreamId::kSchedule), sample_schedule());
+  EXPECT_EQ(stream_bytes(u, StreamId::kEvents), sample_events());
+  EXPECT_EQ(u.meta.final_heap_hash, sample_meta().final_heap_hash);
+  // Loading upgrades the blob to v4 once: the bytes are what the writer
+  // makes of the same streams.
+  EXPECT_EQ(u.version(), kTraceVersion);
+  EXPECT_EQ(u.serialize(), sample_trace().serialize());
 }
 
 TEST(TraceV3, HostileStreamLengthIsALocatedError) {
   // A v3 stream length past the end of the blob is rejected as a VmError
   // before anything is sized by it.
-  std::vector<uint8_t> v3 = sample_trace().serialize_v3();
+  std::vector<uint8_t> v3 = sample_v3();
   ByteWriter w;
   w.put_u32_fixed(kTraceMagic);
   w.put_u32_fixed(kTraceVersionLegacy);
-  write_meta_payload(w, sample_trace().meta);
+  write_meta_payload(w, sample_meta());
   w.put_uvarint(uint64_t(1) << 62);
   std::vector<uint8_t> bad = w.take();
   ASSERT_LT(bad.size(), v3.size());
@@ -395,18 +417,18 @@ TEST(TraceV3, HostileStreamLengthIsALocatedError) {
 }
 
 TEST(TraceV3, OpenTraceSourceDispatchesOnVersion) {
-  TraceFile t = sample_trace();
   std::string v3 = temp_path("dv_src_v3.djv");
   std::string v4 = temp_path("dv_src_v4.djv");
-  write_file(v3, t.serialize_v3());
-  t.save(v4);
+  write_file(v3, sample_v3());
+  sample_trace().save(v4);
+  std::vector<uint8_t> events = sample_events();
   for (const std::string& p : {v3, v4}) {
     auto src = open_trace_source(p);
-    EXPECT_EQ(src->meta().final_instr_count, t.meta.final_instr_count);
+    EXPECT_EQ(src->meta().final_instr_count, sample_meta().final_instr_count);
     StreamCursor c(*src, StreamId::kEvents);
-    std::vector<uint8_t> all(t.events.size());
+    std::vector<uint8_t> all(events.size());
     c.get_bytes(all.data(), all.size());
-    EXPECT_EQ(all, t.events);
+    EXPECT_EQ(all, events);
     EXPECT_TRUE(c.at_end());
   }
   std::remove(v3.c_str());

@@ -1,7 +1,7 @@
 // End-to-end streaming pipeline: a trace recorded with incremental chunk
-// flushing must replay byte-for-byte identically to the legacy in-memory
-// path, corrupted real recordings must fail with located errors, and v3
-// traces must stay loadable (and convertible).
+// flushing must be byte-for-byte the trace the in-memory path holds,
+// corrupted real recordings must fail with located errors, and v3 traces
+// must stay loadable (and convertible).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,6 +9,7 @@
 #include "src/replay/session.hpp"
 #include "src/replay/trace_tools.hpp"
 #include "src/workloads/workloads.hpp"
+#include "tests/replay/trace_test_util.hpp"
 #include "tests/vm/vm_test_util.hpp"
 
 namespace dejavu::replay {
@@ -40,43 +41,54 @@ struct Harness {
   }
 };
 
-// The PR's acceptance criterion: incremental flushing produces a recording
-// that replays exactly like the legacy in-memory path -- same final
-// hashes, same decoded streams.
+// Incremental flushing produces exactly the recording the in-memory path
+// holds: the same container bytes, chunk framing included, at any chunk
+// size and lane count, and both replay with the same final behaviour.
 TEST(TraceStream, StreamedRecordingEqualsInMemoryRecording) {
-  Harness h;
-  h.cfg.trace_chunk_bytes = 64;  // force many chunks and many flushes
-  std::string path = temp_path("dv_stream_eq.djv");
+  for (uint32_t lanes : {1u, 2u}) {
+    for (uint32_t chunk : {64u, uint32_t(kDefaultChunkBytes)}) {
+      SCOPED_TRACE("lanes " + std::to_string(lanes) + ", chunk " +
+                   std::to_string(chunk));
+      Harness h;
+      h.cfg.lanes = lanes;
+      h.cfg.trace_chunk_bytes = chunk;  // 64: many chunks and many flushes
+      std::string path = temp_path("dv_stream_eq.djv");
 
-  RecordResult mem = h.record();
-  RecordFileResult file = h.record_to(path);
+      RecordResult mem = h.record();
+      RecordFileResult file = h.record_to(path);
 
-  // Identical execution on both sides...
-  EXPECT_EQ(file.output, mem.output);
-  EXPECT_EQ(file.summary, mem.summary);
-  EXPECT_EQ(file.stats.preempt_switches, mem.stats.preempt_switches);
-  EXPECT_EQ(file.stats.nd_events(), mem.stats.nd_events());
+      // Identical execution on both sides...
+      EXPECT_EQ(file.output, mem.output);
+      EXPECT_EQ(file.summary, mem.summary);
+      EXPECT_EQ(file.stats.preempt_switches, mem.stats.preempt_switches);
+      EXPECT_EQ(file.stats.nd_events(), mem.stats.nd_events());
 
-  // ...identical logical streams on disk (chunk geometry aside)...
-  auto src = open_trace_source(path);
-  TraceFileSource mem_src(&mem.trace);
-  TraceDiff d = diff_traces(*src, mem_src);
-  EXPECT_TRUE(d.identical) << d.description;
-  EXPECT_EQ(src->stream_info(StreamId::kSchedule).bytes,
-            mem.trace.schedule.size());
-  EXPECT_EQ(src->stream_info(StreamId::kEvents).bytes,
-            mem.trace.events.size());
-  EXPECT_GT(src->stream_info(StreamId::kEvents).chunks, 1u)
-      << "chunk size too large to exercise streaming";
+      // ...the same container bytes...
+      std::vector<uint8_t> on_disk = read_file(path);
+      EXPECT_EQ(mem.trace.serialize().size(), on_disk.size());
+      EXPECT_TRUE(mem.trace.serialize() == on_disk)
+          << "in-memory and file recordings differ";
 
-  // ...and both replay verified with the same final behaviour.
-  ReplayResult rep_mem = replay_run(h.prog, mem.trace, h.opts, h.cfg);
-  ReplayResult rep_file = replay_file(h.prog, path, h.opts, h.cfg);
-  EXPECT_TRUE(rep_mem.verified) << rep_mem.stats.first_violation;
-  EXPECT_TRUE(rep_file.verified) << rep_file.stats.first_violation;
-  EXPECT_EQ(rep_file.summary, rep_mem.summary);
-  EXPECT_EQ(rep_file.output, mem.output);
-  std::remove(path.c_str());
+      // ...so identical logical streams...
+      auto src = open_trace_source(path);
+      TraceFileSource mem_src(&mem.trace);
+      TraceDiff d = diff_traces(*src, mem_src);
+      EXPECT_TRUE(d.identical) << d.description;
+      if (chunk == 64) {
+        EXPECT_GT(src->stream_info(StreamId::kEvents).chunks, 1u)
+            << "chunk size too large to exercise streaming";
+      }
+
+      // ...and both replay verified with the same final behaviour.
+      ReplayResult rep_mem = replay_run(h.prog, mem.trace, h.opts, h.cfg);
+      ReplayResult rep_file = replay_file(h.prog, path, h.opts, h.cfg);
+      EXPECT_TRUE(rep_mem.verified) << rep_mem.stats.first_violation;
+      EXPECT_TRUE(rep_file.verified) << rep_file.stats.first_violation;
+      EXPECT_EQ(rep_file.summary, rep_mem.summary);
+      EXPECT_EQ(rep_file.output, mem.output);
+      std::remove(path.c_str());
+    }
+  }
 }
 
 TEST(TraceStream, DefaultChunkSizeAlsoVerifies) {
@@ -180,16 +192,20 @@ TEST(TraceStream, V3TraceReplaysAndConvertsToV4) {
   RecordResult rec = h.record();
   std::string v3 = temp_path("dv_stream_v3.djv");
   std::string v4 = temp_path("dv_stream_v4.djv");
-  write_file(v3, rec.trace.serialize_v3());
+  write_file(v3, testutil::v3_blob(
+                     rec.trace.meta,
+                     testutil::stream_bytes(rec.trace, StreamId::kSchedule),
+                     testutil::stream_bytes(rec.trace, StreamId::kEvents)));
 
   // v3 replays through the compatibility loader...
   ReplayResult rep3 = replay_file(h.prog, v3, h.opts, h.cfg);
   EXPECT_TRUE(rep3.verified) << rep3.stats.first_violation;
 
-  // ...converts losslessly to v4 (what `dejavu convert` does)...
-  TraceFile loaded = TraceFile::load(v3);
-  loaded.save(v4);
+  // ...converts losslessly to v4 (what `dejavu convert` does), giving
+  // back the bytes recorded at the default chunk size...
+  write_file(v4, convert_trace(*open_trace_source(v3), kTraceVersion));
   EXPECT_TRUE(verify_trace_file(v4).ok);
+  EXPECT_TRUE(read_file(v4) == rec.trace.serialize());
   auto sa = open_trace_source(v3);
   auto sb = open_trace_source(v4);
   TraceDiff d = diff_traces(*sa, *sb);

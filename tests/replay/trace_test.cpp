@@ -4,25 +4,29 @@
 
 #include "src/replay/trace.hpp"
 #include "src/workloads/workloads.hpp"
+#include "tests/replay/trace_test_util.hpp"
 
 namespace dejavu::replay {
 namespace {
 
+using testutil::stream_bytes;
+
+const std::vector<uint8_t> kSampleSchedule{1, 2, 3};
+const std::vector<uint8_t> kSampleEvents{9, 8, 7, 6};
+
 TraceFile sample_trace() {
-  TraceFile t;
-  t.meta.program_fingerprint = 0x1234;
-  t.meta.checkpoint_interval = 8;
-  t.meta.preempt_switches = 3;
-  t.meta.nd_events = 2;
-  t.meta.final_checkpoint = Checkpoint{10, 20, 3, 4, 1, 2, 15};
-  t.meta.final_output_hash = 0xaa;
-  t.meta.final_heap_hash = 0xbb;
-  t.meta.final_switch_seq_hash = 0xcc;
-  t.meta.final_instr_count = 999;
-  t.meta.final_audit_digest = 0xdd;
-  t.schedule = {1, 2, 3};
-  t.events = {9, 8, 7, 6};
-  return t;
+  TraceMeta m;
+  m.program_fingerprint = 0x1234;
+  m.checkpoint_interval = 8;
+  m.preempt_switches = 3;
+  m.nd_events = 2;
+  m.final_checkpoint = Checkpoint{10, 20, 3, 4, 1, 2, 15};
+  m.final_output_hash = 0xaa;
+  m.final_heap_hash = 0xbb;
+  m.final_switch_seq_hash = 0xcc;
+  m.final_instr_count = 999;
+  m.final_audit_digest = 0xdd;
+  return testutil::build_trace(m, kSampleSchedule, kSampleEvents);
 }
 
 TEST(TraceFile, SerializeRoundTrip) {
@@ -36,15 +40,17 @@ TEST(TraceFile, SerializeRoundTrip) {
   EXPECT_EQ(u.meta.final_output_hash, t.meta.final_output_hash);
   EXPECT_EQ(u.meta.final_heap_hash, t.meta.final_heap_hash);
   EXPECT_EQ(u.meta.final_instr_count, t.meta.final_instr_count);
-  EXPECT_EQ(u.schedule, t.schedule);
-  EXPECT_EQ(u.events, t.events);
+  EXPECT_EQ(stream_bytes(u, StreamId::kSchedule), kSampleSchedule);
+  EXPECT_EQ(stream_bytes(u, StreamId::kEvents), kSampleEvents);
+  EXPECT_EQ(u.serialize(), t.serialize());
 }
 
 TEST(TraceFile, FileRoundTrip) {
   std::string path = testing::TempDir() + "/dv_trace_test.djv";
   sample_trace().save(path);
   TraceFile u = TraceFile::load(path);
-  EXPECT_EQ(u.schedule, sample_trace().schedule);
+  EXPECT_EQ(stream_bytes(u, StreamId::kSchedule), kSampleSchedule);
+  EXPECT_EQ(u.serialize(), sample_trace().serialize());
   std::remove(path.c_str());
 }
 

@@ -15,9 +15,15 @@ RecordResult record_seeded(const bytecode::Program& prog, uint64_t seed) {
   return record_run(prog, {}, env, timer, &natives);
 }
 
+TraceDiff diff_of(const TraceFile& a, const TraceFile& b) {
+  TraceFileSource sa(&a), sb(&b);
+  return diff_traces(sa, sb);
+}
+
 TEST(TraceTools, ScheduleDecodeMatchesMeta) {
   RecordResult rec = record_seeded(workloads::counter_race(3, 30), 7);
-  DecodedSchedule s = decode_schedule(rec.trace);
+  TraceFileSource src(&rec.trace);
+  DecodedSchedule s = decode_schedule(src);
   EXPECT_EQ(s.entries.size(), rec.trace.meta.preempt_switches);
   uint64_t cum = 0;
   for (const auto& e : s.entries) {
@@ -29,7 +35,8 @@ TEST(TraceTools, ScheduleDecodeMatchesMeta) {
 
 TEST(TraceTools, EventDecodeMatchesMeta) {
   RecordResult rec = record_seeded(workloads::native_calls(5), 3);
-  std::vector<DecodedEvent> events = decode_events(rec.trace);
+  TraceFileSource src(&rec.trace);
+  std::vector<DecodedEvent> events = decode_events(src);
   EXPECT_EQ(events.size(), rec.trace.meta.nd_events);
   size_t callbacks = 0, returns = 0;
   for (const auto& e : events) {
@@ -50,17 +57,20 @@ TEST(TraceTools, EventDecodeMatchesMeta) {
 
 TEST(TraceTools, StatsAggregate) {
   RecordResult rec = record_seeded(workloads::clock_mixer(3, 30), 7);
-  TraceStats s = trace_stats(rec.trace);
+  TraceFileSource src(&rec.trace);
+  TraceStats s = trace_stats(src);
   EXPECT_EQ(s.preempt_switches, rec.trace.meta.preempt_switches);
   EXPECT_EQ(s.clock_events, rec.stats.clock_events);
   EXPECT_GE(s.max_delta, s.min_delta);
   EXPECT_GT(s.mean_delta, 0.0);
-  EXPECT_EQ(s.schedule_bytes, rec.trace.schedule.size());
+  EXPECT_EQ(s.schedule_bytes, src.stream_info(StreamId::kSchedule).bytes);
+  EXPECT_GT(s.schedule_bytes, 0u);
 }
 
 TEST(TraceTools, DumpIsReadableAndBounded) {
   RecordResult rec = record_seeded(workloads::clock_mixer(3, 30), 7);
-  std::string dump = dump_trace(rec.trace, 5);
+  TraceFileSource src(&rec.trace);
+  std::string dump = dump_trace(src, 5);
   EXPECT_NE(dump.find("schedule ("), std::string::npos);
   EXPECT_NE(dump.find("clock "), std::string::npos);
   EXPECT_NE(dump.find("more"), std::string::npos);  // truncation marker
@@ -69,14 +79,14 @@ TEST(TraceTools, DumpIsReadableAndBounded) {
 TEST(TraceTools, DiffIdenticalTraces) {
   RecordResult a = record_seeded(workloads::counter_race(3, 30), 7);
   RecordResult b = record_seeded(workloads::counter_race(3, 30), 7);
-  TraceDiff d = diff_traces(a.trace, b.trace);
+  TraceDiff d = diff_of(a.trace, b.trace);
   EXPECT_TRUE(d.identical) << d.description;
 }
 
 TEST(TraceTools, DiffFindsScheduleDivergence) {
   RecordResult a = record_seeded(workloads::counter_race(3, 30), 7);
   RecordResult b = record_seeded(workloads::counter_race(3, 30), 8);
-  TraceDiff d = diff_traces(a.trace, b.trace);
+  TraceDiff d = diff_of(a.trace, b.trace);
   EXPECT_FALSE(d.identical);
   EXPECT_NE(d.first_schedule_divergence, SIZE_MAX);
   EXPECT_NE(d.description.find("switch"), std::string::npos);
@@ -91,7 +101,7 @@ TEST(TraceTools, DiffFindsEventDivergence) {
   threads::NullTimer t1, t2;
   RecordResult a = record_run(prog, {}, env1, t1);
   RecordResult b = record_run(prog, {}, env2, t2);
-  TraceDiff d = diff_traces(a.trace, b.trace);
+  TraceDiff d = diff_of(a.trace, b.trace);
   EXPECT_FALSE(d.identical);
   EXPECT_EQ(d.first_event_divergence, 2u * 2u);  // third input, 2 events per
 }
@@ -99,7 +109,7 @@ TEST(TraceTools, DiffFindsEventDivergence) {
 TEST(TraceTools, DiffRejectsDifferentPrograms) {
   RecordResult a = record_seeded(workloads::fig1_race(), 7);
   RecordResult b = record_seeded(workloads::fig1_clock(), 7);
-  TraceDiff d = diff_traces(a.trace, b.trace);
+  TraceDiff d = diff_of(a.trace, b.trace);
   EXPECT_FALSE(d.identical);
   EXPECT_NE(d.description.find("different programs"), std::string::npos);
 }

@@ -156,6 +156,13 @@ check_obs_slice() {
     > "$art/crash_full_replay.txt"
   grep -q 'reproduced recorded crash' "$art/crash_full_replay.txt"
   grep -q 'replay verified exact' "$art/crash_full_replay.txt"
+  # `convert` copies chunks through the one writer: the committed v3 golden
+  # becomes exactly the v4 golden. A recording to a destination that is
+  # not a regular file still succeeds.
+  ./build/tools/dejavu convert tests/replay/golden/clock_mixer.v3.djv \
+    "$art/converted.v4.djv" >/dev/null
+  cmp "$art/converted.v4.djv" tests/replay/golden/clock_mixer.v4.djv
+  ./build/tools/dejavu record clock_mixer --seed 5 --out /dev/null >/dev/null
   # A flag the subcommand does not take is refused.
   if ./build/tools/dejavu record counter_race --lane 4 \
       --out "$art/lane_typo.djv" >/dev/null 2>&1; then

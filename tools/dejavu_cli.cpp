@@ -185,6 +185,15 @@ void export_telemetry(const TelemetryOpts& tel,
   }
 }
 
+// The size of a trace just written, for the summary lines. Only a regular
+// file has one: `--out /dev/null` is a valid destination.
+std::string written_size(const std::string& path) {
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) return "not a regular file";
+  uintmax_t n = std::filesystem::file_size(path, ec);
+  return ec ? "size unknown" : std::to_string(n) + "B";
+}
+
 int cmd_record(const std::string& name, uint64_t seed, bool realtime,
                const std::string& out, uint32_t lanes,
                uint32_t flight_window, uint32_t flight_epoch,
@@ -230,17 +239,16 @@ int cmd_record(const std::string& name, uint64_t seed, bool realtime,
                 (unsigned long long)fr.flight.bytes_retained,
                 (unsigned long long)fr.flight.epochs_retired,
                 (unsigned long long)fr.flight.bytes_retired);
-    std::printf("tail sealed to %s (%s, %lluB)\n", out.c_str(),
-                fr.seal_reason.c_str(),
-                (unsigned long long)std::filesystem::file_size(out));
+    std::printf("tail sealed to %s (%s, %s)\n", out.c_str(),
+                fr.seal_reason.c_str(), written_size(out).c_str());
   } else {
     std::printf("instrs=%llu switches=%llu preempts=%llu events=%llu "
-                "trace=%lluB\n",
+                "trace=%s\n",
                 (unsigned long long)rec.summary.instr_count,
                 (unsigned long long)rec.summary.switch_count,
                 (unsigned long long)rec.stats.preempt_switches,
                 (unsigned long long)rec.stats.nd_events(),
-                (unsigned long long)std::filesystem::file_size(out));
+                written_size(out).c_str());
     std::printf("trace written to %s (v%u, %u lane%s)\n", out.c_str(),
                 replay::trace_version_for_lanes(lanes), lanes == 0 ? 1 : lanes,
                 lanes > 1 ? "s" : "");
@@ -848,20 +856,16 @@ int cmd_verify(const std::string& path) {
 }
 
 int cmd_convert(const std::string& in, const std::string& out, bool to_v5) {
-  replay::TraceFile trace = replay::TraceFile::load(in);
-  const char* version;
-  if (to_v5 || trace.multi_lane()) {
-    // Multi-lane traces only exist in the v5 container; --v5 additionally
-    // lifts a single-lane trace into a one-lane v5 file.
-    dejavu::write_file(out, replay::convert_to_v5(trace));
-    version = "v5";
-  } else {
-    trace.save(out);  // save() writes the classic v4 container
-    version = "v4";
-  }
-  std::printf("converted %s -> %s (%s, %lluB)\n", in.c_str(), out.c_str(),
-              version,
-              (unsigned long long)std::filesystem::file_size(out));
+  auto src = replay::open_trace_source(in);
+  // Multi-lane traces only exist in the v5 container; --v5 additionally
+  // lifts a single-lane trace into a one-lane v5 file. Everything else --
+  // v3, v4, one-lane v5 -- becomes v4.
+  uint32_t version = to_v5 || src->lane_count() > 1
+                         ? replay::kTraceVersionMulti
+                         : replay::kTraceVersion;
+  dejavu::write_file(out, replay::convert_trace(*src, version));
+  std::printf("converted %s -> %s (v%u, %s)\n", in.c_str(), out.c_str(),
+              version, written_size(out).c_str());
   return 0;
 }
 
@@ -1062,8 +1066,7 @@ int cmd_debug(const std::string& name, const std::string& path) {
     return 1;
   }
   bytecode::Program prog = e->make();
-  replay::TraceFile trace = replay::TraceFile::load(path);
-  replay::ReplaySession session(prog, std::move(trace), {});
+  replay::ReplaySession session(prog, replay::open_trace_source(path), {});
   debugger::Debugger dbg(session, prog);
   frontend::Channel chan;
   frontend::DebugServer server(dbg, chan);
@@ -1339,7 +1342,7 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "bad arguments; try 'dejavu help'\n");
     return 1;
-  } catch (const VmError& e) {
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
