@@ -297,13 +297,15 @@ std::string render_farm_report(const std::string& json) {
         const obs::JsonValue* ms = c.find("monitors");
         size_t n = tids != nullptr ? tids->items.size() : 0;
         for (size_t i = 0; i < n; ++i) {
-          cyc += "t" + std::to_string(uint64_t(tids->items[i].number));
+          cyc.append("t").append(
+              std::to_string(uint64_t(tids->items[i].number)));
           if (ms != nullptr && i < ms->items.size())
-            cyc += " -(m" + std::to_string(uint64_t(ms->items[i].number)) +
-                   ")-> ";
+            cyc.append(" -(m")
+                .append(std::to_string(uint64_t(ms->items[i].number)))
+                .append(")-> ");
         }
-        cyc += "t" + std::to_string(
-                         n > 0 ? uint64_t(tids->items[0].number) : 0);
+        cyc.append("t").append(std::to_string(
+            n > 0 ? uint64_t(tids->items[0].number) : 0));
         append_line(&out, "  %s  seen %" PRIu64 "x, first at instr %" PRIu64,
                     cyc.c_str(), num_or(c, "count"), num_or(c, "first_instr"));
       }

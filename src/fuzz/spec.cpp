@@ -186,6 +186,13 @@ int64_t acc_init(size_t tid) {
   return int64_t((tid * 7919 + 13) & uint64_t(kAccMask));
 }
 
+// Name of worker thread t's method: "w<t>".
+std::string worker_method(size_t t) {
+  std::string name = "w";
+  name.append(std::to_string(t));
+  return name;
+}
+
 }  // namespace
 
 const char* stmt_kind_name(StmtKind k) {
@@ -219,7 +226,7 @@ bytecode::Program build_program(const CaseSpec& spec) {
   main.method("cb").arg(I).returns(I).load(0).push_i(kMaxImm).band().ret_val();
 
   for (size_t t = 0; t < spec.threads.size(); ++t) {
-    auto& w = main.method("w" + std::to_string(t)).arg(R).locals(4);
+    auto& w = main.method(worker_method(t)).arg(R).locals(4);
     w.line(int32_t(100 * (t + 1)));
     w.push_i(acc_init(t + 1)).store(kAccSlot);
     for (const Stmt& s : spec.threads[t].body) emit_stmt(w, s);
@@ -236,7 +243,7 @@ bytecode::Program build_program(const CaseSpec& spec) {
   run.push_i(acc_init(0)).store(kAccSlot);
   for (size_t t = 0; t < spec.threads.size(); ++t) {
     run.push_null()
-        .spawn("Main", "w" + std::to_string(t))
+        .spawn("Main", worker_method(t))
         .store(int32_t(kFirstThreadSlot + t));
   }
   for (const Stmt& s : spec.main_body) emit_stmt(run, s);

@@ -44,7 +44,9 @@ class AnalysisObserver {
 
   // Event-family subscriptions. The engine enables VM instrumentation for
   // the union of what the registered analyzers ask for; families nobody
-  // wants cost nothing (the VM's wants_* predicate stays false).
+  // wants cost nothing (the VM's wants_* predicate stays false). The
+  // engine reads these once, when the analyzer is added; they must not
+  // change afterwards.
   virtual bool wants_instructions() const { return false; }
   virtual bool wants_monitors() const { return false; }
   virtual bool wants_memory() const { return false; }

@@ -1,15 +1,16 @@
 #include "src/obs/analysis/critical_path.hpp"
 
 #include <algorithm>
+#include <map>
 
+#include "src/common/check.hpp"
 #include "src/obs/json.hpp"
 
 namespace dejavu::obs {
 
 namespace {
 
-// Stable "Owner.method" label for a method-name pointer (the owner pointer
-// is remembered per method in owners_).
+// Stable "Owner.method" label for a method-name pointer and its owner.
 std::string method_label(const std::string* owner, const std::string* method) {
   if (method == nullptr) return "";
   if (owner == nullptr) return *method;
@@ -47,21 +48,22 @@ void CriticalPathAnalyzer::unpark(threads::Tid tid, uint64_t at) {
 void CriticalPathAnalyzer::close_segment(uint64_t at) {
   if (current_ == threads::kNoThread) return;
   if (at < seg_start_) at = seg_start_;
+  // The walk in on_run_end relies on segment starts never decreasing.
+  DV_CHECK(segments_.empty() || segments_.back().start <= seg_start_);
   Segment s;
   s.tid = current_;
   s.start = seg_start_;
   s.end = at;
   // Dominant method of the segment: most instructions, ties to the
-  // lexicographically smallest label (pointer order would be
-  // nondeterministic).
+  // lexicographically smallest non-empty label. The rule does not depend
+  // on the order of seg_methods_.
   uint64_t best = 0;
-  for (const auto& [method, count] : seg_methods_) {
-    std::string label = method_label(owners_[method], method);
-    if (count > best || (count == best && !label.empty() &&
-                         (s.method.empty() || label < s.method))) {
-      best = count;
-      s.method = label;
-    }
+  for (const MethodCount& m : seg_methods_) best = std::max(best, m.count);
+  for (const MethodCount& m : seg_methods_) {
+    if (m.count != best) continue;
+    std::string label = method_label(m.owner, m.method);
+    if (!label.empty() && (s.method.empty() || label < s.method))
+      s.method = std::move(label);
   }
   wall(current_).running += s.end - s.start;
   by_tid_.resize(std::max<size_t>(by_tid_.size(), current_ + 1));
@@ -90,8 +92,18 @@ void CriticalPathAnalyzer::on_instruction(const vm::InstrEvent& ev) {
     seg_start_ = ev.instr_index;
     push_wake(ev.tid, "start", threads::kNoThread, 0, ev.instr_index);
   }
-  seg_methods_[ev.method]++;
-  owners_[ev.method] = ev.owner;
+  if (last_method_ >= seg_methods_.size() ||
+      seg_methods_[last_method_].method != ev.method) {
+    auto it = std::find_if(
+        seg_methods_.begin(), seg_methods_.end(),
+        [&](const MethodCount& m) { return m.method == ev.method; });
+    last_method_ = size_t(it - seg_methods_.begin());
+    if (it == seg_methods_.end())
+      seg_methods_.push_back(MethodCount{ev.method, nullptr, 0});
+  }
+  MethodCount& m = seg_methods_[last_method_];
+  m.owner = ev.owner;
+  m.count++;
 }
 
 uint64_t CriticalPathAnalyzer::resume_instr(const vm::MonitorEvent& e) {
@@ -246,32 +258,33 @@ void CriticalPathAnalyzer::on_run_end(const RunInfo& info) {
   path_.clear();
   hop_kinds_.clear();
   if (segments_.empty()) return;
+  // One backward cursor per tid into wakes_, kept across hops: edges at or
+  // past the cursor are later than a start the walk has already passed,
+  // and starts only fall as cur falls (see the header comment).
+  std::vector<size_t> wake_cursor(wakes_.size());
+  for (size_t t = 0; t < wakes_.size(); ++t) wake_cursor[t] = wakes_[t].size();
   size_t cur = segments_.size() - 1;
   path_.push_back(cur);
   while (cur > 0) {
     const Segment& s = segments_[cur];
-    // Latest wake edge for s.tid at or before the segment start.
+    // Latest wake edge for s.tid, in push order, at or before the segment
+    // start.
     const WakeEdge* edge = nullptr;
     if (s.tid < wakes_.size()) {
       const std::vector<WakeEdge>& w = wakes_[s.tid];
-      for (size_t i = w.size(); i-- > 0;) {
-        if (w[i].instr <= s.start) {
-          edge = &w[i];
-          break;
-        }
-      }
+      size_t& i = wake_cursor[s.tid];
+      while (i > 0 && w[i - 1].instr > s.start) --i;
+      if (i > 0) edge = &w[i - 1];
     }
     size_t next = cur - 1;  // default: the previous segment in time
     if (edge != nullptr && edge->from != threads::kNoThread &&
         edge->from < by_tid_.size()) {
-      // The waker's latest segment that had started by the wake.
+      // The waker's latest segment before cur that had started by the wake.
       const std::vector<size_t>& segs = by_tid_[edge->from];
-      for (size_t i = segs.size(); i-- > 0;) {
-        if (segs[i] < cur && segments_[segs[i]].start <= edge->instr) {
-          next = segs[i];
-          break;
-        }
-      }
+      auto it = std::partition_point(segs.begin(), segs.end(), [&](size_t k) {
+        return k < cur && segments_[k].start <= edge->instr;
+      });
+      if (it != segs.begin()) next = *(it - 1);
     }
     hop_kinds_.push_back(edge != nullptr ? edge->kind : "schedule");
     cur = next;

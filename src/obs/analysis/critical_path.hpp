@@ -16,10 +16,23 @@
 // scheduler's switch from the previously running thread. The resulting
 // ordered segment list with per-method attribution answers "what chain of
 // work bounded this run's length".
+//
+// Cost. Per instruction: one compare against the last method hit and a
+// counter increment (a short scan of the segment's method list on a miss).
+// The walk is O(segments + wake edges + hops * log segments). Segment
+// starts are non-decreasing in segment index (checked as each segment
+// closes), so as the walk's segment index falls its start never rises.
+// Each tid's wake list is therefore scanned once, by a backward cursor that
+// survives across hops: the latest edge in push order at or before a start
+// is also at or before every later, smaller start. The list is not sorted
+// by instant (a cross-lane edge borrows the current segment start, which
+// can predate a spawn edge pushed just before it), so it is never binary
+// searched. A waker's segment list is sorted by index and by start, so
+// "index below the current one and started by the wake" holds on a prefix
+// and is found by binary search.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -106,8 +119,16 @@ class CriticalPathAnalyzer : public AnalysisObserver {
   std::vector<std::vector<size_t>> by_tid_;  // tid -> indices into segments_
   threads::Tid current_ = threads::kNoThread;
   uint64_t seg_start_ = 0;
-  std::map<const std::string*, uint64_t> seg_methods_;  // per-segment counts
-  std::unordered_map<const std::string*, const std::string*> owners_;
+  // Instruction counts of the open segment, one entry per method pointer,
+  // in first-hit order; owner is the owner of the method's latest hit.
+  struct MethodCount {
+    const std::string* method = nullptr;
+    const std::string* owner = nullptr;
+    uint64_t count = 0;
+  };
+  std::vector<MethodCount> seg_methods_;
+  // Index of the last hit in seg_methods_; past the end after a clear.
+  size_t last_method_ = 0;
 
   // Wake edges per thread, appended chronologically.
   std::vector<std::vector<WakeEdge>> wakes_;  // by tid

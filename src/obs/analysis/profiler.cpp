@@ -18,7 +18,8 @@ ReplayProfiler::MethodStat& ReplayProfiler::stat_for(const vm::InstrEvent& ev) {
 }
 
 void ReplayProfiler::rebuild_slot(ThreadShadow& sh, uint32_t tid) {
-  std::string joined = "t" + std::to_string(tid);
+  std::string joined = "t";
+  joined.append(std::to_string(tid));
   for (const MethodStat* ms : sh.stack) {
     joined += ';';
     joined += ms->name;

@@ -183,25 +183,22 @@ void DejaVuEngine::add_analyzer(obs::AnalysisObserver* a) {
   DV_CHECK_MSG(vm_ == nullptr, "add_analyzer after attach");
   DV_CHECK(a != nullptr);
   analyzers_.push_back(a);
-  fan_instr_ = fan_instr_ || a->wants_instructions();
-  fan_mon_ = fan_mon_ || a->wants_monitors();
-  fan_mem_ = fan_mem_ || a->wants_memory();
-  fan_thread_ = fan_thread_ || a->wants_threads();
+  if (a->wants_instructions()) instr_subs_.push_back(a);
+  if (a->wants_monitors()) mon_subs_.push_back(a);
+  if (a->wants_memory()) mem_subs_.push_back(a);
+  if (a->wants_threads()) thread_subs_.push_back(a);
 }
 
 void DejaVuEngine::on_thread_event(const vm::ThreadEvent& ev) {
-  for (obs::AnalysisObserver* a : analyzers_)
-    if (a->wants_threads()) a->on_thread_event(ev);
+  for (obs::AnalysisObserver* a : thread_subs_) a->on_thread_event(ev);
 }
 
 void DejaVuEngine::on_instruction(const vm::InstrEvent& ev) {
-  for (obs::AnalysisObserver* a : analyzers_)
-    if (a->wants_instructions()) a->on_instruction(ev);
+  for (obs::AnalysisObserver* a : instr_subs_) a->on_instruction(ev);
 }
 
 void DejaVuEngine::on_monitor_event(const vm::MonitorEvent& ev) {
-  for (obs::AnalysisObserver* a : analyzers_)
-    if (a->wants_monitors()) a->on_monitor_event(ev);
+  for (obs::AnalysisObserver* a : mon_subs_) a->on_monitor_event(ev);
 }
 
 void DejaVuEngine::on_heap_read(heap::Addr obj, uint32_t slot, int64_t* value,
@@ -209,8 +206,8 @@ void DejaVuEngine::on_heap_read(heap::Addr obj, uint32_t slot, int64_t* value,
   // *value is never written: analyzers observe a copy (the read-content
   // substitution path of the baselines is exactly what this fan-out must
   // not have).
-  for (obs::AnalysisObserver* a : analyzers_)
-    if (a->wants_memory()) a->on_heap_read(obj, slot, *value, is_ref);
+  for (obs::AnalysisObserver* a : mem_subs_)
+    a->on_heap_read(obj, slot, *value, is_ref);
 }
 
 void DejaVuEngine::on_heap_write(heap::Addr obj, uint32_t slot, int64_t value,
@@ -237,14 +234,13 @@ void DejaVuEngine::on_heap_write(heap::Addr obj, uint32_t slot, int64_t value,
       handle_cross_lane(e);
     }
   }
-  for (obs::AnalysisObserver* a : analyzers_)
-    if (a->wants_memory()) a->on_heap_write(obj, slot, value, is_ref);
+  for (obs::AnalysisObserver* a : mem_subs_)
+    a->on_heap_write(obj, slot, value, is_ref);
 }
 
 void DejaVuEngine::on_heap_alloc(const vm::AllocEvent& ev) {
   if (track_heap_owner_) heap_owner_[uint64_t(ev.addr)] = cur_lane();
-  for (obs::AnalysisObserver* a : analyzers_)
-    if (a->wants_memory()) a->on_heap_alloc(ev);
+  for (obs::AnalysisObserver* a : mem_subs_) a->on_heap_alloc(ev);
 }
 
 void DejaVuEngine::on_heap_move(heap::Addr from, heap::Addr to) {
@@ -256,8 +252,7 @@ void DejaVuEngine::on_heap_move(heap::Addr from, heap::Addr to) {
       heap_owner_[uint64_t(to)] = lane;
     }
   }
-  for (obs::AnalysisObserver* a : analyzers_)
-    if (a->wants_memory()) a->on_heap_move(from, to);
+  for (obs::AnalysisObserver* a : mem_subs_) a->on_heap_move(from, to);
 }
 
 void DejaVuEngine::attach(vm::Vm& vm) {
@@ -363,7 +358,8 @@ void DejaVuEngine::ensure_buffers_allocated(const char* reason) {
   for (uint32_t k = 0; k < lane_count_; ++k) {
     // Lane 0 keeps the historical labels so a single-lane heap image is
     // byte-identical to the pre-lane engine's.
-    std::string suffix = k == 0 ? "" : "." + std::to_string(k);
+    std::string suffix;
+    if (k != 0) suffix.append(".").append(std::to_string(k));
     alloc(lanes_[k].sched_buf, "sched" + suffix);
     alloc(lanes_[k].event_buf, "events" + suffix);
   }

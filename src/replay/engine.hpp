@@ -221,15 +221,17 @@ class DejaVuEngine : public vm::ExecHooks {
   // Fine-grained analysis events: enabled only when a registered analyzer
   // subscribes (replay mode by construction). on_heap_read forwards the
   // value by copy -- analyzers can observe but never substitute it.
-  bool wants_instruction_events() const override { return fan_instr_; }
+  bool wants_instruction_events() const override {
+    return !instr_subs_.empty();
+  }
   void on_instruction(const vm::InstrEvent& ev) override;
-  bool wants_monitor_events() const override { return fan_mon_; }
+  bool wants_monitor_events() const override { return !mon_subs_.empty(); }
   void on_monitor_event(const vm::MonitorEvent& ev) override;
   bool wants_memory_events() const override {
     // Heap-ownership tracking (K>1) needs the same VM event taps as a
     // memory analyzer; both modes enable them identically, so the taps
     // cannot introduce a record/replay asymmetry.
-    return fan_mem_ || track_heap_owner_;
+    return !mem_subs_.empty() || track_heap_owner_;
   }
   void on_heap_read(heap::Addr obj, uint32_t slot, int64_t* value,
                     bool is_ref) override;
@@ -237,7 +239,9 @@ class DejaVuEngine : public vm::ExecHooks {
                      bool is_ref) override;
   void on_heap_alloc(const vm::AllocEvent& ev) override;
   void on_heap_move(heap::Addr from, heap::Addr to) override;
-  bool wants_thread_events() const override { return fan_thread_; }
+  bool wants_thread_events() const override {
+    return !thread_subs_.empty();
+  }
   void on_thread_event(const vm::ThreadEvent& ev) override;
 
   // Strict-mode carry-over: true when cfg.strict was set, analyzers were
@@ -388,10 +392,12 @@ class DejaVuEngine : public vm::ExecHooks {
 
   // Replay-time analysis fan-out (empty in record mode by construction).
   std::vector<obs::AnalysisObserver*> analyzers_;
-  bool fan_instr_ = false;
-  bool fan_mon_ = false;
-  bool fan_mem_ = false;
-  bool fan_thread_ = false;
+  // The subscribers of each fine-grained event family, in attach order,
+  // read once from the analyzers' wants_*() at add_analyzer.
+  std::vector<obs::AnalysisObserver*> instr_subs_;
+  std::vector<obs::AnalysisObserver*> mon_subs_;
+  std::vector<obs::AnalysisObserver*> mem_subs_;
+  std::vector<obs::AnalysisObserver*> thread_subs_;
 
   bool io_class_loaded_ = false;
   bool detached_ = false;

@@ -384,9 +384,10 @@ RuntimeClass* Vm::load_synthetic_class(const std::string& name,
   RuntimeClass* rc = rcp.get();
   rc->name = name;
   for (uint32_t i = 0; i < num_static_slots; ++i) {
-    rc->static_slot["s" + std::to_string(i)] = i;
-    rc->statics_layout.push_back(
-        FieldSlot{"s" + std::to_string(i), ValueType::kI64});
+    std::string slot = "s";
+    slot.append(std::to_string(i));
+    rc->static_slot[slot] = i;
+    rc->statics_layout.push_back(FieldSlot{std::move(slot), ValueType::kI64});
   }
   classes_.push_back(std::move(rcp));
 

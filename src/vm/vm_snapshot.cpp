@@ -190,9 +190,11 @@ void Vm::restore_snapshot(ByteReader& r) {
       rc->name = r.get_string();
       size_t nslots = size_t(r.get_uvarint());
       for (uint32_t s = 0; s < nslots; ++s) {
-        rc->static_slot["s" + std::to_string(s)] = s;
+        std::string slot = "s";
+        slot.append(std::to_string(s));
+        rc->static_slot[slot] = s;
         rc->statics_layout.push_back(
-            FieldSlot{"s" + std::to_string(s), bytecode::ValueType::kI64});
+            FieldSlot{std::move(slot), bytecode::ValueType::kI64});
       }
       classes_.push_back(std::move(rcp));
     } else {

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/hash.hpp"
 #include "src/obs/analysis/cache_sim.hpp"
 #include "src/obs/analysis/critical_path.hpp"
 #include "src/obs/analysis/heap_churn.hpp"
@@ -73,11 +74,13 @@ GoldenReplay replay_golden(const replay::SymmetryConfig& cfg) {
 
 // One deterministic record of a workload (scripted env + virtual timer).
 replay::RecordResult record_workload(const bytecode::Program& prog,
-                                     uint64_t seed) {
+                                     uint64_t seed, uint32_t lanes = 1) {
   vm::ScriptedEnvironment env(1000, 7, {1, 2, 3, 4, 5, 6, 7, 8}, 17);
   threads::VirtualTimer timer(seed, 4, 60);
   vm::NativeRegistry natives = vmtest::make_test_natives();
-  return replay::record_run(prog, {}, env, timer, &natives);
+  replay::SymmetryConfig cfg;
+  cfg.lanes = lanes;
+  return replay::record_run(prog, {}, env, timer, &natives, cfg);
 }
 
 // ------------------------------------------------ the symmetry invariant
@@ -490,6 +493,106 @@ TEST(CriticalPath, SyntheticSpawnJoinPath) {
   // exited (the join edge).
   EXPECT_EQ(path->items[1].find("edge")->string, "spawn");
   EXPECT_EQ(path->items[2].find("edge")->string, "join");
+}
+
+TEST(CriticalPath, OutOfOrderWakeEdgesFollowPushOrder) {
+  // A cross-lane edge is dated at the current segment's start, so it can
+  // land in a thread's wake list after a spawn edge with a later instant:
+  // t3 runs [0,5), t1 runs [5,20) and spawns t2 at 10, then an xlane edge
+  // t3 -> t2 arrives dated 5. The walk takes the latest edge in push order
+  // (the xlane one), not the latest instant, so t2's segment hops straight
+  // to t3 and t1 is off the path.
+  CriticalPathAnalyzer cp;
+  static const std::string kOwner = "Main";
+  static const std::string kRun = "run";
+  auto instr = [&](uint32_t tid, uint64_t at) {
+    vm::InstrEvent e;
+    e.tid = threads::Tid(tid);
+    e.owner = &kOwner;
+    e.method = &kRun;
+    e.instr_index = at;
+    cp.on_instruction(e);
+  };
+  for (uint64_t i = 0; i < 5; ++i) instr(3, i);
+  cp.on_switch(3, 1, threads::SwitchReason::kPreempt, 5);
+  for (uint64_t i = 5; i < 20; ++i) instr(1, i);
+  vm::ThreadEvent spawn;
+  spawn.op = vm::ThreadOp::kSpawn;
+  spawn.tid = 1;
+  spawn.other = 2;
+  spawn.instr_index = 10;
+  cp.on_thread_event(spawn);
+  threads::CrossLaneEvent x;
+  x.kind = threads::CrossLaneKind::kNotify;
+  x.from = 3;
+  x.to = 2;
+  x.subject = 42;
+  cp.on_cross_lane(x);
+  cp.on_switch(1, 2, threads::SwitchReason::kYield, 20);
+  for (uint64_t i = 20; i < 30; ++i) instr(2, i);
+
+  RunInfo info;
+  info.instr_count = 30;
+  info.verified = true;
+  cp.on_run_end(info);
+
+  ASSERT_EQ(cp.segments().size(), 3u);
+  EXPECT_EQ(cp.critical_path(), (std::vector<size_t>{0, 2}));
+  JsonValue doc = parse_json(cp.artifact());
+  const JsonValue* path = doc.find("critical_path");
+  ASSERT_EQ(path->items.size(), 2u);
+  EXPECT_EQ(uint64_t(path->items[0].find("tid")->number), 3u);
+  EXPECT_EQ(path->items[0].find("edge")->string, "start");
+  EXPECT_EQ(uint64_t(path->items[1].find("tid")->number), 2u);
+  EXPECT_EQ(path->items[1].find("edge")->string, "xlane:notify");
+  EXPECT_EQ(path->items[1].find("method")->string, "Main.run");
+  EXPECT_EQ(uint64_t(doc.find("critical_path_instrs")->number), 15u);
+}
+
+// The critpath artifact of one record -> replay with only critpath on.
+std::string critpath_of(const bytecode::Program& prog, uint64_t seed,
+                        uint32_t lanes) {
+  replay::RecordResult rec = record_workload(prog, seed, lanes);
+  replay::SymmetryConfig cfg;
+  cfg.obs.analyze_critpath = true;
+  replay::ReplayResult rep = replay::replay_run(prog, rec.trace, {}, cfg);
+  EXPECT_TRUE(rep.verified) << rep.stats.first_violation;
+  return rep.analysis.critpath_json;
+}
+
+TEST(CriticalPath, ArtifactDigestsArePinned) {
+  // FNV-1a digests of the critpath artifact bytes of a fixed set of runs,
+  // pinned so that any change to segment building, method attribution or
+  // the dependency walk shows up as a digest change. counter_race on 4
+  // lanes brings xlane edges; the others bring handoff, notify, spawn and
+  // join edges.
+  struct Case {
+    const char* name;
+    bytecode::Program prog;
+    uint64_t seed;
+    uint32_t lanes;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {"lock_pingpong_seed5", workloads::lock_pingpong(2000), 5, 1,
+       0x43e484eb731d4bcfull},
+      {"lock_pingpong_seed9", workloads::lock_pingpong(2000), 9, 1,
+       0x281fb098666504c2ull},
+      {"counter_race_4lanes", workloads::counter_race(4, 200), 7, 4,
+       0x8ef114e2c349323dull},
+      {"producer_consumer", workloads::producer_consumer(200, 4), 7, 1,
+       0xc6d6f7f0ce00fd87ull},
+      {"philosophers", workloads::philosophers(5, 20), 7, 1,
+       0xda2837d410e465bcull},
+  };
+  for (const Case& c : cases) {
+    std::string json = critpath_of(c.prog, c.seed, c.lanes);
+    EXPECT_EQ(hash_string(json), c.digest)
+        << c.name << " (" << json.size() << " bytes)";
+    if (c.lanes > 1) {
+      EXPECT_NE(json.find("\"xlane:"), std::string::npos) << c.name;
+    }
+  }
 }
 
 // --------------------------------------------------- cache simulator
