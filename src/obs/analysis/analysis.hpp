@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "src/vm/hooks.hpp"
@@ -35,6 +36,35 @@ struct RunInfo {
   // the analyzers could finish (SymmetryConfig::strict + analyzers). The
   // artifacts of such a run describe a post-violation execution.
   bool post_violation = false;
+};
+
+// An execution point: the method, by its name and owner-name pointers
+// (unique per MethodDef and stable for the run), and a pc. Analyzers key
+// per-site counters by it and render "Owner.method:pc" labels only when
+// they build their artifact; sites whose labels coincide are summed there.
+// A null owner is a point outside any guest instruction, labelled "<vm>".
+struct SiteKey {
+  const std::string* owner = nullptr;
+  const std::string* method = nullptr;
+  uint32_t pc = 0;
+
+  bool operator==(const SiteKey&) const = default;
+
+  std::string label() const {
+    if (owner == nullptr) return "<vm>";
+    std::string s;
+    s.append(*owner).append(".").append(*method).append(":");
+    s.append(std::to_string(pc));
+    return s;
+  }
+};
+
+struct SiteKeyHash {
+  size_t operator()(const SiteKey& k) const {
+    size_t h = std::hash<const void*>()(k.owner);
+    h = h * 31 + std::hash<const void*>()(k.method);
+    return h * 31 + k.pc;
+  }
 };
 
 class AnalysisObserver {

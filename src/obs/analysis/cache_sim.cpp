@@ -60,10 +60,7 @@ void CacheSimAnalyzer::on_run_begin(const vm::Vm& vm) {
 
 void CacheSimAnalyzer::on_instruction(const vm::InstrEvent& ev) {
   if (last_instr_.size() <= ev.tid) last_instr_.resize(ev.tid + 1);
-  SiteRef& s = last_instr_[ev.tid];
-  s.owner = ev.owner;
-  s.method = ev.method;
-  s.pc = ev.pc;
+  last_instr_[ev.tid] = SiteKey{ev.owner, ev.method, ev.pc};
   last_tid_ = ev.tid;
 }
 
@@ -77,6 +74,12 @@ std::string CacheSimAnalyzer::class_name(uint32_t class_id) const {
   if (class_id == 0) return "<boot>";
   if (types_ != nullptr) return types_->info(class_id).name;
   return "class#" + std::to_string(class_id);
+}
+
+CacheSimAnalyzer::TypeStat& CacheSimAnalyzer::type_stat(uint32_t class_id) {
+  TypeStat& ts = by_type_[class_id];
+  if (ts.name.empty()) ts.name = class_name(class_id);
+  return ts;
 }
 
 uint64_t CacheSimAnalyzer::id_at(heap::Addr addr, uint32_t slots_hint) {
@@ -101,8 +104,7 @@ void CacheSimAnalyzer::on_heap_alloc(const vm::AllocEvent& e) {
   live_.erase(e.addr);
   uint64_t id = id_at(e.addr, e.slots == 0 ? 1 : e.slots);
   objects_[id].class_id = e.class_id;
-  TypeStat& ts = by_type_[e.class_id];
-  if (ts.name.empty()) ts.name = class_name(e.class_id);
+  objects_[id].type = &type_stat(e.class_id);
 }
 
 void CacheSimAnalyzer::on_heap_move(heap::Addr from, heap::Addr to) {
@@ -117,7 +119,7 @@ void CacheSimAnalyzer::touch(heap::Addr obj, uint32_t slot, bool is_write) {
   accesses_++;
   (is_write ? writes_ : reads_)++;
   uint64_t id = id_at(obj, 0);
-  const Obj& o = objects_[id];
+  Obj& o = objects_[id];
   uint64_t line = (o.base + uint64_t(slot) * 8) / line_bytes_;
 
   tick_++;
@@ -130,19 +132,22 @@ void CacheSimAnalyzer::touch(heap::Addr obj, uint32_t slot, bool is_write) {
   }
 
   // Per-site attribution: the instruction the current thread is executing.
-  std::string site = "<vm>";
+  SiteKey site;
   if (last_tid_ < last_instr_.size() &&
       last_instr_[last_tid_].owner != nullptr) {
-    const SiteRef& s = last_instr_[last_tid_];
-    site = *s.owner + "." + *s.method + ":" + std::to_string(s.pc);
+    site = last_instr_[last_tid_];
   }
-  SiteStat& ss = by_site_[site];
+  if (last_site_stat_ == nullptr || !(site == last_site_)) {
+    last_site_ = site;
+    last_site_stat_ = &by_site_[site];
+  }
+  SiteStat& ss = *last_site_stat_;
   ss.accesses++;
   if (!hit1) ss.l1_misses++;
   if (!hit2) ss.l2_misses++;
 
-  TypeStat& ts = by_type_[o.class_id];
-  if (ts.name.empty()) ts.name = class_name(o.class_id);
+  if (o.type == nullptr) o.type = &type_stat(o.class_id);
+  TypeStat& ts = *o.type;
   ts.accesses++;
   if (!hit1) ts.l1_misses++;
   if (!hit2) ts.l2_misses++;
@@ -150,10 +155,8 @@ void CacheSimAnalyzer::touch(heap::Addr obj, uint32_t slot, bool is_write) {
   LineStat& ls = lines_[line];
   if (ls.accesses == 0) ls.class_id = o.class_id;
   ls.accesses++;
-  if (std::find(ls.tids.begin(), ls.tids.end(), last_tid_) == ls.tids.end())
-    ls.tids.push_back(last_tid_);
-  if (std::find(ls.slots.begin(), ls.slots.end(), slot) == ls.slots.end())
-    ls.slots.push_back(slot);
+  ls.tids.insert(last_tid_);
+  ls.slots.insert(slot);
 }
 
 void CacheSimAnalyzer::on_heap_read(heap::Addr obj, uint32_t slot, int64_t,
@@ -215,9 +218,18 @@ std::string CacheSimAnalyzer::artifact() const {
       .kv("verified", run_.verified)
       .kv("post_violation", run_.post_violation);
 
+  // Sites are counted per (owner, method, pc) key; distinct keys whose
+  // labels coincide are one row.
+  std::map<std::string, SiteStat> by_label;
+  for (const auto& [key, ss] : by_site_) {
+    SiteStat& sum = by_label[key.label()];
+    sum.accesses += ss.accesses;
+    sum.l1_misses += ss.l1_misses;
+    sum.l2_misses += ss.l2_misses;
+  }
   std::vector<std::pair<const std::string*, const SiteStat*>> sites;
-  sites.reserve(by_site_.size());
-  for (const auto& [site, ss] : by_site_) sites.emplace_back(&site, &ss);
+  sites.reserve(by_label.size());
+  for (const auto& [site, ss] : by_label) sites.emplace_back(&site, &ss);
   std::sort(sites.begin(), sites.end(), [](const auto& a, const auto& b) {
     if (a.second->accesses != b.second->accesses)
       return a.second->accesses > b.second->accesses;
@@ -266,7 +278,7 @@ std::string CacheSimAnalyzer::artifact() const {
         .end_object();
   }
   w.end_array().end_object();
-  return w.str();
+  return w.take();
 }
 
 }  // namespace dejavu::obs

@@ -14,10 +14,20 @@
 // Reports per-site and per-type access/miss counts plus hot shared lines
 // (same line touched by more than one thread): lines with >1 thread on >1
 // distinct slot are the false-sharing candidates.
+//
+// Cost. Per access: one hash lookup of the object's live address and one
+// of its synthetic line, plus the two cache levels' way scans. The site
+// counter is found by a compare against the last site hit (a hash lookup
+// of the (owner, method, pc) key on a miss), the type counter through the
+// object's own pointer, and a line's distinct threads and slots are kept
+// inline, so a new line costs no allocation beyond its map node. No string
+// is built until artifact() renders the site labels.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -95,19 +105,42 @@ class CacheSimAnalyzer : public AnalysisObserver {
     uint64_t l1_misses = 0;
     uint64_t l2_misses = 0;
   };
+  // A set of distinct small integers of which only the size is read back.
+  // The first N members are kept inline; lines are touched by few threads
+  // and hold few slots, so most sets never allocate, and the rare spill
+  // costs a line one pointer while it is unused.
+  template <uint32_t N>
+  class SmallSet {
+   public:
+    void insert(uint32_t v) {
+      uint32_t* end = inline_ + std::min(n_, N);
+      if (std::find(inline_, end, v) != end) return;
+      if (n_ < N) {
+        inline_[n_++] = v;
+        return;
+      }
+      if (!spill_) spill_ = std::make_unique<std::vector<uint32_t>>();
+      if (std::find(spill_->begin(), spill_->end(), v) != spill_->end())
+        return;
+      spill_->push_back(v);
+      n_++;
+    }
+    uint32_t size() const { return n_; }
+
+   private:
+    uint32_t inline_[N];
+    uint32_t n_ = 0;
+    std::unique_ptr<std::vector<uint32_t>> spill_;  // members past the Nth
+  };
   struct LineStat {
     uint64_t accesses = 0;
-    std::vector<uint32_t> tids;   // distinct, small
-    std::vector<uint32_t> slots;  // distinct, small
-    uint32_t class_id = 0;        // first object mapped here
-  };
-  struct SiteRef {
-    const std::string* owner = nullptr;
-    const std::string* method = nullptr;
-    uint32_t pc = 0;
+    uint32_t class_id = 0;  // first object mapped here
+    SmallSet<2> tids;
+    SmallSet<8> slots;  // a 64-byte line holds 8 slots
   };
 
   std::string class_name(uint32_t class_id) const;
+  TypeStat& type_stat(uint32_t class_id);
   // Stable object id + synthetic base address for the object at `addr`.
   uint64_t id_at(heap::Addr addr, uint32_t slots_hint);
   void touch(heap::Addr obj, uint32_t slot, bool is_write);
@@ -121,14 +154,19 @@ class CacheSimAnalyzer : public AnalysisObserver {
   struct Obj {
     uint64_t base = 0;      // synthetic byte address, line-aligned
     uint32_t class_id = 0;  // 0 = pre-attach
+    TypeStat* type = nullptr;  // by_type_[class_id], set at first use
   };
   std::vector<Obj> objects_;  // by stable id
   uint64_t next_base_ = 0;
 
-  std::map<std::string, SiteStat> by_site_;   // "Owner.method:pc"
-  std::map<uint32_t, TypeStat> by_type_;      // class id (name resolved)
-  std::map<uint64_t, LineStat> lines_;        // synthetic line index
-  std::vector<SiteRef> last_instr_;           // by tid
+  std::unordered_map<SiteKey, SiteStat, SiteKeyHash> by_site_;
+  // The last site touched and its counters (map nodes are stable).
+  SiteKey last_site_;
+  SiteStat* last_site_stat_ = nullptr;
+  // Class id (name resolved); node-based, so Obj::type stays valid.
+  std::map<uint32_t, TypeStat> by_type_;
+  std::unordered_map<uint64_t, LineStat> lines_;  // synthetic line index
+  std::vector<SiteKey> last_instr_;               // by tid
   // Heap events carry no tid; the access happens inside the instruction the
   // current thread is executing, so the last InstrEvent's tid is exact.
   threads::Tid last_tid_ = 0;

@@ -1,7 +1,7 @@
 #include "src/obs/analysis/critical_path.hpp"
 
 #include <algorithm>
-#include <map>
+#include <string_view>
 
 #include "src/common/check.hpp"
 #include "src/obs/json.hpp"
@@ -10,11 +10,40 @@ namespace dejavu::obs {
 
 namespace {
 
-// Stable "Owner.method" label for a method-name pointer and its owner.
-std::string method_label(const std::string* owner, const std::string* method) {
-  if (method == nullptr) return "";
-  if (owner == nullptr) return *method;
-  return *owner + "." + *method;
+size_t decimal_digits(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 10; v /= 10) n++;
+  return n;
+}
+
+// One critical_path row with its values left out, plus the comma before it.
+constexpr std::string_view kPathRowFrame =
+    R"(,{"tid":,"start":,"end":,"instrs":,"method":"","edge":""})";
+
+// std::partition_point over [first, last) for a predicate that holds on a
+// prefix, searched outward from `hint` in doubling steps, so it costs
+// O(log d) for an answer d places from the hint. The result does not
+// depend on the hint.
+template <typename It, typename Pred>
+It gallop_partition_point(It first, It last, It hint, Pred pred) {
+  size_t step = 1;
+  if (hint != first && !pred(*(hint - 1))) {
+    It hi = hint - 1;  // pred fails here: the answer is at or before hi
+    while (true) {
+      It lo = hi - std::min(step, size_t(hi - first));
+      if (lo == first || pred(*lo)) return std::partition_point(lo, hi, pred);
+      hi = lo;
+      step *= 2;
+    }
+  }
+  It lo = hint;  // pred holds before lo: the answer is at or after lo
+  while (lo != last) {
+    It hi = lo + std::min(step, size_t(last - lo));
+    if (!pred(*(hi - 1))) return std::partition_point(lo, hi, pred);
+    lo = hi;
+    step *= 2;
+  }
+  return last;
 }
 
 }  // namespace
@@ -45,6 +74,19 @@ void CriticalPathAnalyzer::unpark(threads::Tid tid, uint64_t at) {
   p.parked = false;
 }
 
+const std::string* CriticalPathAnalyzer::label(const std::string* owner,
+                                               const std::string* method) {
+  if (method == nullptr) return nullptr;
+  auto [it, fresh] = label_of_.try_emplace({owner, method}, nullptr);
+  if (fresh) {
+    std::string text;
+    if (owner != nullptr) text.append(*owner).append(".");
+    text.append(*method);
+    it->second = &*labels_.insert(std::move(text)).first;
+  }
+  return it->second;
+}
+
 void CriticalPathAnalyzer::close_segment(uint64_t at) {
   if (current_ == threads::kNoThread) return;
   if (at < seg_start_) at = seg_start_;
@@ -61,14 +103,15 @@ void CriticalPathAnalyzer::close_segment(uint64_t at) {
   for (const MethodCount& m : seg_methods_) best = std::max(best, m.count);
   for (const MethodCount& m : seg_methods_) {
     if (m.count != best) continue;
-    std::string label = method_label(m.owner, m.method);
-    if (!label.empty() && (s.method.empty() || label < s.method))
-      s.method = std::move(label);
+    const std::string* l = label(m.owner, m.method);
+    if (l != nullptr && !l->empty() &&
+        (s.method == nullptr || *l < *s.method))
+      s.method = l;
   }
   wall(current_).running += s.end - s.start;
   by_tid_.resize(std::max<size_t>(by_tid_.size(), current_ + 1));
   by_tid_[current_].push_back(segments_.size());
-  segments_.push_back(std::move(s));
+  segments_.push_back(s);
   seg_methods_.clear();
 }
 
@@ -113,11 +156,11 @@ uint64_t CriticalPathAnalyzer::resume_instr(const vm::MonitorEvent& e) {
   // must carry that instant; the event's own instr_index is one past it
   // (the parked instruction re-executes after instr_count_ advanced). A
   // zero-length episode (no switch) keeps the event's position.
-  auto it = monitor_park_.find(e.tid);
-  if (it == monitor_park_.end() || it->second.monitor != e.monitor)
-    return e.instr_index;
-  uint64_t begin = it->second.begin;
-  monitor_park_.erase(it);
+  if (e.tid >= monitor_park_.size()) return e.instr_index;
+  ParkSite& site = monitor_park_[e.tid];
+  if (!site.open || site.monitor != e.monitor) return e.instr_index;
+  uint64_t begin = site.begin;
+  site.open = false;
   if (current_ == e.tid && seg_start_ > begin) return seg_start_;
   return e.instr_index;
 }
@@ -156,7 +199,8 @@ void CriticalPathAnalyzer::on_monitor_event(const vm::MonitorEvent& e) {
       // Remember where the park began: the matching acquire / wait-end is
       // a resumption whose wake must be dated at the segment start, not at
       // the re-executed instruction (which is one past it).
-      monitor_park_[e.tid] = ParkSite{e.monitor, e.instr_index};
+      if (monitor_park_.size() <= e.tid) monitor_park_.resize(e.tid + 1);
+      monitor_park_[e.tid] = ParkSite{e.monitor, e.instr_index, true};
       break;
   }
 }
@@ -238,9 +282,10 @@ void CriticalPathAnalyzer::on_cross_lane(const threads::CrossLaneEvent& e) {
   // order-stream position, not an instruction index, so the edge borrows
   // the current segment start (the events fan synchronously in replay
   // order, which is all the backward walk needs).
-  std::string kind = std::string("xlane:") + threads::cross_lane_kind_name(e.kind);
-  auto it = xlane_kinds_.insert(kind).first;
-  push_wake(e.to, it->c_str(), e.from, e.subject, seg_start_);
+  const char* name = threads::cross_lane_kind_name(e.kind);
+  auto [it, fresh] = xlane_kinds_.try_emplace(name);
+  if (fresh) it->second.append("xlane:").append(name);
+  push_wake(e.to, it->second.c_str(), e.from, e.subject, seg_start_);
   if (e.to != current_) mark_parked_wake(e.to);
 }
 
@@ -263,6 +308,10 @@ void CriticalPathAnalyzer::on_run_end(const RunInfo& info) {
   // and starts only fall as cur falls (see the header comment).
   std::vector<size_t> wake_cursor(wakes_.size());
   for (size_t t = 0; t < wakes_.size(); ++t) wake_cursor[t] = wakes_[t].size();
+  // Per tid, where the last search of its segment list landed: the walk
+  // moves backwards, so the next answer is usually close by.
+  std::vector<size_t> seg_hint(by_tid_.size());
+  for (size_t t = 0; t < by_tid_.size(); ++t) seg_hint[t] = by_tid_[t].size();
   size_t cur = segments_.size() - 1;
   path_.push_back(cur);
   while (cur > 0) {
@@ -281,9 +330,12 @@ void CriticalPathAnalyzer::on_run_end(const RunInfo& info) {
         edge->from < by_tid_.size()) {
       // The waker's latest segment before cur that had started by the wake.
       const std::vector<size_t>& segs = by_tid_[edge->from];
-      auto it = std::partition_point(segs.begin(), segs.end(), [&](size_t k) {
-        return k < cur && segments_[k].start <= edge->instr;
-      });
+      size_t& hint = seg_hint[edge->from];
+      auto it = gallop_partition_point(
+          segs.begin(), segs.end(), segs.begin() + hint, [&](size_t k) {
+            return k < cur && segments_[k].start <= edge->instr;
+          });
+      hint = size_t(it - segs.begin());
       if (it != segs.begin()) next = *(it - 1);
     }
     hop_kinds_.push_back(edge != nullptr ? edge->kind : "schedule");
@@ -295,9 +347,53 @@ void CriticalPathAnalyzer::on_run_end(const RunInfo& info) {
 }
 
 std::string CriticalPathAnalyzer::artifact() const {
-  JsonWriter w;
   uint64_t path_instrs = 0;
   for (size_t i : path_) path_instrs += segments_[i].end - segments_[i].start;
+
+  // Per-method attribution of critical-path time (the mergeable view):
+  // summed per interned label, then per rendered name.
+  std::unordered_map<const std::string*, uint64_t> by_label;
+  for (size_t i : path_) {
+    const Segment& s = segments_[i];
+    by_label[s.method] += s.end - s.start;
+  }
+  std::map<std::string_view, uint64_t> by_method;
+  for (const auto& [l, instrs] : by_label) {
+    by_method[l == nullptr || l->empty() ? "<vm>" : std::string_view(*l)] +=
+        instrs;
+  }
+  std::vector<std::pair<std::string_view, uint64_t>> methods(
+      by_method.begin(), by_method.end());
+  std::sort(methods.begin(), methods.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+  if (methods.size() > top_n_) methods.resize(top_n_);
+
+  // Edge-kind histogram over the walked path (mergeable), summed per tag
+  // pointer, then per name.
+  std::unordered_map<const char*, uint64_t> by_tag;
+  for (const char* k : hop_kinds_) by_tag[k]++;
+  std::map<std::string_view, uint64_t> kinds;
+  for (const auto& [k, count] : by_tag) kinds[k] += count;
+
+  // The path rows are nearly all of the document and their size is known;
+  // the other sections are bounded by their row counts.
+  size_t bytes = 512 + 160 * walls_.size();
+  for (size_t i = 0; i < path_.size(); ++i) {
+    const Segment& s = segments_[path_[i]];
+    bytes += kPathRowFrame.size() + decimal_digits(s.tid) +
+             decimal_digits(s.start) + decimal_digits(s.end) +
+             decimal_digits(s.end - s.start) +
+             (s.method != nullptr ? s.method->size() : 0) +
+             std::char_traits<char>::length(i == 0 ? "start"
+                                                   : hop_kinds_[i - 1]);
+  }
+  for (const auto& [m, instrs] : methods) bytes += 64 + m.size();
+  for (const auto& [k, count] : kinds) bytes += 64 + k.size();
+
+  JsonWriter w;
+  w.reserve(bytes);
   w.begin_object()
       .kv("schema", "dejavu-critpath-v1")
       .kv("run_instr_count", run_.instr_count)
@@ -331,40 +427,25 @@ std::string CriticalPathAnalyzer::artifact() const {
         .kv("start", s.start)
         .kv("end", s.end)
         .kv("instrs", s.end - s.start)
-        .kv("method", s.method)
+        .kv("method", s.method != nullptr ? std::string_view(*s.method)
+                                          : std::string_view())
         .kv("edge", i == 0 ? "start" : hop_kinds_[i - 1])
         .end_object();
   }
   w.end_array();
 
-  // Per-method attribution of critical-path time (the mergeable view).
-  std::map<std::string, uint64_t> by_method;
-  for (size_t i : path_) {
-    const Segment& s = segments_[i];
-    by_method[s.method.empty() ? "<vm>" : s.method] += s.end - s.start;
-  }
-  std::vector<std::pair<std::string, uint64_t>> methods(by_method.begin(),
-                                                        by_method.end());
-  std::sort(methods.begin(), methods.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  if (methods.size() > top_n_) methods.resize(top_n_);
   w.key("by_method").begin_array();
   for (const auto& [m, instrs] : methods)
     w.begin_object().kv("method", m).kv("instrs", instrs).end_object();
   w.end_array();
 
-  // Edge-kind histogram over the walked path (mergeable).
-  std::map<std::string, uint64_t> kinds;
-  for (const char* k : hop_kinds_) kinds[k]++;
   w.key("edge_kinds").begin_array();
   for (const auto& [k, count] : kinds)
     w.begin_object().kv("kind", k).kv("count", count).end_object();
   w.end_array();
 
   w.end_object();
-  return w.str();
+  return w.take();
 }
 
 }  // namespace dejavu::obs

@@ -19,23 +19,34 @@
 //
 // Cost. Per instruction: one compare against the last method hit and a
 // counter increment (a short scan of the segment's method list on a miss).
-// The walk is O(segments + wake edges + hops * log segments). Segment
-// starts are non-decreasing in segment index (checked as each segment
-// closes), so as the walk's segment index falls its start never rises.
-// Each tid's wake list is therefore scanned once, by a backward cursor that
-// survives across hops: the latest edge in push order at or before a start
-// is also at or before every later, smaller start. The list is not sorted
-// by instant (a cross-lane edge borrows the current segment start, which
-// can predate a spawn edge pushed just before it), so it is never binary
-// searched. A waker's segment list is sorted by index and by start, so
-// "index below the current one and started by the wake" holds on a prefix
-// and is found by binary search.
+// Per segment: one hash lookup per method it ran, to find the interned
+// "Owner.method" label of its (owner, method) pointer pair; a pair's label
+// string is built once, at its first segment, and a Segment holds a
+// pointer to it. The walk is O(segments + wake edges + hops * log d), d
+// being how far each hop's answer lies from the previous answer for the
+// same waker. Segment starts are non-decreasing in segment index (checked
+// as each segment closes), so as the walk's segment index falls its start
+// never rises. Each tid's wake list is therefore scanned once, by a
+// backward cursor that survives across hops: the latest edge in push order
+// at or before a start is also at or before every later, smaller start.
+// The list is not sorted by instant (a cross-lane edge borrows the current
+// segment start, which can predate a spawn edge pushed just before it), so
+// it is never binary searched. A waker's segment list is sorted by index
+// and by start, so "index below the current one and started by the wake"
+// holds on a prefix. Its end is found by a galloping search from where the
+// waker's previous search ended: exact wherever the answer lies, and a
+// step or two when the walk moves backwards as it usually does. The
+// artifact is rendered by the JsonWriter into a buffer reserved up front
+// from the sizes of its rows; per-method and per-edge-kind sums are taken
+// by label pointer and merged by name only over the distinct labels.
 #pragma once
 
 #include <cstdint>
-#include <set>
+#include <map>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/obs/analysis/analysis.hpp"
@@ -69,7 +80,8 @@ class CriticalPathAnalyzer : public AnalysisObserver {
     threads::Tid tid = threads::kNoThread;
     uint64_t start = 0;  // instr index, inclusive
     uint64_t end = 0;    // instr index, exclusive
-    std::string method;  // dominant method ("Owner.method"), "" if none
+    // Dominant method, an interned "Owner.method" label; nullptr if none.
+    const std::string* method = nullptr;
   };
   const std::vector<Segment>& segments() const { return segments_; }
   // The walked critical path, chronological. Valid after on_run_end.
@@ -98,6 +110,8 @@ class CriticalPathAnalyzer : public AnalysisObserver {
   };
 
   ThreadWall& wall(threads::Tid tid);
+  const std::string* label(const std::string* owner,
+                           const std::string* method);
   void park(threads::Tid tid, ParkKind kind, uint64_t at);
   void unpark(threads::Tid tid, uint64_t at);
   void close_segment(uint64_t at);
@@ -129,6 +143,20 @@ class CriticalPathAnalyzer : public AnalysisObserver {
   std::vector<MethodCount> seg_methods_;
   // Index of the last hit in seg_methods_; past the end after a clear.
   size_t last_method_ = 0;
+  // Interned "Owner.method" labels, one string per distinct label, so that
+  // equal labels share one pointer; and each (owner, method) pointer pair's
+  // label.
+  struct PairHash {
+    size_t operator()(
+        const std::pair<const std::string*, const std::string*>& p) const {
+      return std::hash<const void*>()(p.first) * 31 +
+             std::hash<const void*>()(p.second);
+    }
+  };
+  std::unordered_set<std::string> labels_;
+  std::unordered_map<std::pair<const std::string*, const std::string*>,
+                     const std::string*, PairHash>
+      label_of_;
 
   // Wake edges per thread, appended chronologically.
   std::vector<std::vector<WakeEdge>> wakes_;  // by tid
@@ -145,15 +173,17 @@ class CriticalPathAnalyzer : public AnalysisObserver {
   struct ParkSite {
     threads::MonitorId monitor = 0;
     uint64_t begin = 0;
+    bool open = false;
   };
-  std::unordered_map<threads::Tid, ParkSite> monitor_park_;
+  std::vector<ParkSite> monitor_park_;  // by tid
   uint64_t resume_instr(const vm::MonitorEvent& e);
 
   std::vector<size_t> path_;  // critical path, indices into segments_
   // Edge kind linking path_[i] to its predecessor (size = path_.size()-1).
   std::vector<const char*> hop_kinds_;
-  // Owns the "xlane:<kind>" strings the WakeEdge kind tags point into.
-  std::set<std::string> xlane_kinds_;
+  // Owns the "xlane:<kind>" strings the WakeEdge kind tags point into,
+  // keyed by the static name cross_lane_kind_name returns.
+  std::map<const char*, std::string> xlane_kinds_;
   uint64_t switches_ = 0;
   uint32_t top_n_;
   RunInfo run_{};

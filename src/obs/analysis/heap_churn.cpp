@@ -1,6 +1,7 @@
 #include "src/obs/analysis/heap_churn.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "src/obs/json.hpp"
 #include "src/vm/vm.hpp"
@@ -17,10 +18,7 @@ void HeapChurnAnalyzer::on_run_begin(const vm::Vm& vm) {
 
 void HeapChurnAnalyzer::on_instruction(const vm::InstrEvent& ev) {
   if (last_instr_.size() <= ev.tid) last_instr_.resize(ev.tid + 1);
-  SiteRef& s = last_instr_[ev.tid];
-  s.owner = ev.owner;
-  s.method = ev.method;
-  s.pc = ev.pc;
+  last_instr_[ev.tid] = SiteKey{ev.owner, ev.method, ev.pc};
 }
 
 std::string HeapChurnAnalyzer::class_name(uint32_t class_id) const {
@@ -57,12 +55,10 @@ void HeapChurnAnalyzer::on_heap_alloc(const vm::AllocEvent& e) {
   // Allocation site: the instruction this thread is currently executing.
   // Allocations from VM boot / engine internals run outside any guest
   // instruction and land under "<vm>".
-  std::string site = "<vm>";
-  if (e.tid < last_instr_.size() && last_instr_[e.tid].owner != nullptr) {
-    const SiteRef& s = last_instr_[e.tid];
-    site = *s.owner + "." + *s.method + ":" + std::to_string(s.pc);
-  }
-  auto site_it = by_site_.try_emplace(std::move(site), 0).first;
+  SiteKey site;
+  if (e.tid < last_instr_.size() && last_instr_[e.tid].owner != nullptr)
+    site = last_instr_[e.tid];
+  auto site_it = by_site_.try_emplace(site, 0).first;
   site_it->second++;
 
   uint64_t id = objects_.size();
@@ -129,8 +125,11 @@ std::string HeapChurnAnalyzer::artifact() const {
   }
   w.end_array();
 
-  std::vector<std::pair<std::string, uint64_t>> sites(by_site_.begin(),
-                                                      by_site_.end());
+  // Distinct site keys whose labels coincide are one row.
+  std::map<std::string, uint64_t> by_label;
+  for (const auto& [key, count] : by_site_) by_label[key.label()] += count;
+  std::vector<std::pair<std::string, uint64_t>> sites(by_label.begin(),
+                                                      by_label.end());
   std::sort(sites.begin(), sites.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;
@@ -172,13 +171,13 @@ std::string HeapChurnAnalyzer::artifact() const {
         .kv("id", id)
         .kv("addr", uint64_t(os.alloc_addr))
         .kv("class", cls)
-        .kv("site", os.site != nullptr ? *os.site : std::string("<boot>"))
+        .kv("site", os.site != nullptr ? os.site->label() : "<boot>")
         .kv("reads", os.reads)
         .kv("writes", os.writes)
         .end_object();
   }
   w.end_array().end_object();
-  return w.str();
+  return w.take();
 }
 
 }  // namespace dejavu::obs

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -55,28 +54,23 @@ class HeapChurnAnalyzer : public AnalysisObserver {
   struct ObjStat {
     uint32_t class_id = 0;     // 0 = allocated before the analyzer attached
     heap::Addr alloc_addr = 0; // address at allocation (stable label)
-    // Allocation site ("Owner.method:pc"); points at the by_site_ map key
-    // (node-based, so stable). nullptr = pre-attach object, no known site.
-    const std::string* site = nullptr;
+    // Allocation site; points at the by_site_ map key (node-based, so
+    // stable). nullptr = pre-attach object, no known site.
+    const SiteKey* site = nullptr;
     uint64_t reads = 0;
     uint64_t writes = 0;
   };
-  struct SiteRef {
-    const std::string* owner = nullptr;
-    const std::string* method = nullptr;
-    uint32_t pc = 0;
-  };
-
   std::string class_name(uint32_t class_id) const;
   // Stable id for the object currently at `addr` (created on first sight).
   uint64_t id_at(heap::Addr addr);
 
   const heap::TypeRegistry* types_ = nullptr;  // valid during the run only
   std::unordered_map<uint32_t, TypeStat> by_type_;
-  std::map<std::string, uint64_t> by_site_;  // "Owner.method:pc" -> count
+  // Allocations per site; labels are rendered by artifact().
+  std::unordered_map<SiteKey, uint64_t, SiteKeyHash> by_site_;
   std::vector<ObjStat> objects_;             // indexed by stable id
   std::unordered_map<heap::Addr, uint64_t> live_;  // current addr -> id
-  std::vector<SiteRef> last_instr_;  // by tid
+  std::vector<SiteKey> last_instr_;  // by tid
   uint64_t allocs_ = 0;
   uint64_t alloc_slots_ = 0;
   uint64_t reads_ = 0;

@@ -31,13 +31,17 @@ void ReplayProfiler::rebuild_slot(ThreadShadow& sh, uint32_t tid) {
 
 void ReplayProfiler::on_instruction(const vm::InstrEvent& ev) {
   total_instructions_++;
-  MethodStat& ms = stat_for(ev);
+  if (last_method_ == nullptr || last_method_key_ != ev.method) {
+    last_method_ = &stat_for(ev);
+    last_method_key_ = ev.method;
+  }
+  MethodStat& ms = *last_method_;
   ms.instructions++;
+  if (ms.pcs.size() <= ev.pc) ms.pcs.resize(size_t(ev.pc) + 1);
   PcStat& ps = ms.pcs[ev.pc];
   ps.count++;
   ps.opcode = ev.opcode;
   ps.line = ev.line;
-  last_method_ = &ms;
 
   if (shadows_.size() <= ev.tid) shadows_.resize(ev.tid + 1);
   ThreadShadow& sh = shadows_[ev.tid];
@@ -94,8 +98,9 @@ std::string ReplayProfiler::artifact() const {
         .kv("instructions", ms->instructions)
         .kv("yield_points", ms->yield_points);
     std::vector<std::pair<uint32_t, const PcStat*>> pcs;
-    pcs.reserve(ms->pcs.size());
-    for (const auto& [pc, st] : ms->pcs) pcs.emplace_back(pc, &st);
+    for (uint32_t pc = 0; pc < ms->pcs.size(); ++pc) {
+      if (ms->pcs[pc].count > 0) pcs.emplace_back(pc, &ms->pcs[pc]);
+    }
     std::sort(pcs.begin(), pcs.end(), [](const auto& a, const auto& b) {
       if (a.second->count != b.second->count)
         return a.second->count > b.second->count;
@@ -114,7 +119,7 @@ std::string ReplayProfiler::artifact() const {
     w.end_array().end_object();
   }
   w.end_array().end_object();
-  return w.str();
+  return w.take();
 }
 
 std::string ReplayProfiler::collapsed() const {

@@ -3,6 +3,11 @@
 // makes this an *exact* profile (every instruction is counted, not sampled)
 // of the recorded execution -- and because it runs at replay time it costs
 // the recorded application nothing.
+//
+// Cost. Per instruction: a compare against the last method hit (a hash
+// lookup by method pointer on a miss), an increment of a per-pc counter in
+// a flat vector indexed by pc, and the shadow-stack depth check; the
+// collapsed-stack key is rebuilt only when a thread's stack changes.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +46,7 @@ class ReplayProfiler : public AnalysisObserver {
     std::string name;  // "Owner.method"
     uint64_t instructions = 0;
     uint64_t yield_points = 0;
-    std::unordered_map<uint32_t, PcStat> pcs;
+    std::vector<PcStat> pcs;  // by pc; count 0 = never executed
   };
   // Shadow call stack per thread, reconstructed from frame_depth deltas
   // (every InstrEvent's depth differs from the previous one in that thread
@@ -59,7 +64,10 @@ class ReplayProfiler : public AnalysisObserver {
   std::unordered_map<const std::string*, MethodStat> methods_;
   std::unordered_map<std::string, uint64_t> collapsed_;
   std::vector<ThreadShadow> shadows_;  // by tid
-  MethodStat* last_method_ = nullptr;  // yield-point attribution
+  // The most recently executed method: the per-instruction cache of the
+  // methods_ lookup, and the yield-point attribution.
+  MethodStat* last_method_ = nullptr;
+  const std::string* last_method_key_ = nullptr;
   uint32_t top_n_;
   uint64_t total_instructions_ = 0;
   uint64_t total_yield_points_ = 0;

@@ -1,5 +1,7 @@
 #include "src/obs/json.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -7,149 +9,143 @@
 
 namespace dejavu::obs {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (unsigned char c : s) {
+namespace {
+
+constexpr size_t kMaxEscape = 6;  // \u00XX
+
+// Writes `s` JSON-escaped at `p`, which has room for kMaxEscape bytes per
+// byte of `s`, and returns the end. Control bytes without a short form
+// become \u00XX; bytes >= 0x80 pass through (the input is taken to be
+// UTF-8).
+char* write_escaped(char* p, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (char ch : s) {
+    unsigned char c = static_cast<unsigned char>(ch);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      *p++ = ch;
+      continue;
+    }
+    *p++ = '\\';
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
+      case '"': *p++ = '"'; break;
+      case '\\': *p++ = '\\'; break;
+      case '\n': *p++ = 'n'; break;
+      case '\r': *p++ = 'r'; break;
+      case '\t': *p++ = 't'; break;
       default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += char(c);
-        }
+        p = std::copy_n("u00", 3, p);
+        *p++ = kHex[c >> 4];
+        *p++ = kHex[c & 15];
     }
   }
+  return p;
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view s) {
+  std::string out(s.size() * kMaxEscape, '\0');
+  out.resize(size_t(write_escaped(out.data(), s) - out.data()));
   return out;
 }
 
 // ---------------------------------------------------------------- writer
 
-void JsonWriter::push(Ctx c) {
-  stack_.push_back(c);
-  has_items_.push_back(false);
+void JsonWriter::grow(size_t n) {
+  // Take the whole reserved capacity first, then double.
+  out_.resize(std::max({size_ + n, out_.capacity(), out_.size() * 2,
+                        size_t(256)}));
 }
 
+void JsonWriter::append(std::string_view s) {
+  commit(std::copy(s.begin(), s.end(), room(s.size())));
+}
+
+void JsonWriter::push(Ctx c) { stack_.push_back(Frame{c, false}); }
+
 void JsonWriter::pop(Ctx c) {
-  DV_CHECK_MSG(stack_.size() > 1 && stack_.back() == c,
+  DV_CHECK_MSG(stack_.size() > 1 && stack_.back().ctx == c,
                "JsonWriter: unbalanced end");
   DV_CHECK_MSG(!key_pending_, "JsonWriter: dangling key");
   stack_.pop_back();
-  has_items_.pop_back();
-  if (stack_.back() == Ctx::kTop) done_ = true;
+  if (stack_.back().ctx == Ctx::kTop) {
+    done_ = true;
+    out_.resize(size_);  // drop the unused room; capacity is kept
+  }
 }
 
-void JsonWriter::before_value() {
-  DV_CHECK_MSG(!done_, "JsonWriter: document already complete");
-  Ctx c = stack_.back();
-  if (c == Ctx::kObject) {
-    DV_CHECK_MSG(key_pending_, "JsonWriter: object value without a key");
-    key_pending_ = false;
-  } else {
-    if (has_items_.back()) out_ += ',';
-  }
-  has_items_.back() = true;
+void JsonWriter::append_escaped(bool comma, std::string_view s, bool colon) {
+  char* p = room(s.size() * kMaxEscape + 4);
+  if (comma) *p++ = ',';
+  *p++ = '"';
+  p = write_escaped(p, s);
+  *p++ = '"';
+  if (colon) *p++ = ':';
+  commit(p);
 }
 
 JsonWriter& JsonWriter::begin_object() {
-  before_value();
-  out_ += '{';
+  append(before_value() ? ",{" : "{");
   push(Ctx::kObject);
   return *this;
 }
 
 JsonWriter& JsonWriter::end_object() {
+  append("}");
   pop(Ctx::kObject);
-  out_ += '}';
   return *this;
 }
 
 JsonWriter& JsonWriter::begin_array() {
-  before_value();
-  out_ += '[';
+  append(before_value() ? ",[" : "[");
   push(Ctx::kArray);
   return *this;
 }
 
 JsonWriter& JsonWriter::end_array() {
+  append("]");
   pop(Ctx::kArray);
-  out_ += ']';
-  return *this;
-}
-
-JsonWriter& JsonWriter::key(const std::string& k) {
-  DV_CHECK_MSG(stack_.back() == Ctx::kObject && !key_pending_,
-               "JsonWriter: key outside an object");
-  if (has_items_.back()) out_ += ',';
-  out_ += '"';
-  out_ += json_escape(k);
-  out_ += "\":";
-  key_pending_ = true;
-  return *this;
-}
-
-JsonWriter& JsonWriter::value(const std::string& v) {
-  before_value();
-  out_ += '"';
-  out_ += json_escape(v);
-  out_ += '"';
-  return *this;
-}
-
-JsonWriter& JsonWriter::value(const char* v) { return value(std::string(v)); }
-
-JsonWriter& JsonWriter::value(int64_t v) {
-  before_value();
-  out_ += std::to_string(v);
-  return *this;
-}
-
-JsonWriter& JsonWriter::value(uint64_t v) {
-  before_value();
-  out_ += std::to_string(v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(double v) {
-  before_value();
+  if (before_value()) append(",");
   if (!std::isfinite(v)) {
-    out_ += "null";  // JSON has no Inf/NaN
+    append("null");  // JSON has no Inf/NaN
     return *this;
   }
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", v);
-  out_ += buf;
+  append(buf);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(bool v) {
-  before_value();
-  out_ += v ? "true" : "false";
+  if (before_value()) append(",");
+  append(v ? "true" : "false");
   return *this;
 }
 
 JsonWriter& JsonWriter::null() {
-  before_value();
-  out_ += "null";
+  if (before_value()) append(",");
+  append("null");
   return *this;
 }
 
-JsonWriter& JsonWriter::raw(const std::string& json) {
-  before_value();
-  out_ += json;
+JsonWriter& JsonWriter::raw(std::string_view json) {
+  if (before_value()) append(",");
+  append(json);
   return *this;
 }
 
 const std::string& JsonWriter::str() const {
   DV_CHECK_MSG(done_, "JsonWriter: document incomplete");
   return out_;
+}
+
+std::string JsonWriter::take() {
+  DV_CHECK_MSG(done_, "JsonWriter: document incomplete");
+  return std::move(out_);
 }
 
 // ---------------------------------------------------------------- parser

@@ -74,13 +74,14 @@ GoldenReplay replay_golden(const replay::SymmetryConfig& cfg) {
 
 // One deterministic record of a workload (scripted env + virtual timer).
 replay::RecordResult record_workload(const bytecode::Program& prog,
-                                     uint64_t seed, uint32_t lanes = 1) {
+                                     uint64_t seed, uint32_t lanes = 1,
+                                     const vm::VmOptions& opts = {}) {
   vm::ScriptedEnvironment env(1000, 7, {1, 2, 3, 4, 5, 6, 7, 8}, 17);
   threads::VirtualTimer timer(seed, 4, 60);
   vm::NativeRegistry natives = vmtest::make_test_natives();
   replay::SymmetryConfig cfg;
   cfg.lanes = lanes;
-  return replay::record_run(prog, {}, env, timer, &natives, cfg);
+  return replay::record_run(prog, opts, env, timer, &natives, cfg);
 }
 
 // ------------------------------------------------ the symmetry invariant
@@ -595,6 +596,68 @@ TEST(CriticalPath, ArtifactDigestsArePinned) {
   }
 }
 
+TEST(Analyzers, ArtifactDigestsArePinned) {
+  // FNV-1a digests of every other analyzer artifact, pinned like the
+  // critpath ones above so that a change to how any analyzer counts,
+  // orders or renders shows up as a digest change. Same five runs, plus
+  // alloc_churn on a 256 KiB semispace: its collections move objects, which
+  // exercises the heap and cachesim object identity across GC.
+  struct Case {
+    const char* name;
+    bytecode::Program prog;
+    uint64_t seed;
+    uint32_t lanes;
+    size_t semispace;  // 0 = the default heap
+    // profile_json, profile_collapsed, locks_json, heap_json, cachesim_json
+    uint64_t digests[5];
+  };
+  const Case cases[] = {
+      {"lock_pingpong_seed5", workloads::lock_pingpong(2000), 5, 1, 0,
+       {0xa1c0741be82a758aull, 0xebe6d8501c827fb1ull, 0x5b04357b0748b4c6ull,
+        0x5d1a3271f9fdcf65ull, 0xb568cd950266b74bull}},
+      {"lock_pingpong_seed9", workloads::lock_pingpong(2000), 9, 1, 0,
+       {0xfef74d413f4f5962ull, 0x70f471f17be3e74full, 0x1092e05c84aa26a8ull,
+        0xc5891ef9d542fa37ull, 0x38edcdf7d59848f3ull}},
+      {"counter_race_4lanes", workloads::counter_race(4, 200), 7, 4, 0,
+       {0x775f072b4f198bf0ull, 0x58d9cc68eb3087c4ull, 0x9ab19045d067ce84ull,
+        0x7f68f97b1f8e9276ull, 0xa14c825100ebbab7ull}},
+      {"producer_consumer", workloads::producer_consumer(200, 4), 7, 1, 0,
+       {0x350e6b2b28906597ull, 0xe8d094b84a894609ull, 0x47cc67913e24726cull,
+        0xc1f9aea6ee79738aull, 0xe938f2864b632175ull}},
+      {"philosophers", workloads::philosophers(5, 20), 7, 1, 0,
+       {0x13cdc29da43e4936ull, 0xd10fb2895862a2aaull, 0xbe55385db0ef93e6ull,
+        0xe78d198bc1724899ull, 0x12169fb4c40084e7ull}},
+      {"alloc_churn_small_heap", workloads::alloc_churn(2000, 8, 4), 7, 1,
+       size_t(1) << 18,
+       {0x91da9167a5924480ull, 0x2cbf5c04d58e4121ull, 0x135f0fd1a358ec7full,
+        0xbfc72cf3f9607aefull, 0x06a49de7d01c3b74ull}},
+  };
+  const char* const kArtifacts[5] = {"profile_json", "profile_collapsed",
+                                     "locks_json", "heap_json",
+                                     "cachesim_json"};
+  for (const Case& c : cases) {
+    vm::VmOptions opts;
+    if (c.semispace != 0) opts.heap.size_bytes = c.semispace;
+    replay::RecordResult rec = record_workload(c.prog, c.seed, c.lanes, opts);
+    replay::SymmetryConfig cfg = analyzers_cfg(true);
+    replay::ReplayResult rep = replay::replay_run(c.prog, rec.trace, opts, cfg);
+    ASSERT_TRUE(rep.verified) << c.name << ": " << rep.stats.first_violation;
+    const AnalysisResults& a = rep.analysis;
+    const std::string* docs[5] = {&a.profile_json, &a.profile_collapsed,
+                                  &a.locks_json, &a.heap_json,
+                                  &a.cachesim_json};
+    for (size_t i = 0; i < 5; ++i) {
+      EXPECT_EQ(hash_string(*docs[i]), c.digests[i])
+          << c.name << " " << kArtifacts[i] << " (" << docs[i]->size()
+          << " bytes)";
+    }
+    if (c.semispace != 0) {
+      EXPECT_GT(parse_json(a.heap_json).find("gc_moves")->number, 0.0)
+          << c.name;
+    }
+  }
+}
+
 // --------------------------------------------------- cache simulator
 
 TEST(CacheSim, GoldenReplayCacheSimIsWellFormed) {
@@ -834,6 +897,70 @@ TEST(HeapChurn, SyntheticMoveKeepsIdentity) {
   EXPECT_EQ(h.tracked_objects(), 2u);
   doc = parse_json(h.artifact());
   EXPECT_EQ(doc.find("hot_objects")->items.size(), 2u);
+}
+
+TEST(SiteLabels, DistinctMethodsSharingALabelAreOneRow) {
+  // Two MethodDefs can carry equal owner and method names (two loads of
+  // one class, say): distinct name pointers, one "Owner.method:pc" label.
+  // Cachesim and heap churn count sites by pointer but render one row per
+  // label, summed.
+  static const std::string kOwnerA = "Main", kRunA = "run";
+  static const std::string kOwnerB = "Main", kRunB = "run";
+  CacheSimAnalyzer cs(64, {32 * 1024, 4}, {256 * 1024, 8});
+  HeapChurnAnalyzer hc;
+  auto instr = [&](const std::string* owner, const std::string* method,
+                   uint32_t pc) {
+    vm::InstrEvent e;
+    e.tid = 1;
+    e.owner = owner;
+    e.method = method;
+    e.pc = pc;
+    cs.on_instruction(e);
+    hc.on_instruction(e);
+  };
+  auto alloc = [&](heap::Addr addr) {
+    vm::AllocEvent a;
+    a.tid = 1;
+    a.addr = addr;
+    a.class_id = heap::kClassIdI64Array;
+    a.slots = 4;
+    cs.on_heap_alloc(a);
+    hc.on_heap_alloc(a);
+  };
+  auto read = [&](heap::Addr addr, uint32_t slot) {
+    cs.on_heap_read(addr, slot, 0, false);
+    hc.on_heap_read(addr, slot, 0, false);
+  };
+  instr(&kOwnerA, &kRunA, 3);
+  alloc(heap::Addr(100));
+  read(heap::Addr(100), 0);
+  read(heap::Addr(100), 1);
+  instr(&kOwnerB, &kRunB, 3);
+  alloc(heap::Addr(200));
+  for (int i = 0; i < 3; ++i) read(heap::Addr(200), 0);
+  instr(&kOwnerA, &kRunA, 4);  // same method, another pc: its own row
+  read(heap::Addr(100), 2);
+  RunInfo info;
+  cs.on_run_end(info);
+  hc.on_run_end(info);
+
+  JsonValue cdoc = parse_json(cs.artifact());
+  const JsonValue* sites = cdoc.find("by_site");
+  ASSERT_EQ(sites->items.size(), 2u);
+  EXPECT_EQ(sites->items[0].find("site")->string, "Main.run:3");
+  EXPECT_EQ(sites->items[0].find("accesses")->number, 5.0);
+  EXPECT_EQ(sites->items[1].find("site")->string, "Main.run:4");
+  EXPECT_EQ(sites->items[1].find("accesses")->number, 1.0);
+
+  JsonValue hdoc = parse_json(hc.artifact());
+  const JsonValue* top = hdoc.find("top_sites");
+  ASSERT_EQ(top->items.size(), 1u);
+  EXPECT_EQ(top->items[0].find("site")->string, "Main.run:3");
+  EXPECT_EQ(top->items[0].find("count")->number, 2.0);
+  const JsonValue* hot = hdoc.find("hot_objects");
+  ASSERT_EQ(hot->items.size(), 2u);
+  for (const JsonValue& o : hot->items)
+    EXPECT_EQ(o.find("site")->string, "Main.run:3");
 }
 
 // The copying-GC regression: replay a GC-heavy workload under a heap small

@@ -5,6 +5,9 @@
 // report that pinpoints where execution went wrong.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "src/fuzz/fault.hpp"
 #include "src/obs/divergence.hpp"
 #include "src/obs/json.hpp"
@@ -18,6 +21,138 @@
 
 namespace dejavu::obs {
 namespace {
+
+// ------------------------------------------------------------------- json
+
+TEST(JsonWriter, EscapesKeysAndValues) {
+  // Every escape form; DEL and bytes >= 0x80 pass through unchanged.
+  std::string raw = "q\"b\\s\nr\rt\tc";
+  raw += '\0';
+  raw += '\x01';
+  raw += '\x1f';
+  raw += "\xc3\xa9\x7f\xff ok";
+  std::string esc = "q\\\"b\\\\s\\nr\\rt\\tc\\u0000\\u0001\\u001f";
+  esc += "\xc3\xa9\x7f\xff ok";
+  EXPECT_EQ(json_escape(raw), esc);
+
+  JsonWriter w;
+  w.begin_object().kv(raw, raw).kv("plain", "text").end_object();
+  EXPECT_EQ(w.str(), "{\"" + esc + "\":\"" + esc + "\",\"plain\":\"text\"}");
+
+  // A string of nothing but control bytes takes six bytes per input byte.
+  std::string controls(100, '\x02');
+  JsonWriter a;
+  a.begin_array().value(controls).end_array();
+  std::string want = "[\"";
+  for (int i = 0; i < 100; ++i) want += "\\u0002";
+  EXPECT_EQ(a.str(), want + "\"]");
+}
+
+TEST(JsonWriter, IntegersPrintAsToStringDoes) {
+  JsonWriter w;
+  w.begin_array()
+      .value(INT64_MIN)
+      .value(INT64_MAX)
+      .value(UINT64_MAX)
+      .value(int64_t{0})
+      .value(int64_t{-1})
+      .value(uint64_t{0})
+      .end_array();
+  EXPECT_EQ(w.str(), "[" + std::to_string(INT64_MIN) + "," +
+                         std::to_string(INT64_MAX) + "," +
+                         std::to_string(UINT64_MAX) + ",0,-1,0]");
+}
+
+TEST(JsonWriter, MisuseThrows) {
+  {
+    JsonWriter w;  // a value in an object needs a key
+    w.begin_object();
+    EXPECT_THROW(w.value(int64_t{1}), VmError);
+  }
+  {
+    JsonWriter w;  // unbalanced ends
+    EXPECT_THROW(w.end_array(), VmError);
+    JsonWriter v;
+    v.begin_array();
+    EXPECT_THROW(v.end_object(), VmError);
+  }
+  {
+    JsonWriter w;  // a key outside an object, and a dangling key
+    w.begin_array();
+    EXPECT_THROW(w.key("k"), VmError);
+    JsonWriter v;
+    v.begin_object().key("k");
+    EXPECT_THROW(v.end_object(), VmError);
+  }
+  {
+    JsonWriter w;  // an incomplete document cannot be read
+    w.begin_object().kv("k", true);
+    EXPECT_THROW(w.str(), VmError);
+    EXPECT_THROW(w.take(), VmError);
+  }
+  {
+    JsonWriter w;  // nothing may follow a complete document
+    w.begin_array().end_array();
+    EXPECT_THROW(w.value(true), VmError);
+  }
+}
+
+TEST(JsonWriter, DocumentRoundTripsThroughParser) {
+  JsonWriter w;
+  w.begin_object()
+      .kv("s", "a\"b\n\\")
+      .kv("i", int64_t{-42})
+      .kv("u", uint64_t{1} << 40)
+      .kv("d", 0.5)
+      .kv("t", true);
+  w.key("n").null();
+  w.key("arr").begin_array().value("x");
+  w.begin_object().kv("k", uint64_t{7}).end_object();
+  w.begin_array().end_array().end_array();
+  w.key("raw").raw("{\"r\":[1,2]}");
+  w.end_object();
+
+  JsonValue doc = parse_json(w.str());
+  ASSERT_TRUE(doc.is_object());
+  EXPECT_EQ(doc.find("s")->string, "a\"b\n\\");
+  EXPECT_EQ(doc.find("i")->number, -42.0);
+  EXPECT_EQ(doc.find("u")->number, double(uint64_t{1} << 40));
+  EXPECT_EQ(doc.find("d")->number, 0.5);
+  EXPECT_TRUE(doc.find("t")->boolean);
+  EXPECT_EQ(doc.find("n")->type, JsonValue::Type::kNull);
+  const JsonValue* arr = doc.find("arr");
+  ASSERT_TRUE(arr->is_array());
+  ASSERT_EQ(arr->items.size(), 3u);
+  EXPECT_EQ(arr->items[0].string, "x");
+  EXPECT_EQ(arr->items[1].find("k")->number, 7.0);
+  EXPECT_TRUE(arr->items[2].is_array());
+  EXPECT_EQ(doc.find("raw")->find("r")->items.size(), 2u);
+
+  std::string copy = w.str();
+  EXPECT_EQ(w.take(), copy);
+}
+
+TEST(JsonWriter, GrowingAndReservingWriteTheSameBytes) {
+  // Many rows through the buffer's growth path, and again after a
+  // reserve too small and one too large: the bytes must not differ.
+  auto render = [](size_t reserve) {
+    JsonWriter w;
+    if (reserve != 0) w.reserve(reserve);
+    w.begin_array();
+    for (uint64_t i = 0; i < 5000; ++i) {
+      w.begin_object()
+          .kv("i", i)
+          .kv("label", i % 3 == 0 ? "Owner.method" : "a\tb")
+          .end_object();
+    }
+    w.end_array();
+    return w.take();
+  };
+  std::string grown = render(0);
+  EXPECT_EQ(render(100), grown);
+  EXPECT_EQ(render(grown.size() * 2), grown);
+  EXPECT_EQ(parse_json(grown).items.size(), 5000u);
+}
 
 // ---------------------------------------------------------------- metrics
 
