@@ -128,6 +128,21 @@ class ByteReader {
     return s;
   }
 
+  // Reads the count of the items that follow, each at least
+  // `min_item_bytes` (>= 1) long on the wire, and rejects a count that the
+  // remaining bytes cannot hold with a located error. Call it before
+  // sizing any container from a count, so a hostile count never becomes a
+  // large allocation.
+  size_t get_count(size_t min_item_bytes, const char* what) {
+    size_t at = pos_;
+    uint64_t n = get_uvarint();
+    DV_CHECK_MSG(n <= remaining() / min_item_bytes,
+                 what << " count " << n << " at offset " << at
+                      << " exceeds the " << remaining()
+                      << " byte(s) left");
+    return size_t(n);
+  }
+
   void skip(size_t n) {
     DV_CHECK_MSG(n <= size_ - pos_, "ByteReader underrun (skip)");
     pos_ += n;

@@ -41,12 +41,13 @@ void TypeRegistry::serialize(ByteWriter& w) const {
 
 void TypeRegistry::restore(ByteReader& r) {
   types_.clear();
-  size_t n = size_t(r.get_uvarint());
+  // A type is at least a name length and a slot count.
+  size_t n = r.get_count(2, "type");
   types_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     TypeInfo t;
     t.name = r.get_string();
-    t.num_slots = uint32_t(r.get_uvarint());
+    t.num_slots = uint32_t(r.get_count(1, "type slot"));
     t.ref_slot.resize(t.num_slots);
     for (uint32_t s = 0; s < t.num_slots; ++s) t.ref_slot[s] = r.get_u8() != 0;
     types_.push_back(std::move(t));
@@ -225,6 +226,17 @@ void Heap::set_array_byte(Addr arr, uint64_t idx, uint8_t v) {
   DV_CHECK_MSG(arr != kNull, "null dereference (byte astore)");
   DV_CHECK_MSG(idx < array_length(arr), "byte index out of bounds");
   mem_[arr + kOffArrayData + idx] = v;
+}
+
+void Heap::set_array_bytes(Addr arr, uint64_t idx, const uint8_t* data,
+                           size_t n) {
+  DV_CHECK_MSG(arr != kNull, "null dereference (byte astore)");
+  uint64_t len = array_length(arr);
+  // idx <= len first, so len - idx cannot wrap and idx + n is never formed.
+  DV_CHECK_MSG(idx <= len && n <= len - idx,
+               "byte range [" << idx << ", +" << n
+                              << ") out of bounds for length " << len);
+  if (n != 0) std::memcpy(mem_.get() + arr + kOffArrayData + idx, data, n);
 }
 
 void Heap::scan_object_refs(Addr obj,

@@ -152,6 +152,10 @@ class Heap {
   void set_array_ref(Addr arr, uint64_t idx, Addr v);
   uint8_t array_byte(Addr arr, uint64_t idx) const;
   void set_array_byte(Addr arr, uint64_t idx, uint8_t v);
+  // Copies data[0, n) to elements [idx, idx + n) of a byte array, with one
+  // bounds check for the whole run. Throws on a null array or a range past
+  // the end (however large idx and n are).
+  void set_array_bytes(Addr arr, uint64_t idx, const uint8_t* data, size_t n);
 
   // -- GC ----------------------------------------------------------------
   void set_root_provider(RootProvider* rp) { roots_ = rp; }

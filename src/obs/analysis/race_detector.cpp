@@ -1,6 +1,8 @@
 #include "src/obs/analysis/race_detector.hpp"
 
 #include <algorithm>
+#include <map>
+#include <tuple>
 
 #include "src/obs/json.hpp"
 #include "src/vm/vm.hpp"
@@ -26,8 +28,7 @@ bool is_sync_edge(threads::CrossLaneKind k) {
   return false;
 }
 
-const std::string kVmSite = "<vm>";
-const std::string kBootSite = "<boot>";
+const std::string kBootLabel = "<boot>";
 
 }  // namespace
 
@@ -72,22 +73,19 @@ bool RaceDetector::ordered(const Access& a, const VectorClock& vc) const {
 void RaceDetector::on_instruction(const vm::InstrEvent& ev) {
   if (last_instr_.size() <= ev.tid) last_instr_.resize(size_t(ev.tid) + 1);
   SiteRef& s = last_instr_[ev.tid];
-  s.owner = ev.owner;
-  s.method = ev.method;
-  s.pc = ev.pc;
+  s.key = SiteKey{ev.owner, ev.method, ev.pc};
   s.line = ev.line;
   s.instr_index = ev.instr_index;
   cur_tid_ = ev.tid;
 }
 
-const std::string* RaceDetector::intern_site(uint32_t tid) {
-  if (tid >= last_instr_.size() || last_instr_[tid].owner == nullptr)
-    return &kVmSite;
-  const SiteRef& s = last_instr_[tid];
-  std::string label = *s.owner + "." + *s.method + ":" + std::to_string(s.pc);
-  auto it = site_ids_.try_emplace(std::move(label), 0).first;
-  it->second++;
-  return &it->first;
+// A thread with no instruction yet interns the null key, labelled "<vm>".
+RaceDetector::SiteId RaceDetector::intern_site(uint32_t tid) {
+  SiteKey key;
+  if (tid < last_instr_.size()) key = last_instr_[tid].key;
+  auto [it, fresh] = site_ids_.try_emplace(key, SiteId(sites_.size()));
+  if (fresh) sites_.push_back(key);
+  return it->second;
 }
 
 void RaceDetector::on_monitor_event(const vm::MonitorEvent& ev) {
@@ -179,7 +177,8 @@ void RaceDetector::on_heap_alloc(const vm::AllocEvent& e) {
   info.site = intern_site(e.tid);
   objects_.push_back(info);
   live_[e.addr] = id;  // the newcomer owns a possibly recycled address
-  class_names_.try_emplace(e.class_id, class_name(e.class_id));
+  if (class_names_.find(e.class_id) == class_names_.end())
+    class_names_.emplace(e.class_id, class_name(e.class_id));
 }
 
 void RaceDetector::on_heap_move(heap::Addr from, heap::Addr to) {
@@ -200,17 +199,16 @@ RaceDetector::Access RaceDetector::current_access(uint32_t tid) {
   return a;
 }
 
-void RaceDetector::report(const char* kind, uint64_t obj_id, uint32_t slot,
+void RaceDetector::report(RaceKind kind, uint64_t obj_id, uint32_t slot,
                           const Access& first, const Access& second) {
-  auto key = std::make_tuple(std::string(kind), *first.site, *second.site);
-  auto [it, fresh] = races_.try_emplace(std::move(key));
+  auto [it, fresh] =
+      races_.try_emplace(RaceKey{kind, first.site, second.site});
   RaceAgg& agg = it->second;
   if (fresh) {
     const ObjInfo& obj = objects_[obj_id];
-    auto cn = class_names_.find(obj.class_id);
-    agg.cls = obj.class_id != 0 && cn != class_names_.end() ? cn->second
-                                                            : "<boot>";
-    agg.alloc_site = obj.site != nullptr ? *obj.site : kBootSite;
+    agg.seq = races_.size() - 1;
+    agg.class_id = obj.class_id;
+    agg.alloc_site = obj.site;
     agg.slot = slot;
     agg.first = first;
     agg.second = second;
@@ -231,7 +229,7 @@ void RaceDetector::on_heap_read(heap::Addr obj, uint32_t slot, int64_t,
   Access cur = current_access(t);
   if (s.has_write && s.last_write.tid != t &&
       !ordered(s.last_write, vc_[t])) {
-    report("write-read", id, slot, s.last_write, cur);
+    report(RaceKind::kWriteRead, id, slot, s.last_write, cur);
   }
   for (Access& r : s.reads) {
     if (r.tid == t) {
@@ -252,11 +250,11 @@ void RaceDetector::on_heap_write(heap::Addr obj, uint32_t slot, int64_t,
   Access cur = current_access(t);
   if (s.has_write && s.last_write.tid != t &&
       !ordered(s.last_write, vc_[t])) {
-    report("write-write", id, slot, s.last_write, cur);
+    report(RaceKind::kWriteWrite, id, slot, s.last_write, cur);
   }
   for (const Access& r : s.reads) {
     if (r.tid != t && !ordered(r, vc_[t]))
-      report("read-write", id, slot, r, cur);
+      report(RaceKind::kReadWrite, id, slot, r, cur);
   }
   s.last_write = cur;
   s.has_write = true;
@@ -264,27 +262,54 @@ void RaceDetector::on_heap_write(heap::Addr obj, uint32_t slot, int64_t,
 }
 
 std::string RaceDetector::artifact() const {
+  // Labels are built here, once per interned site. Races whose labels
+  // coincide are one row: counts add, first_instr is the earliest, and the
+  // earliest-detected instance represents them.
+  std::vector<std::string> labels;
+  labels.reserve(sites_.size());
+  for (const SiteKey& k : sites_) labels.push_back(k.label());
+  auto site_label = [&](SiteId id) -> const std::string& {
+    return id == kBootSite ? kBootLabel : labels[id];
+  };
+  static const char* const kKindNames[] = {"write-read", "write-write",
+                                           "read-write"};
+  struct Row {
+    const RaceAgg* rep;
+    uint64_t count = 0;
+    uint64_t first_instr = 0;
+  };
+  std::map<std::tuple<std::string, std::string, std::string>, Row> rows;
   uint64_t dynamic = 0;
-  for (const auto& [key, agg] : races_) dynamic += agg.count;
+  for (const auto& [key, agg] : races_) {
+    dynamic += agg.count;
+    auto [it, fresh] = rows.try_emplace(
+        std::make_tuple(std::string(kKindNames[size_t(key.kind)]),
+                        site_label(key.first), site_label(key.second)),
+        Row{&agg, 0, agg.first_instr});
+    Row& row = it->second;
+    if (!fresh) {
+      if (agg.seq < row.rep->seq) row.rep = &agg;
+      row.first_instr = std::min(row.first_instr, agg.first_instr);
+    }
+    row.count += agg.count;
+  }
 
   JsonWriter w;
   w.begin_object()
       .kv("schema", "dejavu-races-v1")
       .kv("edge_model", "sync-only (monitor, spawn/join, cross-lane wakes)")
-      .kv("race_count", uint64_t(races_.size()))
+      .kv("race_count", uint64_t(rows.size()))
       .kv("dynamic_count", dynamic)
       .kv("checks", checks_)
       .kv("run_instr_count", run_.instr_count)
       .kv("verified", run_.verified)
       .kv("post_violation", run_.post_violation);
 
-  // Hottest races first; the map key (kind, site, site) breaks ties, so
-  // the ordering is fully deterministic.
-  std::vector<const std::map<std::tuple<std::string, std::string,
-                                        std::string>,
-                             RaceAgg>::value_type*> order;
-  order.reserve(races_.size());
-  for (const auto& kv : races_) order.push_back(&kv);
+  // Hottest races first; the key (kind, site, site) breaks ties, so the
+  // ordering is fully deterministic.
+  std::vector<const decltype(rows)::value_type*> order;
+  order.reserve(rows.size());
+  for (const auto& kv : rows) order.push_back(&kv);
   std::sort(order.begin(), order.end(), [](const auto* a, const auto* b) {
     if (a->second.count != b->second.count)
       return a->second.count > b->second.count;
@@ -292,20 +317,24 @@ std::string RaceDetector::artifact() const {
   });
   w.key("races").begin_array();
   for (const auto* kv : order) {
-    const RaceAgg& r = kv->second;
+    const Row& row = kv->second;
+    const RaceAgg& r = *row.rep;
+    auto cn = class_names_.find(r.class_id);
+    const std::string& cls =
+        r.class_id != 0 && cn != class_names_.end() ? cn->second : kBootLabel;
     w.begin_object()
         .kv("kind", std::get<0>(kv->first))
-        .kv("class", r.cls)
-        .kv("alloc_site", r.alloc_site)
+        .kv("class", cls)
+        .kv("alloc_site", site_label(r.alloc_site))
         .kv("slot", uint64_t(r.slot))
-        .kv("count", r.count)
-        .kv("first_instr", r.first_instr)
+        .kv("count", row.count)
+        .kv("first_instr", row.first_instr)
         .kv("first_tid", uint64_t(r.first.tid))
-        .kv("first_site", *r.first.site)
+        .kv("first_site", site_label(r.first.site))
         .kv("first_line", int64_t(r.first.line))
         .kv("first_clock", r.first.clock)
         .kv("second_tid", uint64_t(r.second.tid))
-        .kv("second_site", *r.second.site)
+        .kv("second_site", site_label(r.second.site))
         .kv("second_line", int64_t(r.second.line))
         .kv("second_clock", r.second.clock)
         .end_object();

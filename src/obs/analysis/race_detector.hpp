@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -63,16 +62,19 @@ class RaceDetector : public AnalysisObserver {
   // dejavu-races-v1 JSON.
   std::string artifact() const override;
 
-  // Distinct (kind, site, site) races found so far.
-  uint64_t race_count() const { return races_.size(); }
-
  private:
   using VectorClock = std::vector<uint64_t>;  // indexed by tid
+  // Index into sites_: a SiteKey interned on first sight. Labels are built
+  // only when the artifact is rendered.
+  using SiteId = uint32_t;
+  static constexpr SiteId kBootSite = UINT32_MAX;  // pre-attach allocation
+
+  enum class RaceKind : uint8_t { kWriteRead, kWriteWrite, kReadWrite };
 
   // One side of an access, as reported: who, where, when.
   struct Access {
     uint32_t tid = 0;
-    const std::string* site = nullptr;  // interned "Owner.method:pc"
+    SiteId site = 0;
     int32_t line = -1;
     uint64_t clock = 0;  // the accessor's own vector-clock component
     uint64_t instr = 0;  // Vm::instr_count() at the access
@@ -88,15 +90,27 @@ class RaceDetector : public AnalysisObserver {
   };
 
   struct ObjInfo {
-    uint32_t class_id = 0;              // 0 = pre-attach (boot image)
-    const std::string* site = nullptr;  // allocation site; nullptr = <vm>
+    uint32_t class_id = 0;     // 0 = pre-attach (boot image)
+    SiteId site = kBootSite;   // allocation site
   };
 
   // A deduplicated race: keyed by (kind, first site, second site) -- the
   // static pair -- with the earliest dynamic instance as representative.
+  struct RaceKey {
+    RaceKind kind{};
+    SiteId first = 0, second = 0;
+    bool operator==(const RaceKey&) const = default;
+  };
+  struct RaceKeyHash {
+    size_t operator()(const RaceKey& k) const {
+      return (size_t(k.first) * 0x9e3779b97f4a7c15ull ^ k.second) * 3 +
+             size_t(k.kind);
+    }
+  };
   struct RaceAgg {
-    std::string cls;        // class of the raced object
-    std::string alloc_site; // its allocation site
+    uint64_t seq = 0;       // order of first detection among all races
+    uint32_t class_id = 0;  // the raced object's (0 = boot image)
+    SiteId alloc_site = kBootSite;
     uint32_t slot = 0;
     Access first, second;
     uint64_t first_instr = 0;  // earliest second-access instr_index
@@ -104,22 +118,20 @@ class RaceDetector : public AnalysisObserver {
   };
 
   struct SiteRef {
-    const std::string* owner = nullptr;
-    const std::string* method = nullptr;
-    uint32_t pc = 0;
+    SiteKey key;
     int32_t line = -1;
     uint64_t instr_index = 0;
   };
 
   std::string class_name(uint32_t class_id) const;
   uint64_t id_at(heap::Addr addr);
-  const std::string* intern_site(uint32_t tid);
+  SiteId intern_site(uint32_t tid);
   uint64_t& clock_of(uint32_t tid);
   void vc_join(VectorClock& into, const VectorClock& from);
   // a happened-before the current point of `tid` iff a.clock <= vc[a.tid].
   bool ordered(const Access& a, const VectorClock& vc) const;
   Access current_access(uint32_t tid);
-  void report(const char* kind, uint64_t obj_id, uint32_t slot,
+  void report(RaceKind kind, uint64_t obj_id, uint32_t slot,
               const Access& first, const Access& second);
 
   const heap::TypeRegistry* types_ = nullptr;  // valid during the run only
@@ -129,14 +141,14 @@ class RaceDetector : public AnalysisObserver {
   std::vector<SiteRef> last_instr_;            // by tid
   uint32_t cur_tid_ = 0;  // tid of the most recent InstrEvent (0 = none yet)
 
-  std::map<std::string, uint64_t> site_ids_;  // interned site labels
+  std::vector<SiteKey> sites_;  // by SiteId
+  std::unordered_map<SiteKey, SiteId, SiteKeyHash> site_ids_;
   std::vector<ObjInfo> objects_;              // by stable id
   std::unordered_map<heap::Addr, uint64_t> live_;  // current addr -> id
   std::unordered_map<uint64_t, Shadow> shadow_;    // (id<<32)|slot
   std::unordered_map<uint32_t, std::string> class_names_;  // id -> name copy
 
-  std::map<std::tuple<std::string, std::string, std::string>, RaceAgg>
-      races_;  // (kind, first site, second site) -> aggregate
+  std::unordered_map<RaceKey, RaceAgg, RaceKeyHash> races_;
   uint64_t checks_ = 0;  // accesses examined (reporting only)
   RunInfo run_{};
 };

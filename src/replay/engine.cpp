@@ -390,8 +390,10 @@ void DejaVuEngine::mirror_bytes(GuestBuffer& buf, const uint8_t* data,
   if (c_mirror_bytes_ != nullptr) c_mirror_bytes_->add(n);
   ensure_buffers_allocated("first trace byte");
   auto& heap = vm_->guest_heap();
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t off = buf.pos % cfg_.buffer_capacity;
+  const uint64_t capacity = cfg_.buffer_capacity;
+  // One copy per contiguous run: a run ends only at the buffer boundary.
+  while (n != 0) {
+    uint64_t off = buf.pos % capacity;
     if (off == 0 && buf.pos != 0) {
       // Buffer boundary: record flushes to disk here, replay refills here.
       // Both happen at identical byte offsets, so the audited side effect
@@ -400,8 +402,13 @@ void DejaVuEngine::mirror_bytes(GuestBuffer& buf, const uint8_t* data,
       vm_->audit().append(AuditKind::kIoFlush,
                           std::to_string(buf.pos), vm_->instr_count());
     }
-    heap.set_array_byte(heap::Addr(buf.addr), off, data[i]);
-    buf.pos++;
+    size_t run = size_t(std::min<uint64_t>(n, capacity - off));
+    // buf.addr is re-read after the flush: its class load may have moved
+    // the buffer.
+    heap.set_array_bytes(heap::Addr(buf.addr), off, data, run);
+    buf.pos += run;
+    data += run;
+    n -= run;
   }
 }
 
@@ -487,10 +494,10 @@ int64_t DejaVuEngine::nd_value(NdKind kind, int64_t live) {
     }
   };
   if (mode_ == Mode::kRecord) {
-    ByteWriter w;
-    w.put_u8(uint8_t(tag_of(kind)));
-    w.put_svarint(live);
-    record_event_bytes(w);
+    scratch_.clear();
+    scratch_.put_u8(uint8_t(tag_of(kind)));
+    scratch_.put_svarint(live);
+    record_event_bytes(scratch_);
     count();
     note_nd_event(tag_name(tag_of(kind)), live);
     return live;
@@ -516,13 +523,13 @@ void DejaVuEngine::native_record_callback(const std::string& cls,
                                           const std::vector<int64_t>& args) {
   DV_CHECK(mode_ == Mode::kRecord);
   before_instrumentation();
-  ByteWriter w;
-  w.put_u8(uint8_t(EventTag::kNativeCallback));
-  w.put_string(cls);
-  w.put_string(method);
-  w.put_uvarint(args.size());
-  for (int64_t a : args) w.put_svarint(a);
-  record_event_bytes(w);
+  scratch_.clear();
+  scratch_.put_u8(uint8_t(EventTag::kNativeCallback));
+  scratch_.put_string(cls);
+  scratch_.put_string(method);
+  scratch_.put_uvarint(args.size());
+  for (int64_t a : args) scratch_.put_svarint(a);
+  record_event_bytes(scratch_);
   c_.native_cb->add();
   note_nd_event(tag_name(EventTag::kNativeCallback), int64_t(args.size()));
 }
@@ -530,10 +537,10 @@ void DejaVuEngine::native_record_callback(const std::string& cls,
 int64_t DejaVuEngine::native_record_return(int64_t v) {
   DV_CHECK(mode_ == Mode::kRecord);
   before_instrumentation();
-  ByteWriter w;
-  w.put_u8(uint8_t(EventTag::kNativeReturn));
-  w.put_svarint(v);
-  record_event_bytes(w);
+  scratch_.clear();
+  scratch_.put_u8(uint8_t(EventTag::kNativeReturn));
+  scratch_.put_svarint(v);
+  record_event_bytes(scratch_);
   c_.native_ret->add();
   note_nd_event(tag_name(EventTag::kNativeReturn), v);
   return v;
@@ -599,18 +606,18 @@ bool DejaVuEngine::yield_point(bool hardware_bit) {
     lane.nyp++;
     if (hardware_bit) {
       // recordThreadSwitch(nyp) -- into this lane's schedule stream.
-      ByteWriter w;
       uint64_t delta = uint64_t(lane.nyp);
-      w.put_uvarint(delta);
-      writer_->append(StreamId::kSchedule, w.bytes().data(), w.size(),
-                      lane_id);
-      mirror_bytes(lane.sched_buf, w.bytes().data(), w.size());
+      scratch_.clear();
+      scratch_.put_uvarint(delta);
+      writer_->append(StreamId::kSchedule, scratch_.bytes().data(),
+                      scratch_.size(), lane_id);
+      mirror_bytes(lane.sched_buf, scratch_.bytes().data(), scratch_.size());
       c_.preempt->add();
       lane.preempts++;
       if (lane.c_preempts != nullptr) lane.c_preempts->add();
       if (h_sched_delta_ != nullptr) h_sched_delta_->record(delta);
       if (c_trace_sched_bytes_ != nullptr)
-        c_trace_sched_bytes_->add(w.size());
+        c_trace_sched_bytes_->add(scratch_.size());
       // Checkpoint cadence is per lane (== the global cadence when K=1, so
       // v4 traces are unchanged). Checkpoints snapshot *global* state; the
       // order stream pins the inter-lane interleaving between them.
@@ -835,15 +842,16 @@ void DejaVuEngine::handle_cross_lane(const threads::CrossLaneEvent& e) {
                        logical_clock_, e.to, "from_lane", int64_t(e.from_lane),
                        "to_lane", int64_t(e.to_lane));
   if (mode_ == Mode::kRecord) {
-    ByteWriter w;
-    w.put_u8(uint8_t(e.kind));
-    w.put_uvarint(e.from_lane);
-    w.put_uvarint(e.to_lane);
-    w.put_uvarint(e.from);
-    w.put_uvarint(e.to);
-    w.put_uvarint(e.subject);
-    writer_->append(StreamId::kOrder, w.bytes().data(), w.size());
-    mirror_bytes(order_buf_, w.bytes().data(), w.size());
+    scratch_.clear();
+    scratch_.put_u8(uint8_t(e.kind));
+    scratch_.put_uvarint(e.from_lane);
+    scratch_.put_uvarint(e.to_lane);
+    scratch_.put_uvarint(e.from);
+    scratch_.put_uvarint(e.to);
+    scratch_.put_uvarint(e.subject);
+    writer_->append(StreamId::kOrder, scratch_.bytes().data(),
+                    scratch_.size());
+    mirror_bytes(order_buf_, scratch_.bytes().data(), scratch_.size());
     order_seq_++;
     if (c_order_events_ != nullptr) c_order_events_->add();
     return;

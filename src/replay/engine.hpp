@@ -171,7 +171,8 @@ class DejaVuEngine : public vm::ExecHooks {
 
   // ---- replay-time analysis fan-out (src/obs/analysis) -------------------
   // Registers an analyzer (not owned; must outlive the run). Replay mode
-  // only, before attach: analyzers can never see -- or perturb -- a
+  // only, before the VM boots (hooks.hpp: subscriptions are read once, when
+  // the VM wires its observers): analyzers can never see -- or perturb -- a
   // recording. The engine turns on VM instrumentation for the union of the
   // analyzers' subscriptions; with none registered every wants_* predicate
   // stays false and the VM hot path is untouched.
@@ -386,6 +387,12 @@ class DejaVuEngine : public vm::ExecHooks {
 
   // Record side: chunked writer over the sink.
   std::unique_ptr<TraceWriter> writer_;
+  // Record side: the one entry being encoded (an nd value, a native event,
+  // a schedule delta, an order event), cleared and reused so the hot path
+  // never allocates. Nothing that runs while an entry is live -- append,
+  // mirror_bytes -- encodes another one; the rare checkpoint and flight
+  // blocks keep their own writers.
+  ByteWriter scratch_;
 
   // Replay side: streamed from a source; per-lane cursors live in lanes_.
   std::unique_ptr<TraceSource> source_;

@@ -643,7 +643,7 @@ TraceFile TraceFile::deserialize(std::vector<uint8_t> bytes) {
   size_t pos = 0;
   ScanOutcome scan = scan_chunks([&](uint8_t* dst, size_t n) {
     size_t m = std::min(n, bytes.size() - pos);
-    std::memcpy(dst, bytes.data() + pos, m);
+    if (m != 0) std::memcpy(dst, bytes.data() + pos, m);  // data() may be null
     pos += m;
     return m;
   });

@@ -140,10 +140,10 @@ class LaneScheduler {
     DV_CHECK_MSG(k == queues_.size(), "checkpoint lane count mismatch");
     for (auto& q : queues_) {
       q.clear();
-      size_t n = size_t(r.get_uvarint());
+      size_t n = r.get_count(1, "lane queue");
       for (size_t i = 0; i < n; ++i) q.push_back(Tid(r.get_uvarint()));
     }
-    lane_of_.resize(size_t(r.get_uvarint()));
+    lane_of_.resize(r.get_count(1, "lane assignment"));
     for (LaneId& l : lane_of_) l = LaneId(r.get_uvarint());
     assigned_ = r.get_uvarint();
     cursor_ = LaneId(r.get_uvarint());

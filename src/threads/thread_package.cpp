@@ -416,7 +416,9 @@ void ThreadPackage::serialize(ByteWriter& w) const {
 }
 
 void ThreadPackage::restore(ByteReader& r) {
-  threads_.assign(size_t(r.get_uvarint()), ThreadRec{});
+  // Minimum wire sizes: a thread record is a name length, three flag bytes
+  // and four varints; a monitor record is four varints.
+  threads_.assign(r.get_count(8, "thread"), ThreadRec{});
   for (ThreadRec& t : threads_) {
     t.name = r.get_string();
     t.state = ThreadState(r.get_u8());
@@ -425,20 +427,20 @@ void ThreadPackage::restore(ByteReader& r) {
     t.has_deadline = r.get_u8() != 0;
     t.waiting_on = MonitorId(r.get_uvarint());
     t.saved_entry_count = uint32_t(r.get_uvarint());
-    t.join_waiters.resize(size_t(r.get_uvarint()));
+    t.join_waiters.resize(r.get_count(1, "join waiter"));
     for (Tid& w : t.join_waiters) w = Tid(r.get_uvarint());
   }
-  monitors_.assign(size_t(r.get_uvarint()), MonitorRec{});
+  monitors_.assign(r.get_count(4, "monitor"), MonitorRec{});
   for (MonitorRec& m : monitors_) {
     m.owner = Tid(r.get_uvarint());
     m.entry_count = uint32_t(r.get_uvarint());
-    size_t ne = size_t(r.get_uvarint());
+    size_t ne = r.get_count(1, "monitor entry-queue");
     for (size_t i = 0; i < ne; ++i) m.entry_queue.push_back(Tid(r.get_uvarint()));
-    size_t nw = size_t(r.get_uvarint());
+    size_t nw = r.get_count(1, "monitor wait-set");
     for (size_t i = 0; i < nw; ++i) m.wait_set.push_back(Tid(r.get_uvarint()));
   }
   lanes_.restore(r);
-  timed_parked_.resize(size_t(r.get_uvarint()));
+  timed_parked_.resize(r.get_count(1, "timed-parked thread"));
   for (Tid& t : timed_parked_) t = Tid(r.get_uvarint());
   current_ = Tid(r.get_uvarint());
   last_dispatched_ = Tid(r.get_uvarint());

@@ -101,6 +101,13 @@ struct ThreadEvent {
   uint64_t instr_index = 0;  // Vm::instr_count() at the operation
 };
 
+// Subscriptions. The four wants_*_events() predicates are a hook's event
+// subscriptions, and they are fixed before the VM wires its observers: the
+// VM reads each one exactly once, in boot() or boot_from_snapshot(), before
+// attach() and before any guest code, and never asks again. A hook whose
+// answer would change later must decide before the VM boots (the DejaVu
+// engine rejects add_analyzer after attach for this reason). An unsubscribed
+// family costs the interpreter one test of a cached flag per event site.
 class ExecHooks {
  public:
   virtual ~ExecHooks() = default;

@@ -261,6 +261,15 @@ class Vm : public heap::RootProvider {
   Environment& env_;
   threads::TimerSource& timer_;
   ExecHooks* hooks_;
+  // The hook's event subscriptions, read once by wire_observers; all false
+  // without a hook.
+  struct HookSubscriptions {
+    bool instructions = false;
+    bool memory = false;
+    bool monitors = false;
+    bool threads = false;
+  };
+  HookSubscriptions subs_;
   const NativeRegistry* natives_;
 
   heap::TypeRegistry types_;

@@ -145,7 +145,15 @@ void Vm::wire_observers() {
                       std::to_string(live),
                   instr_count_);
   });
-  if (hooks_ != nullptr && hooks_->wants_memory_events()) {
+  // A hook's subscriptions are fixed before this point (hooks.hpp): read
+  // them once, so no event site pays a virtual call to ask again.
+  if (hooks_ != nullptr) {
+    subs_.instructions = hooks_->wants_instruction_events();
+    subs_.memory = hooks_->wants_memory_events();
+    subs_.monitors = hooks_->wants_monitor_events();
+    subs_.threads = hooks_->wants_thread_events();
+  }
+  if (subs_.memory) {
     heap_->set_move_observer([this](heap::Addr from, heap::Addr to) {
       hooks_->on_heap_move(from, to);
     });
@@ -452,7 +460,7 @@ void Vm::io_warmup(const std::string& tmp_path) {
 
 // Pure notification (replay-time heap analysis); never touches guest state.
 void Vm::emit_alloc_event(uint64_t addr, uint32_t type_id, uint32_t slots) {
-  if (hooks_ == nullptr || !hooks_->wants_memory_events()) return;
+  if (!subs_.memory) return;
   AllocEvent e;
   e.tid = threads_->current();
   e.addr = Addr(addr);

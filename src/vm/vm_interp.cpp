@@ -176,7 +176,7 @@ void Vm::pop_frame_return(ExecContext& c, bool has_value, uint64_t value) {
   c.frames.pop_back();
   c.sp = f.locals_base;  // pops the arguments from the caller's stack
   if (c.frames.empty()) {
-    if (hooks_ != nullptr && hooks_->wants_thread_events()) {
+    if (subs_.threads) {
       ThreadEvent ev;
       ev.op = ThreadOp::kExit;
       ev.tid = c.tid;
@@ -438,8 +438,8 @@ void Vm::execute_instruction() {
     f.pc = uint32_t(target);
     if (backward) maybe_yield_point();
   };
-  bool mem_hooks = hooks_ != nullptr && hooks_->wants_memory_events();
-  if (hooks_ != nullptr && hooks_->wants_instruction_events()) {
+  const bool mem_hooks = subs_.memory;
+  if (subs_.instructions) {
     InstrEvent ev;
     ev.tid = c.tid;
     ev.owner = &m->owner->name;
@@ -716,7 +716,7 @@ void Vm::execute_instruction() {
     case kMonitorEnter: {
       Addr obj = Addr(peek_slot());
       MonitorId mid = monitor_of(obj);
-      bool mon_hooks = hooks_ != nullptr && hooks_->wants_monitor_events();
+      const bool mon_hooks = subs_.monitors;
       Tid prev_owner = mon_hooks ? threads_->monitor_owner(mid)
                                  : threads::kNoThread;
       if (threads_->monitor_enter(mid)) {
@@ -737,14 +737,14 @@ void Vm::execute_instruction() {
       MonitorId mid = monitor_of(obj);
       threads_->monitor_exit(mid);
       f.pc++;
-      if (hooks_ != nullptr && hooks_->wants_monitor_events())
+      if (subs_.monitors)
         emit_monitor_event(MonitorOp::kExit, c.tid, mid, threads::kNoThread,
                            false, 0);
       break;
     }
     case kWait:
     case kTimedWait: {
-      bool mon_hooks = hooks_ != nullptr && hooks_->wants_monitor_events();
+      const bool mon_hooks = subs_.monitors;
       if (c.op_phase == 0) {
         int64_t timeout = -1;
         if (ins.op == kTimedWait) timeout = pop_i();
@@ -792,7 +792,7 @@ void Vm::execute_instruction() {
       MonitorId mid = monitor_of(obj);
       bool woke = threads_->notify_one(mid);
       f.pc++;
-      if (hooks_ != nullptr && hooks_->wants_monitor_events())
+      if (subs_.monitors)
         emit_monitor_event(MonitorOp::kNotifyOne, c.tid, mid,
                            threads::kNoThread, false, woke ? 1 : 0);
       break;
@@ -802,7 +802,7 @@ void Vm::execute_instruction() {
       MonitorId mid = monitor_of(obj);
       int woke = threads_->notify_all(mid);
       f.pc++;
-      if (hooks_ != nullptr && hooks_->wants_monitor_events())
+      if (subs_.monitors)
         emit_monitor_event(MonitorOp::kNotifyAll, c.tid, mid,
                            threads::kNoThread, false, uint32_t(woke));
       break;
@@ -830,7 +830,7 @@ void Vm::execute_instruction() {
       pop_slot();
       push_slot(ctx(t).thread_obj);
       cur().frames.back().pc++;
-      if (hooks_ != nullptr && hooks_->wants_thread_events()) {
+      if (subs_.threads) {
         ThreadEvent ev;
         ev.op = ThreadOp::kSpawn;
         ev.tid = cur().tid;
@@ -850,7 +850,7 @@ void Vm::execute_instruction() {
         f.pc++;
         // Fires for both the immediate case and the re-execution after a
         // parked join wakes: either way the target has fully terminated.
-        if (hooks_ != nullptr && hooks_->wants_thread_events()) {
+        if (subs_.threads) {
           ThreadEvent ev;
           ev.op = ThreadOp::kJoinEnd;
           ev.tid = c.tid;

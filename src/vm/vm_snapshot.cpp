@@ -215,6 +215,13 @@ void Vm::restore_snapshot(ByteReader& r) {
       if (compiled && !m->compiled) compile_method_body(m.get());
     }
     if (rc->loaded || synthetic) {
+      // The class loader registers the instance type, then the statics
+      // type; both name entries of the restored registry.
+      DV_CHECK_MSG(rc->instance_type_id >= heap::kFirstClassId &&
+                       rc->instance_type_id < rc->statics_type_id &&
+                       rc->statics_type_id - heap::kFirstClassId <
+                           types_.size(),
+                   "snapshot type ids of " << rc->name << " out of range");
       if (by_type_id_.size() <= rc->statics_type_id)
         by_type_id_.resize(size_t(rc->statics_type_id) + 1, nullptr);
       by_type_id_[rc->instance_type_id] = rc;
@@ -222,12 +229,13 @@ void Vm::restore_snapshot(ByteReader& r) {
   }
 
   registry_obj_ = r.get_uvarint();
-  pool_string_cache_.assign(size_t(r.get_uvarint()), 0);
-  DV_CHECK_MSG(pool_string_cache_.size() == prog_.pool.strings.size(),
+  size_t npool = r.get_count(1, "string pool cache");
+  DV_CHECK_MSG(npool == prog_.pool.strings.size(),
                "snapshot string pool size mismatch");
+  pool_string_cache_.assign(npool, 0);
   for (uint64_t& v : pool_string_cache_) v = r.get_uvarint();
 
-  size_t ncontexts = size_t(r.get_uvarint());
+  size_t ncontexts = r.get_count(1, "execution context");
   contexts_.clear();
   contexts_.resize(ncontexts);
   for (size_t i = 0; i < ncontexts; ++i) {
@@ -242,7 +250,7 @@ void Vm::restore_snapshot(ByteReader& r) {
     c.pending_prologue = r.get_u8() != 0;
     c.thread_obj = r.get_uvarint();
     c.stack_array = r.get_uvarint();
-    c.slots.resize(size_t(r.get_uvarint()));
+    c.slots.resize(r.get_count(8, "stack slot"));
     for (uint64_t& s : c.slots) s = r.get_u64_fixed();
     size_t nframes = size_t(r.get_uvarint());
     for (size_t fi = 0; fi < nframes; ++fi) {

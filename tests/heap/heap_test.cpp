@@ -79,6 +79,31 @@ TEST(Heap, BoundsChecked) {
   EXPECT_THROW(h.field_i64(kNull, 0), VmError);
 }
 
+TEST(Heap, SetArrayBytesCopiesARunWithOneBoundsCheck) {
+  uint32_t pair;
+  TypeRegistry types = make_types(&pair);
+  Heap h(types, HeapConfig{1 << 20, GcKind::kSemispaceCopying});
+  Addr ba = h.alloc_array_bytes(8);
+  Addr next = h.alloc_array_bytes(4);  // a neighbour an overrun would hit
+  const uint8_t data[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+
+  h.set_array_bytes(ba, 0, data, 8);  // the full length
+  for (uint64_t i = 0; i < 8; ++i) EXPECT_EQ(h.array_byte(ba, i), data[i]);
+  h.set_array_bytes(ba, 8, data, 0);  // n = 0 at the end
+  h.set_array_bytes(ba, 5, data, 3);  // a tail run
+  EXPECT_EQ(h.array_byte(ba, 4), 5);
+  EXPECT_EQ(h.array_byte(ba, 5), 1);
+  EXPECT_EQ(h.array_byte(ba, 7), 3);
+
+  EXPECT_THROW(h.set_array_bytes(ba, 6, data, 3), VmError);  // idx + n > len
+  EXPECT_THROW(h.set_array_bytes(ba, 9, data, 0), VmError);  // idx > len
+  // idx + n would wrap to a small number: still out of bounds.
+  EXPECT_THROW(h.set_array_bytes(ba, 2, data, ~size_t(0)), VmError);
+  EXPECT_THROW(h.set_array_bytes(ba, ~uint64_t(0), data, 2), VmError);
+  EXPECT_THROW(h.set_array_bytes(kNull, 0, data, 1), VmError);
+  for (uint64_t i = 0; i < 4; ++i) EXPECT_EQ(h.array_byte(next, i), 0);
+}
+
 TEST(Heap, ZeroLengthArrays) {
   uint32_t pair;
   TypeRegistry types = make_types(&pair);

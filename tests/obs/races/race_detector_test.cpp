@@ -5,9 +5,11 @@
 // RacesMerger fold is order-independent and associative.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "src/common/hash.hpp"
 #include "src/obs/analysis/merge.hpp"
 #include "src/obs/analysis/race_detector.hpp"
 #include "src/obs/json.hpp"
@@ -133,6 +135,62 @@ TEST(RaceDetector, VerdictsAreScheduleStable) {
       if (e.racy) EXPECT_GT(num(doc, "race_count"), 0u);
       else EXPECT_EQ(num(doc, "race_count"), 0u);
     }
+  }
+}
+
+// ------------------------------------------------ pinned artifacts
+
+TEST(RaceDetector, ArtifactDigestsArePinned) {
+  // FNV-1a digests of races_json, pinned so that a change to how the
+  // detector keys sites, aggregates races or renders them shows up as a
+  // digest change. The corpus covers every verdict; counter_race on 4 lanes
+  // brings cross-lane edges; lock_pingpong brings wait/notify; alloc_churn
+  // on a 256 KiB semispace moves objects between accesses.
+  struct Case {
+    const char* name;
+    bytecode::Program prog;
+    uint64_t seed;
+    uint32_t lanes;
+    size_t semispace;  // 0 = the default heap
+    uint64_t digest;
+  };
+  std::vector<Case> cases;
+  const uint64_t kCorpus[] = {0xd03060c2c9b98302ull, 0xb9cc308beb529f51ull,
+                              0x7ed50584a9c1a2abull, 0x8dc1b60045e88ed2ull,
+                              0x243530321200690dull, 0x85ca3e012eb5acf6ull};
+  size_t i = 0;
+  for (const racecorpus::CorpusEntry& e : racecorpus::race_corpus()) {
+    ASSERT_LT(i, std::size(kCorpus));
+    cases.push_back({e.name, e.make(), 11, 1, 0, kCorpus[i++]});
+  }
+  ASSERT_EQ(i, std::size(kCorpus));
+  cases.push_back({"counter_race", workloads::counter_race(4, 200), 7, 1, 0,
+                   0xffea2a17d3ec4833ull});
+  cases.push_back({"counter_race_4lanes", workloads::counter_race(4, 200), 7,
+                   4, 0, 0x4a7841b4c5538decull});
+  cases.push_back({"lock_pingpong", workloads::lock_pingpong(2000), 5, 1, 0,
+                   0xb3d99183682e826full});
+  cases.push_back({"clock_mixer_racy", workloads::clock_mixer_racy(3, 200), 7,
+                   1, 0, 0xc08ddff0b71e9dc3ull});
+  cases.push_back({"alloc_churn_small_heap", workloads::alloc_churn(2000, 8, 4),
+                   7, 1, size_t(1) << 18, 0xb855c23a3b52ba78ull});
+  for (const Case& c : cases) {
+    vm::VmOptions opts;
+    opts.lanes = c.lanes;
+    if (c.semispace != 0) opts.heap.size_bytes = c.semispace;
+    vm::ScriptedEnvironment env(1000, 7, {1, 2, 3, 4, 5, 6, 7, 8}, 17);
+    threads::VirtualTimer timer(c.seed, 4, 60);
+    replay::SymmetryConfig rec_cfg;
+    rec_cfg.lanes = c.lanes;
+    replay::RecordResult rec =
+        replay::record_run(c.prog, opts, env, timer, nullptr, rec_cfg);
+    replay::SymmetryConfig cfg;
+    cfg.obs.analyze_races = true;
+    replay::ReplayResult rep = replay::replay_run(c.prog, rec.trace, opts, cfg);
+    ASSERT_TRUE(rep.verified) << c.name << ": " << rep.stats.first_violation;
+    const std::string& json = rep.analysis.races_json;
+    EXPECT_EQ(hash_string(json), c.digest)
+        << c.name << " (" << json.size() << " bytes)";
   }
 }
 

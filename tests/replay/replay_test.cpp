@@ -72,6 +72,67 @@ TEST(Replay, ExactPastGuestBufferBoundary) {
   }
 }
 
+// A 16-byte guest buffer: most event records straddle a buffer boundary, so
+// the mirror must split them there. Each kIoFlush (its stream offset and
+// instruction count), the audit digest and the mirrored byte count are
+// pinned, in record and in replay, so a change to how trace bytes reach
+// the guest buffers cannot move a flush unnoticed.
+TEST(Replay, TinyGuestBufferFlushesArePinned) {
+  struct Pinned {
+    uint32_t lanes;
+    size_t flushes;
+    uint64_t flush_digest;  // FNV-1a over each flush's (offset, instr)
+    uint64_t audit_digest;
+    uint64_t mirror_bytes;
+  };
+  const Pinned cases[] = {
+      {1, 17, 0xdd46b564f11badb4ull, 0xf4e5171b5431397full, 292},
+      {2, 60, 0xfec1725174a240dbull, 0x792e2b364afbd7b0ull, 997},
+  };
+  auto flushes_of = [](const vm::AuditLog& log) {
+    size_t n = 0;
+    Fnv1a h;
+    for (const vm::AuditEvent& e : log.events()) {
+      if (e.kind != vm::AuditKind::kIoFlush) continue;
+      h.update_str(e.detail);
+      h.update_u64(e.instr);
+      n++;
+    }
+    return std::make_pair(n, h.digest());
+  };
+  const bytecode::Program prog = workloads::clock_mixer(2, 40);
+  for (const Pinned& c : cases) {
+    SCOPED_TRACE("lanes " + std::to_string(c.lanes));
+    SymmetryConfig cfg;
+    cfg.lanes = c.lanes;
+    cfg.buffer_capacity = 16;
+    cfg.obs.metrics = true;
+    vm::ScriptedEnvironment env(1000, 7, {1, 2, 3}, 17);
+    threads::VirtualTimer timer(7, 5, 60);
+    RecordSession recd(prog,
+                       std::make_unique<VectorTraceSink>(
+                           trace_version_for_lanes(c.lanes)),
+                       {}, env, timer, nullptr, cfg);
+    RecordResult rec = recd.finish();
+    auto rec_flushes = flushes_of(recd.vm().audit());
+    ReplaySession reps(prog, recd.take_trace(), {}, cfg);
+    ReplayResult rep = reps.finish();
+    ASSERT_TRUE(rep.verified) << rep.stats.first_violation;
+    auto rep_flushes = flushes_of(reps.vm().audit());
+    EXPECT_EQ(rep_flushes, rec_flushes);
+    EXPECT_EQ(rec_flushes.first, c.flushes);
+    EXPECT_EQ(rec_flushes.second, c.flush_digest);
+    EXPECT_EQ(rec.summary.audit_digest, c.audit_digest);
+    EXPECT_EQ(rep.summary.audit_digest, c.audit_digest);
+    const obs::MetricSample* rec_m = rec.metrics.find("engine.mirror.bytes");
+    const obs::MetricSample* rep_m = rep.metrics.find("engine.mirror.bytes");
+    ASSERT_NE(rec_m, nullptr);
+    ASSERT_NE(rep_m, nullptr);
+    EXPECT_EQ(rec_m->value, c.mirror_bytes);
+    EXPECT_EQ(rep_m->value, c.mirror_bytes);
+  }
+}
+
 TEST(Replay, CounterRaceExactAcrossSeeds) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     RecordSetup s;
