@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/common/hash.hpp"
+#include "src/obs/analysis/artifacts.hpp"
 #include "src/obs/json.hpp"
 
 namespace dejavu::farm {
@@ -34,7 +35,7 @@ int64_t snum(const obs::JsonValue& obj, const char* k) {
   return v != nullptr && v->is_number() ? int64_t(v->number) : 0;
 }
 
-std::string str(const obs::JsonValue& obj, const char* k) {
+std::string str(const obs::JsonValue& obj, const std::string& k) {
   const obs::JsonValue* v = obj.find(k);
   return v != nullptr && v->is_string() ? v->string : std::string();
 }
@@ -108,7 +109,10 @@ uint64_t outcome_config_hash(const FarmOptions& opts) {
   h.update_u32(opts.top_n);
   // The scheduler's fixed analyzer set, spelled out so turning one off in
   // a future FarmOptions knob re-keys the cache.
-  h.update_str("profile,locks,heap,races,critpath,cachesim;strict=0");
+  std::string analyzers;
+  for (const obs::ArtifactKind& k : obs::artifact_kinds())
+    analyzers.append(analyzers.empty() ? "" : ",").append(k.name);
+  h.update_str(analyzers + ";strict=0");
   return h.digest();
 }
 
@@ -248,13 +252,18 @@ std::optional<TraceOutcome> OutcomeCache::load(
   out.violations = num(doc, "violations");
   out.first_violation = str(doc, "first_violation");
   if (!read_metrics(doc, &out.metrics)) return std::nullopt;
-  out.analysis.profile_json = str(doc, "profile_json");
   out.analysis.profile_collapsed = str(doc, "profile_collapsed");
-  out.analysis.locks_json = str(doc, "locks_json");
-  out.analysis.heap_json = str(doc, "heap_json");
-  out.analysis.races_json = str(doc, "races_json");
-  out.analysis.critpath_json = str(doc, "critpath_json");
-  out.analysis.cachesim_json = str(doc, "cachesim_json");
+  for (const obs::ArtifactKind& k : obs::artifact_kinds()) {
+    std::string& artifact = out.analysis.*k.result;
+    artifact = str(doc, std::string(k.name) + "_json");
+    if (artifact.empty()) continue;
+    // An artifact the fold would reject is a damaged entry too.
+    try {
+      obs::check_artifact(obs::parse_json(artifact), k.schema);
+    } catch (const VmError&) {
+      return std::nullopt;
+    }
+  }
   out.cached = true;
   // A hit refreshes the entry's mtime so LRU eviction (gc --max-entries /
   // --max-bytes) keeps the entries the fleet actually reuses.
@@ -277,14 +286,10 @@ void OutcomeCache::save(const TraceRecord& record,
       .kv("violations", outcome.violations)
       .kv("first_violation", outcome.first_violation);
   write_metrics(w, outcome.metrics);
-  w.kv("profile_json", outcome.analysis.profile_json)
-      .kv("profile_collapsed", outcome.analysis.profile_collapsed)
-      .kv("locks_json", outcome.analysis.locks_json)
-      .kv("heap_json", outcome.analysis.heap_json)
-      .kv("races_json", outcome.analysis.races_json)
-      .kv("critpath_json", outcome.analysis.critpath_json)
-      .kv("cachesim_json", outcome.analysis.cachesim_json)
-      .end_object();
+  w.kv("profile_collapsed", outcome.analysis.profile_collapsed);
+  for (const obs::ArtifactKind& k : obs::artifact_kinds())
+    w.kv(std::string(k.name) + "_json", outcome.analysis.*k.result);
+  w.end_object();
 
   std::error_code ec;
   fs::create_directories(dir_, ec);

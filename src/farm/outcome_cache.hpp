@@ -77,7 +77,8 @@ class OutcomeCache {
   // miss. `program_fingerprint` is the fingerprint of the program the
   // caller would replay against; an entry recorded under a different
   // program is a miss (stale workload), never a reuse. A malformed or
-  // truncated entry is also a miss -- the farm falls back to replaying.
+  // truncated entry, or one holding an artifact obs::check_artifact
+  // rejects, is also a miss -- the farm falls back to replaying.
   std::optional<TraceOutcome> load(const TraceRecord& record,
                                    uint64_t program_fingerprint) const;
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "src/common/check.hpp"
+#include "src/obs/analysis/artifacts.hpp"
 #include "src/obs/json.hpp"
 
 namespace dejavu::farm {
@@ -73,24 +74,12 @@ std::string farm_report_json(const FarmRunResult& result, uint32_t top_n) {
   w.key("merged_metrics");
   if (result.merged_metrics.samples.empty()) w.null();
   else w.raw(result.merged_metrics.to_json());
-  w.key("merged_profile");
-  if (result.merged_profile.empty()) w.null();
-  else w.raw(result.merged_profile);
-  w.key("merged_locks");
-  if (result.merged_locks.empty()) w.null();
-  else w.raw(result.merged_locks);
-  w.key("merged_heap");
-  if (result.merged_heap.empty()) w.null();
-  else w.raw(result.merged_heap);
-  w.key("merged_races");
-  if (result.merged_races.empty()) w.null();
-  else w.raw(result.merged_races);
-  w.key("merged_critpath");
-  if (result.merged_critpath.empty()) w.null();
-  else w.raw(result.merged_critpath);
-  w.key("merged_cachesim");
-  if (result.merged_cachesim.empty()) w.null();
-  else w.raw(result.merged_cachesim);
+  for (const obs::ArtifactKind& k : obs::artifact_kinds()) {
+    const std::string& doc = result.*k.merged;
+    w.key(std::string("merged_") + k.name);
+    if (doc.empty()) w.null();
+    else w.raw(doc);
+  }
 
   // Presentation-layer top-N over the (untruncated) merged documents.
   w.key("top_methods").begin_array();
@@ -178,152 +167,15 @@ std::string render_farm_report(const std::string& json) {
     }
   }
 
-  const obs::JsonValue* methods = doc.find("top_methods");
-  if (methods != nullptr && methods->is_array() && !methods->items.empty()) {
-    append_line(&out, "top methods (fleet-wide instructions):");
-    for (const obs::JsonValue& m : methods->items) {
-      append_line(&out, "  %-32s %12" PRIu64, str_or(m, "name").c_str(),
-                  num_or(m, "instructions"));
-    }
-  }
-  const obs::JsonValue* mons = doc.find("top_monitors");
-  if (mons != nullptr && mons->is_array() && !mons->items.empty()) {
-    append_line(&out, "top monitors (fleet-wide contention):");
-    for (const obs::JsonValue& m : mons->items) {
-      append_line(&out,
-                  "  monitor %-6" PRIu64 " blocks=%-8" PRIu64
-                  " block_total=%-10" PRIu64 " block_max=%" PRIu64,
-                  num_or(m, "id"), num_or(m, "contended_blocks"),
-                  num_or(m, "block_total"), num_or(m, "block_max"));
-    }
-  }
-
-  // Fleet-wide race verdicts ride the embedded merged races document.
-  const obs::JsonValue* races = doc.find("merged_races");
-  if (races != nullptr && races->is_object()) {
-    uint64_t distinct = num_or(*races, "race_count");
-    append_line(&out, "data races: %" PRIu64 " distinct site pair%s (%" PRIu64
-                " dynamic) across %" PRIu64 " run%s",
-                distinct, distinct == 1 ? "" : "s",
-                num_or(*races, "dynamic_count"),
-                num_or(*races, "merged_runs", 1),
-                num_or(*races, "merged_runs", 1) == 1 ? "" : "s");
-    const obs::JsonValue* list = races->find("races");
-    if (list != nullptr && list->is_array()) {
-      for (const obs::JsonValue& r : list->items) {
-        append_line(&out, "  %-11s %s slot %" PRIu64 "  %s <-> %s  x%" PRIu64,
-                    str_or(r, "kind").c_str(), str_or(r, "class").c_str(),
-                    num_or(r, "slot"), str_or(r, "first_site").c_str(),
-                    str_or(r, "second_site").c_str(), num_or(r, "count"));
-      }
-    }
-  }
-
-  // Fleet wall breakdown + critical-path attribution ride the embedded
-  // merged critpath document.
-  const obs::JsonValue* crit = doc.find("merged_critpath");
-  if (crit != nullptr && crit->is_object()) {
-    append_line(&out,
-                "critical path: %" PRIu64 " instrs on path, %" PRIu64
-                " schedule switches across %" PRIu64 " run%s",
-                num_or(*crit, "critical_path_instrs"),
-                num_or(*crit, "switches"), num_or(*crit, "merged_runs", 1),
-                num_or(*crit, "merged_runs", 1) == 1 ? "" : "s");
-    const obs::JsonValue* threads = crit->find("threads");
-    if (threads != nullptr && threads->is_array() && !threads->items.empty()) {
-      for (const obs::JsonValue& t : threads->items) {
-        append_line(&out,
-                    "  t%-4" PRIu64 " running=%-10" PRIu64
-                    " runnable=%-10" PRIu64 " blocked=%-10" PRIu64
-                    " waiting=%" PRIu64,
-                    num_or(t, "tid"), num_or(t, "running"),
-                    num_or(t, "runnable"), num_or(t, "blocked"),
-                    num_or(t, "waiting"));
-      }
-    }
-    const obs::JsonValue* by_method = crit->find("by_method");
-    if (by_method != nullptr && by_method->is_array() &&
-        !by_method->items.empty()) {
-      append_line(&out, "critical-path methods:");
-      for (const obs::JsonValue& m : by_method->items) {
-        append_line(&out, "  %-32s %12" PRIu64, str_or(m, "method").c_str(),
-                    num_or(m, "instrs"));
-      }
-    }
-  }
-
-  // Cache behaviour rides the embedded merged cachesim document.
-  const obs::JsonValue* cache = doc.find("merged_cachesim");
-  if (cache != nullptr && cache->is_object()) {
-    uint64_t accesses = num_or(*cache, "accesses");
-    uint64_t l1 = num_or(*cache, "l1_misses");
-    uint64_t l2 = num_or(*cache, "l2_misses");
-    append_line(&out,
-                "cache sim: %" PRIu64 " accesses, L1 misses %" PRIu64
-                " (%.1f%%), L2 misses %" PRIu64 " (%.1f%%)",
-                accesses, l1,
-                accesses == 0 ? 0.0 : 100.0 * double(l1) / double(accesses),
-                l2,
-                accesses == 0 ? 0.0 : 100.0 * double(l2) / double(accesses));
-    uint64_t fs_lines = num_or(*cache, "false_sharing_lines");
-    if (fs_lines > 0) {
-      append_line(&out,
-                  "  false-sharing candidates: %" PRIu64 " line%s (of %" PRIu64
-                  " cross-thread shared)",
-                  fs_lines, fs_lines == 1 ? "" : "s",
-                  num_or(*cache, "shared_line_count"));
-    }
-    const obs::JsonValue* shared = cache->find("shared_by_class");
-    if (shared != nullptr && shared->is_array() && !shared->items.empty()) {
-      for (const obs::JsonValue& s : shared->items) {
-        append_line(&out,
-                    "  shared %-20s lines=%-6" PRIu64 " accesses=%-10" PRIu64
-                    " false_sharing=%" PRIu64,
-                    str_or(s, "class").c_str(), num_or(s, "lines"),
-                    num_or(s, "accesses"), num_or(s, "false_sharing"));
-      }
-    }
-  }
-
-  // Deadlock warnings ride the embedded merged locks document.
-  const obs::JsonValue* locks = doc.find("merged_locks");
-  if (locks != nullptr && locks->is_object()) {
-    const obs::JsonValue* warns = locks->find("deadlock_warnings");
-    if (warns != nullptr && warns->is_array() && !warns->items.empty()) {
-      append_line(&out, "DEADLOCK-IMMINENT cycles observed:");
-      for (const obs::JsonValue& c : warns->items) {
-        std::string cyc;
-        const obs::JsonValue* tids = c.find("tids");
-        const obs::JsonValue* ms = c.find("monitors");
-        size_t n = tids != nullptr ? tids->items.size() : 0;
-        for (size_t i = 0; i < n; ++i) {
-          cyc.append("t").append(
-              std::to_string(uint64_t(tids->items[i].number)));
-          if (ms != nullptr && i < ms->items.size())
-            cyc.append(" -(m")
-                .append(std::to_string(uint64_t(ms->items[i].number)))
-                .append(")-> ");
-        }
-        cyc.append("t").append(std::to_string(
-            n > 0 ? uint64_t(tids->items[0].number) : 0));
-        append_line(&out, "  %s  seen %" PRIu64 "x, first at instr %" PRIu64,
-                    cyc.c_str(), num_or(c, "count"), num_or(c, "first_instr"));
-      }
-    }
-  }
-
-  // Forward compatibility: a report from a newer farm can embed artifact
-  // kinds this renderer does not know. One-line notice, never a failure.
-  static const char* const kKnownArtifacts[] = {
-      "dejavu-metrics-v1", "dejavu-profile-v1",   "dejavu-locks-v1",
-      "dejavu-heap-v1",    "dejavu-races-v1",     "dejavu-critpath-v1",
-      "dejavu-cachesim-v1"};
+  // Each embedded merged document renders as `dejavu report` renders it.
+  // A report from a newer farm can embed artifact kinds this renderer does
+  // not know: one-line notice, never a failure.
   for (const auto& [key, value] : doc.members) {
     if (key.rfind("merged_", 0) != 0 || !value.is_object()) continue;
     std::string schema = str_or(value, "schema");
-    bool known = false;
-    for (const char* k : kKnownArtifacts) known = known || schema == k;
-    if (!known)
+    if (obs::find_artifact_kind(schema) != nullptr)
+      out += obs::render_artifact(value);
+    else if (schema != "dejavu-metrics-v1")
       append_line(&out, "skipped unknown artifact %s",
                   schema.empty() ? "(no schema)" : schema.c_str());
   }

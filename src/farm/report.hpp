@@ -8,18 +8,17 @@
 //   traces[]        per-trace verdict rows, in catalog order
 //   totals{}        verdict counts + fleet instruction volume
 //   merged_metrics  full dejavu-metrics-v1 document (embedded)
-//   merged_profile  merged dejavu-profile-v1 (embedded; null if no runs)
-//   merged_locks    merged dejavu-locks-v1
-//   merged_heap     merged dejavu-heap-v1
-//   merged_races    merged dejavu-races-v1 (fleet race verdicts)
-//   merged_critpath merged dejavu-critpath-v1 (fleet wall/critical-path)
-//   merged_cachesim merged dejavu-cachesim-v1 (fleet cache behaviour)
+//   merged_<kind>   one per analysis artifact kind, in obs::artifact_kinds()
+//                   order (profile, locks, heap, races, critpath,
+//                   cachesim): the kind's merged document embedded whole,
+//                   null if no run produced one
 //   top_methods[]   fleet-wide hottest methods (top-N by instructions)
 //   top_monitors[]  fleet-wide most contended monitors (top-N by blocks)
 //
-// The renderer skips embedded merged_* artifacts whose schema it does not
-// know with a one-line notice instead of failing, so a newer farm's report
-// still renders on an older tool.
+// The text rendering prints each embedded merged document with
+// obs::render_artifact. It skips embedded merged_* artifacts whose schema
+// it does not know with a one-line notice instead of failing, so a newer
+// farm's report still renders on an older tool.
 #pragma once
 
 #include <cstdint>

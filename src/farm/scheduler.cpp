@@ -1,10 +1,13 @@
 #include "src/farm/scheduler.hpp"
 
+#include <memory>
 #include <optional>
+#include <span>
 
 #include "src/common/check.hpp"
 #include "src/farm/outcome_cache.hpp"
 #include "src/farm/worker_pool.hpp"
+#include "src/obs/analysis/artifacts.hpp"
 #include "src/obs/analysis/merge.hpp"
 
 namespace dejavu::farm {
@@ -61,12 +64,8 @@ FarmRunResult run_farm(const TraceStore& store, const FarmOptions& opts) {
       // Non-strict: a diverged trace yields a verdict and complete
       // artifacts instead of poisoning the whole fleet run.
       cfg.strict = false;
-      cfg.obs.analyze_profile = true;
-      cfg.obs.analyze_locks = true;
-      cfg.obs.analyze_heap = true;
-      cfg.obs.analyze_races = true;
-      cfg.obs.analyze_critpath = true;
-      cfg.obs.analyze_cachesim = true;
+      for (const obs::ArtifactKind& k : obs::artifact_kinds())
+        cfg.obs.*k.enable = true;
       cfg.obs.analysis_top_n = opts.top_n;
       // Flight tails resume from their embedded checkpoint inside the
       // replay session; a crash tail reproducing its recorded VmError is a
@@ -87,31 +86,21 @@ FarmRunResult run_farm(const TraceStore& store, const FarmOptions& opts) {
   });
 
   // Fold fleet-wide, in catalog order (determinism contract).
-  obs::ProfileMerger profile;
-  obs::LocksMerger locks;
-  obs::HeapMerger heap;
-  obs::RacesMerger races;
-  obs::CritPathMerger critpath;
-  obs::CacheSimMerger cachesim;
+  std::span<const obs::ArtifactKind> kinds = obs::artifact_kinds();
+  std::vector<std::unique_ptr<obs::ArtifactMerger>> mergers;
+  for (const obs::ArtifactKind& k : kinds) mergers.push_back(k.make_merger());
   for (const TraceOutcome& o : out.outcomes) {
     if (o.verdict == "error") continue;
     obs::merge_snapshots(&out.merged_metrics, o.metrics);
-    if (!o.analysis.profile_json.empty())
-      profile.add_json(o.analysis.profile_json);
-    if (!o.analysis.locks_json.empty()) locks.add_json(o.analysis.locks_json);
-    if (!o.analysis.heap_json.empty()) heap.add_json(o.analysis.heap_json);
-    if (!o.analysis.races_json.empty()) races.add_json(o.analysis.races_json);
-    if (!o.analysis.critpath_json.empty())
-      critpath.add_json(o.analysis.critpath_json);
-    if (!o.analysis.cachesim_json.empty())
-      cachesim.add_json(o.analysis.cachesim_json);
+    for (size_t i = 0; i < mergers.size(); ++i) {
+      const std::string& doc = o.analysis.*kinds[i].result;
+      if (!doc.empty()) mergers[i]->add_json(doc);
+    }
   }
-  if (profile.runs() > 0) out.merged_profile = profile.artifact();
-  if (locks.runs() > 0) out.merged_locks = locks.artifact();
-  if (heap.runs() > 0) out.merged_heap = heap.artifact();
-  if (races.runs() > 0) out.merged_races = races.artifact();
-  if (critpath.runs() > 0) out.merged_critpath = critpath.artifact();
-  if (cachesim.runs() > 0) out.merged_cachesim = cachesim.artifact();
+  for (size_t i = 0; i < mergers.size(); ++i) {
+    if (mergers[i]->runs() > 0)
+      out.*kinds[i].merged = mergers[i]->artifact();
+  }
 
   // Disk-budget enforcement: after the run (so this run's outcomes were
   // eligible to persist), LRU-evict the outcome cache down to the cap.

@@ -3,15 +3,10 @@
 // run_farm lists a TraceStore's catalog (deterministic order), fans one
 // replay-with-analyzers per trace across the worker pool -- each task owns
 // a fresh DejaVuEngine, Vm and heap, so traces share nothing -- and folds
-// the per-trace results on the caller thread in catalog order:
-//
-//   metrics    via obs::merge_snapshots
-//   profile    via obs::ProfileMerger      (dejavu-profile-v1)
-//   locks      via obs::LocksMerger        (dejavu-locks-v1)
-//   heap       via obs::HeapMerger         (dejavu-heap-v1)
-//   races      via obs::RacesMerger        (dejavu-races-v1)
-//   critpath   via obs::CritPathMerger     (dejavu-critpath-v1)
-//   cachesim   via obs::CacheSimMerger     (dejavu-cachesim-v1)
+// the per-trace results on the caller thread in catalog order: metrics via
+// obs::merge_snapshots, and each analysis artifact kind through its
+// merger (obs::artifact_kinds(): profile, locks, heap, races, critpath,
+// cachesim).
 //
 // Because replay of a given trace is deterministic and the fold order is
 // the catalog order, the merged results are byte-identical for any --jobs
@@ -28,6 +23,7 @@
 
 #include "src/bytecode/model.hpp"
 #include "src/farm/trace_store.hpp"
+#include "src/obs/analysis/artifacts.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/replay/session.hpp"
 
@@ -69,15 +65,11 @@ struct TraceOutcome {
   obs::AnalysisResults analysis;
 };
 
-struct FarmRunResult {
+// The merged_* members (obs::MergedArtifacts) hold each kind's fleet
+// document.
+struct FarmRunResult : obs::MergedArtifacts {
   std::vector<TraceOutcome> outcomes;  // catalog (store.list()) order
   obs::MetricsSnapshot merged_metrics;
-  std::string merged_profile;   // merged dejavu-profile-v1
-  std::string merged_locks;     // merged dejavu-locks-v1
-  std::string merged_heap;      // merged dejavu-heap-v1
-  std::string merged_races;     // merged dejavu-races-v1
-  std::string merged_critpath;  // merged dejavu-critpath-v1
-  std::string merged_cachesim;  // merged dejavu-cachesim-v1
 };
 
 FarmRunResult run_farm(const TraceStore& store, const FarmOptions& opts);

@@ -423,26 +423,48 @@ void Heap::restore(ByteReader& r) {
   DV_CHECK_MSG(space == space_bytes_, "checkpoint heap size mismatch ("
                                           << space << " vs " << space_bytes_
                                           << ")");
+  // The live space is [from_base_ + 8, from_base_ + space_bytes_): the low
+  // or high semispace (copying), or the whole heap (mark-sweep). Every
+  // offset below must lie inside it, so no later allocation, sweep or
+  // image copy can reach past the store.
+  size_t at = r.position();
   from_base_ = size_t(r.get_uvarint());
+  DV_CHECK_MSG(from_base_ == 0 || (cfg_.gc == GcKind::kSemispaceCopying &&
+                                   from_base_ == space_bytes_),
+               "checkpoint heap live base " << from_base_ << " at offset "
+                                            << at << " is not a space base");
+  const size_t lo = from_base_ + 8, hi = from_base_ + space_bytes_;
+  at = r.position();
   bump_ = size_t(r.get_uvarint());
+  DV_CHECK_MSG(bump_ >= lo && bump_ <= hi,
+               "checkpoint heap bump pointer " << bump_ << " at offset " << at
+                   << " lies outside the live space [" << lo << ", " << hi
+                   << "]");
   stats_.alloc_count = r.get_uvarint();
   stats_.alloc_bytes = r.get_uvarint();
   stats_.gc_count = r.get_uvarint();
   stats_.gc_live_bytes_last = r.get_uvarint();
   free_list_.clear();
-  size_t nfree = size_t(r.get_uvarint());
+  size_t nfree = r.get_count(2, "heap free-list");
   for (size_t i = 0; i < nfree; ++i) {
     FreeBlock fb;
+    at = r.position();
     fb.off = size_t(r.get_uvarint());
     fb.size = size_t(r.get_uvarint());
+    DV_CHECK_MSG(fb.off >= lo && fb.off <= bump_ && fb.size <= bump_ - fb.off,
+                 "checkpoint heap free block " << fb.off << "+" << fb.size
+                     << " at offset " << at
+                     << " lies outside the allocated live space [" << lo
+                     << ", " << bump_ << ")");
     free_list_.push_back(fb);
   }
   allocate_zeroed();
+  at = r.position();
   size_t len = size_t(r.get_uvarint());
-  DV_CHECK_MSG(from_base_ + 8 + len <= mem_size_ &&
-                   len == bump_ - (from_base_ + 8),
-               "checkpoint heap image inconsistent");
-  r.get_bytes(mem_.get() + from_base_ + 8, len);
+  DV_CHECK_MSG(len == bump_ - lo, "checkpoint heap image length "
+                                      << len << " at offset " << at
+                                      << " disagrees with the bump pointer");
+  r.get_bytes(mem_.get() + lo, len);
 }
 
 }  // namespace dejavu::heap

@@ -18,6 +18,7 @@
 #include <functional>
 #include <string>
 
+#include "src/obs/analysis/artifacts.hpp"
 #include "src/vm/hooks.hpp"
 
 namespace dejavu::vm {
@@ -127,24 +128,6 @@ class AnalysisObserver {
   // The analyzer's primary artifact (a JSON document), valid after
   // on_run_end.
   virtual std::string artifact() const = 0;
-};
-
-// Rendered artifacts of the built-in analyzers, carried on ReplayResult.
-// Empty strings mean the corresponding analyzer was not enabled.
-struct AnalysisResults {
-  std::string profile_json;       // dejavu-profile-v1
-  std::string profile_collapsed;  // Brendan Gregg collapsed-stack text
-  std::string locks_json;         // dejavu-locks-v1
-  std::string heap_json;          // dejavu-heap-v1
-  std::string races_json;         // dejavu-races-v1
-  std::string critpath_json;      // dejavu-critpath-v1
-  std::string cachesim_json;      // dejavu-cachesim-v1
-
-  bool any() const {
-    return !profile_json.empty() || !locks_json.empty() ||
-           !heap_json.empty() || !races_json.empty() ||
-           !critpath_json.empty() || !cachesim_json.empty();
-  }
 };
 
 }  // namespace dejavu::obs

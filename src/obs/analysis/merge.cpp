@@ -3,68 +3,49 @@
 #include <algorithm>
 
 #include "src/common/check.hpp"
+#include "src/obs/analysis/artifacts.hpp"
 #include "src/obs/json.hpp"
 
 namespace dejavu::obs {
 
 namespace {
 
-const JsonValue& doc_check(const JsonValue& v, const char* schema) {
-  const JsonValue* s = v.find("schema");
-  if (s == nullptr || !s->is_string() || s->string != schema)
-    throw VmError(std::string("merger: expected ") + schema);
-  return v;
+// Reads of a checked document: every key is present with its type.
+uint64_t u64(const JsonValue& obj, const char* k) {
+  return uint64_t(obj.at(k).number);
 }
 
-uint64_t num(const JsonValue& obj, const char* k, uint64_t dflt = 0) {
-  const JsonValue* v = obj.find(k);
-  return v != nullptr && v->is_number() ? uint64_t(v->number) : dflt;
+const std::string& text(const JsonValue& obj, const char* k) {
+  return obj.at(k).string;
 }
-
-int64_t snum(const JsonValue& obj, const char* k, int64_t dflt = 0) {
-  const JsonValue* v = obj.find(k);
-  return v != nullptr && v->is_number() ? int64_t(v->number) : dflt;
-}
-
-bool flag(const JsonValue& obj, const char* k, bool dflt) {
-  const JsonValue* v = obj.find(k);
-  return v != nullptr && v->type == JsonValue::Type::kBool ? v->boolean : dflt;
-}
-
-std::string str(const JsonValue& obj, const char* k) {
-  const JsonValue* v = obj.find(k);
-  return v != nullptr && v->is_string() ? v->string : std::string();
-}
-
-// Number of per-run documents a (possibly already merged) input represents.
-uint64_t doc_runs(const JsonValue& v) { return num(v, "merged_runs", 1); }
 
 }  // namespace
 
+void ArtifactMerger::add_json(const std::string& json) {
+  JsonValue doc = parse_json(json);
+  check_artifact(doc, schema_);
+  // A merged input stands for merged_runs per-run documents.
+  const JsonValue* merged = doc.find("merged_runs");
+  runs_ += merged != nullptr ? uint64_t(merged->number) : 1;
+  run_instr_count_ += u64(doc, "run_instr_count");
+  verified_ = verified_ && doc.at("verified").boolean;
+  post_violation_ = post_violation_ || doc.at("post_violation").boolean;
+  fold(doc);
+}
+
 // ------------------------------------------------------------- profile
 
-void ProfileMerger::add_json(const std::string& json) {
-  JsonValue v = parse_json(json);
-  doc_check(v, "dejavu-profile-v1");
-  runs_ += doc_runs(v);
-  total_instructions_ += num(v, "total_instructions");
-  total_yield_points_ += num(v, "total_yield_points");
-  run_instr_count_ += num(v, "run_instr_count");
-  run_logical_clock_ += num(v, "run_logical_clock");
-  verified_ = verified_ && flag(v, "verified", false);
-  post_violation_ = post_violation_ || flag(v, "post_violation", false);
-
-  const JsonValue* methods = v.find("methods");
-  if (methods == nullptr || !methods->is_array()) return;
-  for (const JsonValue& m : methods->items) {
-    MethodAgg& agg = methods_[str(m, "name")];
-    agg.instructions += num(m, "instructions");
-    agg.yield_points += num(m, "yield_points");
-    const JsonValue* pcs = m.find("hot_pcs");
-    if (pcs == nullptr || !pcs->is_array()) continue;
-    for (const JsonValue& pc : pcs->items) {
-      agg.pcs[{num(pc, "pc"), str(pc, "op"), snum(pc, "line", -1)}] +=
-          num(pc, "count");
+void ProfileMerger::fold(const JsonValue& doc) {
+  total_instructions_ += u64(doc, "total_instructions");
+  total_yield_points_ += u64(doc, "total_yield_points");
+  run_logical_clock_ += u64(doc, "run_logical_clock");
+  for (const JsonValue& m : doc.at("methods").items) {
+    MethodAgg& agg = methods_[text(m, "name")];
+    agg.instructions += u64(m, "instructions");
+    agg.yield_points += u64(m, "yield_points");
+    for (const JsonValue& pc : m.at("hot_pcs").items) {
+      agg.pcs[{u64(pc, "pc"), text(pc, "op"),
+               int64_t(pc.at("line").number)}] += u64(pc, "count");
     }
   }
 }
@@ -119,71 +100,49 @@ std::string ProfileMerger::artifact() const {
 
 // ---------------------------------------------------------------- locks
 
-void LocksMerger::add_json(const std::string& json) {
-  JsonValue v = parse_json(json);
-  doc_check(v, "dejavu-locks-v1");
-  runs_ += doc_runs(v);
-  run_instr_count_ += num(v, "run_instr_count");
-  verified_ = verified_ && flag(v, "verified", false);
-  post_violation_ = post_violation_ || flag(v, "post_violation", false);
-
-  const JsonValue* mons = v.find("monitors");
-  if (mons != nullptr && mons->is_array()) {
-    for (const JsonValue& m : mons->items) {
-      MonitorAgg& agg = monitors_[num(m, "id")];
-      agg.acquires += num(m, "acquires");
-      agg.recursive_acquires += num(m, "recursive_acquires");
-      agg.contended_blocks += num(m, "contended_blocks");
-      agg.hold_total += num(m, "hold_total");
-      agg.hold_max = std::max(agg.hold_max, num(m, "hold_max"));
-      agg.block_total += num(m, "block_total");
-      agg.block_max = std::max(agg.block_max, num(m, "block_max"));
-      agg.waits += num(m, "waits");
-      agg.wait_total += num(m, "wait_total");
-      agg.wait_max = std::max(agg.wait_max, num(m, "wait_max"));
-      agg.notify_ops += num(m, "notify_ops");
-      agg.woken += num(m, "woken");
-    }
+void LocksMerger::fold(const JsonValue& doc) {
+  for (const JsonValue& m : doc.at("monitors").items) {
+    MonitorAgg& agg = monitors_[u64(m, "id")];
+    agg.acquires += u64(m, "acquires");
+    agg.recursive_acquires += u64(m, "recursive_acquires");
+    agg.contended_blocks += u64(m, "contended_blocks");
+    agg.hold_total += u64(m, "hold_total");
+    agg.hold_max = std::max(agg.hold_max, u64(m, "hold_max"));
+    agg.block_total += u64(m, "block_total");
+    agg.block_max = std::max(agg.block_max, u64(m, "block_max"));
+    agg.waits += u64(m, "waits");
+    agg.wait_total += u64(m, "wait_total");
+    agg.wait_max = std::max(agg.wait_max, u64(m, "wait_max"));
+    agg.notify_ops += u64(m, "notify_ops");
+    agg.woken += u64(m, "woken");
   }
-  const JsonValue* edges = v.find("wait_edges");
-  if (edges != nullptr && edges->is_array()) {
-    for (const JsonValue& e : edges->items) {
-      wait_edges_[{num(e, "blocked"), num(e, "holder"), num(e, "monitor")}] +=
-          num(e, "count");
-    }
+  for (const JsonValue& e : doc.at("wait_edges").items) {
+    wait_edges_[{u64(e, "blocked"), u64(e, "holder"), u64(e, "monitor")}] +=
+        u64(e, "count");
   }
-  const JsonValue* inv = v.find("inversions");
-  if (inv != nullptr && inv->is_array()) {
-    for (const JsonValue& p : inv->items)
-      inversions_.insert({num(p, "a"), num(p, "b")});
-  }
-  const JsonValue* warns = v.find("deadlock_warnings");
-  if (warns != nullptr && warns->is_array()) {
-    for (const JsonValue& c : warns->items) {
-      std::vector<uint64_t> tids, monitors;
-      const JsonValue* t = c.find("tids");
-      const JsonValue* m = c.find("monitors");
-      if (t != nullptr && t->is_array())
-        for (const JsonValue& x : t->items) tids.push_back(uint64_t(x.number));
-      if (m != nullptr && m->is_array())
-        for (const JsonValue& x : m->items)
-          monitors.push_back(uint64_t(x.number));
-      std::string key;
-      for (size_t i = 0; i < tids.size(); ++i) {
-        key += std::to_string(tids[i]) + ":" +
-               (i < monitors.size() ? std::to_string(monitors[i]) : "?") + ";";
-      }
-      CycleAgg& agg = cycles_[key];
-      uint64_t first = num(c, "first_instr");
-      if (agg.count == 0) {
-        agg.tids = std::move(tids);
-        agg.monitors = std::move(monitors);
-        agg.first_instr = first;
-      } else {
-        agg.first_instr = std::min(agg.first_instr, first);
-      }
-      agg.count += num(c, "count");
+  for (const JsonValue& p : doc.at("inversions").items)
+    inversions_.insert({u64(p, "a"), u64(p, "b")});
+  for (const JsonValue& c : doc.at("deadlock_warnings").items) {
+    // The check guarantees equal-length tids and monitors.
+    std::vector<uint64_t> tids, monitors;
+    std::string key;
+    const std::vector<JsonValue>& t = c.at("tids").items;
+    const std::vector<JsonValue>& m = c.at("monitors").items;
+    for (size_t i = 0; i < t.size(); ++i) {
+      tids.push_back(uint64_t(t[i].number));
+      monitors.push_back(uint64_t(m[i].number));
+      key += std::to_string(tids[i]) + ":" + std::to_string(monitors[i]) + ";";
     }
+    CycleAgg& agg = cycles_[key];
+    uint64_t first = u64(c, "first_instr");
+    if (agg.count == 0) {
+      agg.tids = std::move(tids);
+      agg.monitors = std::move(monitors);
+      agg.first_instr = first;
+    } else {
+      agg.first_instr = std::min(agg.first_instr, first);
+    }
+    agg.count += u64(c, "count");
   }
 }
 
@@ -247,34 +206,25 @@ std::string LocksMerger::artifact() const {
 
 // ---------------------------------------------------------------- races
 
-void RacesMerger::add_json(const std::string& json) {
-  JsonValue v = parse_json(json);
-  doc_check(v, "dejavu-races-v1");
-  runs_ += doc_runs(v);
-  dynamic_count_ += num(v, "dynamic_count");
-  checks_ += num(v, "checks");
-  run_instr_count_ += num(v, "run_instr_count");
-  verified_ = verified_ && flag(v, "verified", false);
-  post_violation_ = post_violation_ || flag(v, "post_violation", false);
-
-  const JsonValue* races = v.find("races");
-  if (races == nullptr || !races->is_array()) return;
-  for (const JsonValue& r : races->items) {
+void RacesMerger::fold(const JsonValue& doc) {
+  dynamic_count_ += u64(doc, "dynamic_count");
+  checks_ += u64(doc, "checks");
+  for (const JsonValue& r : doc.at("races").items) {
     RaceAgg in;
-    in.cls = str(r, "class");
-    in.alloc_site = str(r, "alloc_site");
-    in.slot = num(r, "slot");
-    in.first_instr = num(r, "first_instr");
-    in.first_tid = num(r, "first_tid");
-    in.second_tid = num(r, "second_tid");
-    in.first_line = snum(r, "first_line", -1);
-    in.second_line = snum(r, "second_line", -1);
-    in.first_clock = num(r, "first_clock");
-    in.second_clock = num(r, "second_clock");
-    in.count = num(r, "count", 1);
+    in.cls = text(r, "class");
+    in.alloc_site = text(r, "alloc_site");
+    in.slot = u64(r, "slot");
+    in.first_instr = u64(r, "first_instr");
+    in.first_tid = u64(r, "first_tid");
+    in.second_tid = u64(r, "second_tid");
+    in.first_line = int64_t(r.at("first_line").number);
+    in.second_line = int64_t(r.at("second_line").number);
+    in.first_clock = u64(r, "first_clock");
+    in.second_clock = u64(r, "second_clock");
+    in.count = u64(r, "count");
 
-    RaceAgg& agg = races_[{str(r, "kind"), str(r, "first_site"),
-                           str(r, "second_site")}];
+    RaceAgg& agg = races_[{text(r, "kind"), text(r, "first_site"),
+                           text(r, "second_site")}];
     if (agg.count == 0 || in.rep_key() < agg.rep_key()) {
       uint64_t count = agg.count;
       agg = in;
@@ -333,42 +283,26 @@ std::string RacesMerger::artifact() const {
 
 // ----------------------------------------------------------------- heap
 
-void HeapMerger::add_json(const std::string& json) {
-  JsonValue v = parse_json(json);
-  doc_check(v, "dejavu-heap-v1");
-  runs_ += doc_runs(v);
-  allocs_ += num(v, "allocs");
-  alloc_slots_ += num(v, "alloc_slots");
-  reads_ += num(v, "reads");
-  writes_ += num(v, "writes");
-  gc_moves_ += num(v, "gc_moves");
-  run_instr_count_ += num(v, "run_instr_count");
-  verified_ = verified_ && flag(v, "verified", false);
-  post_violation_ = post_violation_ || flag(v, "post_violation", false);
-
-  const JsonValue* types = v.find("by_type");
-  if (types != nullptr && types->is_array()) {
-    for (const JsonValue& t : types->items) {
-      TypeAgg& agg = by_type_[str(t, "class")];
-      agg.count += num(t, "count");
-      agg.slots += num(t, "slots");
-    }
+void HeapMerger::fold(const JsonValue& doc) {
+  allocs_ += u64(doc, "allocs");
+  alloc_slots_ += u64(doc, "alloc_slots");
+  reads_ += u64(doc, "reads");
+  writes_ += u64(doc, "writes");
+  gc_moves_ += u64(doc, "gc_moves");
+  for (const JsonValue& t : doc.at("by_type").items) {
+    TypeAgg& agg = by_type_[text(t, "class")];
+    agg.count += u64(t, "count");
+    agg.slots += u64(t, "slots");
   }
-  const JsonValue* sites = v.find("top_sites");
-  if (sites != nullptr && sites->is_array()) {
-    for (const JsonValue& s : sites->items)
-      sites_[str(s, "site")] += num(s, "count");
-  }
-  const JsonValue* hot = v.find("hot_objects");
-  if (hot != nullptr && hot->is_array()) {
-    for (const JsonValue& o : hot->items) {
-      // Per-run entries are single objects; already-merged documents carry
-      // an "objects" tally instead. Default to 1 so both feed the same key.
-      HotAgg& agg = hot_[{str(o, "class"), str(o, "site")}];
-      agg.objects += num(o, "objects", 1);
-      agg.reads += num(o, "reads");
-      agg.writes += num(o, "writes");
-    }
+  for (const JsonValue& s : doc.at("top_sites").items)
+    sites_[text(s, "site")] += u64(s, "count");
+  for (const JsonValue& o : doc.at("hot_objects").items) {
+    // Per-run entries are single objects; already-merged documents carry
+    // an "objects" tally instead. Both feed the same key.
+    HotAgg& agg = hot_[{text(o, "class"), text(o, "site")}];
+    agg.objects += o.find("objects") != nullptr ? u64(o, "objects") : 1;
+    agg.reads += u64(o, "reads");
+    agg.writes += u64(o, "writes");
   }
 }
 
@@ -446,36 +380,20 @@ std::string HeapMerger::artifact() const {
 
 // ------------------------------------------------------------- critpath
 
-void CritPathMerger::add_json(const std::string& json) {
-  JsonValue v = parse_json(json);
-  doc_check(v, "dejavu-critpath-v1");
-  runs_ += doc_runs(v);
-  switches_ += num(v, "switches");
-  path_instrs_ += num(v, "critical_path_instrs");
-  run_instr_count_ += num(v, "run_instr_count");
-  verified_ = verified_ && flag(v, "verified", false);
-  post_violation_ = post_violation_ || flag(v, "post_violation", false);
-
-  const JsonValue* threads = v.find("threads");
-  if (threads != nullptr && threads->is_array()) {
-    for (const JsonValue& t : threads->items) {
-      WallAgg& agg = threads_[num(t, "tid")];
-      agg.running += num(t, "running");
-      agg.runnable += num(t, "runnable");
-      agg.blocked += num(t, "blocked");
-      agg.waiting += num(t, "waiting");
-    }
+void CritPathMerger::fold(const JsonValue& doc) {
+  switches_ += u64(doc, "switches");
+  path_instrs_ += u64(doc, "critical_path_instrs");
+  for (const JsonValue& t : doc.at("threads").items) {
+    WallAgg& agg = threads_[u64(t, "tid")];
+    agg.running += u64(t, "running");
+    agg.runnable += u64(t, "runnable");
+    agg.blocked += u64(t, "blocked");
+    agg.waiting += u64(t, "waiting");
   }
-  const JsonValue* methods = v.find("by_method");
-  if (methods != nullptr && methods->is_array()) {
-    for (const JsonValue& m : methods->items)
-      methods_[str(m, "method")] += num(m, "instrs");
-  }
-  const JsonValue* edges = v.find("edge_kinds");
-  if (edges != nullptr && edges->is_array()) {
-    for (const JsonValue& e : edges->items)
-      edges_[str(e, "kind")] += num(e, "count");
-  }
+  for (const JsonValue& m : doc.at("by_method").items)
+    methods_[text(m, "method")] += u64(m, "instrs");
+  for (const JsonValue& e : doc.at("edge_kinds").items)
+    edges_[text(e, "kind")] += u64(e, "count");
 }
 
 std::string CritPathMerger::artifact() const {
@@ -525,62 +443,46 @@ std::string CritPathMerger::artifact() const {
 
 // ------------------------------------------------------------- cachesim
 
-void CacheSimMerger::add_json(const std::string& json) {
-  JsonValue v = parse_json(json);
-  doc_check(v, "dejavu-cachesim-v1");
-  runs_ += doc_runs(v);
-  accesses_ += num(v, "accesses");
-  reads_ += num(v, "reads");
-  writes_ += num(v, "writes");
-  l1_misses_ += num(v, "l1_misses");
-  l2_misses_ += num(v, "l2_misses");
-  shared_line_count_ += num(v, "shared_line_count");
-  false_sharing_lines_ += num(v, "false_sharing_lines");
-  run_instr_count_ += num(v, "run_instr_count");
-  line_bytes_ = std::min(line_bytes_, num(v, "line_bytes", kUnset));
-  l1_bytes_ = std::min(l1_bytes_, num(v, "l1_bytes", kUnset));
-  l1_ways_ = std::min(l1_ways_, num(v, "l1_ways", kUnset));
-  l2_bytes_ = std::min(l2_bytes_, num(v, "l2_bytes", kUnset));
-  l2_ways_ = std::min(l2_ways_, num(v, "l2_ways", kUnset));
-  verified_ = verified_ && flag(v, "verified", false);
-  post_violation_ = post_violation_ || flag(v, "post_violation", false);
+void CacheSimMerger::fold(const JsonValue& doc) {
+  accesses_ += u64(doc, "accesses");
+  reads_ += u64(doc, "reads");
+  writes_ += u64(doc, "writes");
+  l1_misses_ += u64(doc, "l1_misses");
+  l2_misses_ += u64(doc, "l2_misses");
+  shared_line_count_ += u64(doc, "shared_line_count");
+  false_sharing_lines_ += u64(doc, "false_sharing_lines");
+  line_bytes_ = std::min(line_bytes_, u64(doc, "line_bytes"));
+  l1_bytes_ = std::min(l1_bytes_, u64(doc, "l1_bytes"));
+  l1_ways_ = std::min(l1_ways_, u64(doc, "l1_ways"));
+  l2_bytes_ = std::min(l2_bytes_, u64(doc, "l2_bytes"));
+  l2_ways_ = std::min(l2_ways_, u64(doc, "l2_ways"));
 
-  const JsonValue* sites = v.find("by_site");
-  if (sites != nullptr && sites->is_array()) {
-    for (const JsonValue& s : sites->items) {
-      SiteAgg& agg = by_site_[str(s, "site")];
-      agg.accesses += num(s, "accesses");
-      agg.l1_misses += num(s, "l1_misses");
-      agg.l2_misses += num(s, "l2_misses");
+  auto fold_sites = [](const JsonValue& list, const char* name_key,
+                       std::map<std::string, SiteAgg>& into) {
+    for (const JsonValue& s : list.items) {
+      SiteAgg& agg = into[text(s, name_key)];
+      agg.accesses += u64(s, "accesses");
+      agg.l1_misses += u64(s, "l1_misses");
+      agg.l2_misses += u64(s, "l2_misses");
     }
-  }
-  const JsonValue* types = v.find("by_type");
-  if (types != nullptr && types->is_array()) {
-    for (const JsonValue& t : types->items) {
-      SiteAgg& agg = by_type_[str(t, "class")];
-      agg.accesses += num(t, "accesses");
-      agg.l1_misses += num(t, "l1_misses");
-      agg.l2_misses += num(t, "l2_misses");
-    }
-  }
+  };
+  fold_sites(doc.at("by_site"), "site", by_site_);
+  fold_sites(doc.at("by_type"), "class", by_type_);
   // Per-run documents report individual shared lines; merged documents
   // carry the re-keyed per-class tallies. Fold both into the same keys.
-  const JsonValue* lines = v.find("shared_lines");
-  if (lines != nullptr && lines->is_array()) {
+  if (const JsonValue* lines = doc.find("shared_lines")) {
     for (const JsonValue& l : lines->items) {
-      SharedAgg& agg = shared_[str(l, "class")];
+      SharedAgg& agg = shared_[text(l, "class")];
       agg.lines += 1;
-      agg.accesses += num(l, "accesses");
-      if (num(l, "distinct_slots") > 1) agg.false_sharing += 1;
+      agg.accesses += u64(l, "accesses");
+      if (u64(l, "distinct_slots") > 1) agg.false_sharing += 1;
     }
-  }
-  const JsonValue* byc = v.find("shared_by_class");
-  if (byc != nullptr && byc->is_array()) {
-    for (const JsonValue& c : byc->items) {
-      SharedAgg& agg = shared_[str(c, "class")];
-      agg.lines += num(c, "lines");
-      agg.accesses += num(c, "accesses");
-      agg.false_sharing += num(c, "false_sharing");
+  } else {
+    for (const JsonValue& c : doc.at("shared_by_class").items) {
+      SharedAgg& agg = shared_[text(c, "class")];
+      agg.lines += u64(c, "lines");
+      agg.accesses += u64(c, "accesses");
+      agg.false_sharing += u64(c, "false_sharing");
     }
   }
 }

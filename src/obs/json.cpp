@@ -159,6 +159,12 @@ const JsonValue* JsonValue::find(const std::string& k) const {
   return hit;
 }
 
+const JsonValue& JsonValue::at(const std::string& k) const {
+  const JsonValue* v = find(k);
+  if (v == nullptr) throw VmError("json: missing key \"" + k + "\"");
+  return *v;
+}
+
 namespace {
 
 class Parser {

@@ -186,6 +186,8 @@ struct JsonValue {
 
   // Object member lookup; nullptr when absent or not an object.
   const JsonValue* find(const std::string& k) const;
+  // Object member lookup; throws VmError when absent.
+  const JsonValue& at(const std::string& k) const;
 };
 
 // Parses one JSON document (trailing whitespace allowed, nothing else).

@@ -467,21 +467,56 @@ TEST(FarmCache, AnalyzerConfigChangeIsAMiss) {
   EXPECT_EQ(cached_count(hit3), hit3.outcomes.size());
 }
 
+// `entry` with its string member `key` set to `value`.
+std::string with_member(const std::string& entry, const std::string& key,
+                        const std::string& value) {
+  std::string needle = "\"" + key + "\":\"";
+  size_t start = entry.find(needle);
+  EXPECT_NE(start, std::string::npos) << key;
+  if (start == std::string::npos) return entry;
+  start += needle.size();
+  size_t end = start;
+  while (entry[end] != '"') end += entry[end] == '\\' ? 2 : 1;
+  return entry.substr(0, start) + obs::json_escape(value) + entry.substr(end);
+}
+
 TEST(FarmCache, DamagedEntryIsAMissNotAnError) {
   CacheFixture fx;
   FarmRunResult fresh = fx.run(true);
-  // Truncate one entry mid-document; the farm must fall back to replaying
-  // that trace and still produce the identical report.
   fs::path cache_dir = fs::path(fx.store_dir) / "cache";
   ASSERT_TRUE(fs::exists(cache_dir));
   fs::path victim;
   for (const auto& e : fs::directory_iterator(cache_dir)) victim = e.path();
   ASSERT_FALSE(victim.empty());
-  fs::resize_file(victim, fs::file_size(victim) / 2);
+  auto read = [&] {
+    std::ifstream in(victim, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  auto write = [&](const std::string& text) {
+    std::ofstream(victim, std::ios::binary | std::ios::trunc) << text;
+  };
 
-  FarmRunResult again = fx.run(true);
-  EXPECT_EQ(cached_count(again), again.outcomes.size() - 1);
-  EXPECT_EQ(farm_report_json(again, 10), farm_report_json(fresh, 10));
+  // Each damage turns the entry into a miss: the farm replays that trace
+  // (which rewrites the entry whole) and produces the identical report.
+  const std::string whole = read();
+  const std::pair<const char*, std::string> damages[] = {
+      // Truncated mid-document.
+      {"truncated", whole.substr(0, whole.size() / 2)},
+      // An artifact that is not JSON.
+      {"non-JSON profile", with_member(whole, "profile_json", "not json")},
+      // An artifact that holds only its schema.
+      {"schema-only locks",
+       with_member(whole, "locks_json", "{\"schema\":\"dejavu-locks-v1\"}")},
+  };
+  for (const auto& [name, damaged] : damages) {
+    SCOPED_TRACE(name);
+    write(damaged);
+    FarmRunResult again;
+    ASSERT_NO_THROW(again = fx.run(true));
+    EXPECT_EQ(cached_count(again), again.outcomes.size() - 1);
+    EXPECT_EQ(farm_report_json(again, 10), farm_report_json(fresh, 10));
+    EXPECT_EQ(read(), whole);
+  }
 }
 
 TEST(FarmCache, GcDropsOrphanedConfigsAndRunRepopulates) {

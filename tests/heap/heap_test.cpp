@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/heap/heap.hpp"
 
@@ -231,6 +235,127 @@ TEST(Heap, RestoreOverADirtiedHeapEqualsRestoreIntoAFreshOne) {
     size_t nonzero = 0;
     for (size_t i = bump; i < dirty.raw_size(); ++i) nonzero += dirty.raw()[i] != 0;
     EXPECT_EQ(nonzero, 0u);
+  }
+}
+
+// A heap checkpoint, field by field, in Heap::serialize's layout, so a test
+// can splice one bad value into a valid checkpoint and re-encode it.
+struct HeapImage {
+  uint8_t gc = 0;
+  uint64_t space = 0, from_base = 0, bump = 0;
+  uint64_t stats[4] = {};
+  std::vector<std::pair<uint64_t, uint64_t>> free_blocks;  // (off, size)
+  std::vector<uint8_t> bytes;
+
+  explicit HeapImage(const std::vector<uint8_t>& ckpt) {
+    ByteReader r(ckpt);
+    gc = r.get_u8();
+    space = r.get_uvarint();
+    from_base = r.get_uvarint();
+    bump = r.get_uvarint();
+    for (uint64_t& s : stats) s = r.get_uvarint();
+    for (uint64_t n = r.get_uvarint(); n > 0; --n) {
+      uint64_t off = r.get_uvarint();
+      free_blocks.emplace_back(off, r.get_uvarint());
+    }
+    bytes.resize(r.get_uvarint());
+    r.get_bytes(bytes.data(), bytes.size());
+  }
+
+  std::vector<uint8_t> encode() const {
+    ByteWriter w;
+    w.put_u8(gc);
+    w.put_uvarint(space);
+    w.put_uvarint(from_base);
+    w.put_uvarint(bump);
+    for (uint64_t s : stats) w.put_uvarint(s);
+    w.put_uvarint(free_blocks.size());
+    for (const auto& [off, size] : free_blocks) {
+      w.put_uvarint(off);
+      w.put_uvarint(size);
+    }
+    w.put_uvarint(bytes.size());
+    w.put_bytes(bytes.data(), bytes.size());
+    return w.take();
+  }
+};
+
+// A restored live base, bump pointer or free block outside the live space
+// is a located error, never a heap whose next allocation writes past the
+// store.
+TEST(Heap, RestoreRejectsGeometryOutsideTheLiveSpace) {
+  uint32_t pair;
+  TypeRegistry types = make_types(&pair);
+  for (GcKind kind : {GcKind::kSemispaceCopying, GcKind::kMarkSweep}) {
+    SCOPED_TRACE(kind == GcKind::kMarkSweep ? "mark-sweep" : "copying");
+    HeapConfig cfg{64 << 10, kind};
+    Heap src(types, cfg);
+    for (int i = 0; i < 10; ++i) src.alloc_object(pair);
+    ByteWriter w;
+    src.serialize(w);
+    const HeapImage valid(w.bytes());
+    const uint64_t space = valid.space;
+    {  // The re-encoded checkpoint is the checkpoint, and restores.
+      const std::vector<uint8_t> bytes = valid.encode();
+      ASSERT_EQ(bytes, w.bytes());
+      Heap h(types, cfg);
+      ByteReader r(bytes);
+      EXPECT_NO_THROW(h.restore(r));
+    }
+
+    struct Case {
+      const char* name;
+      const char* error;
+      std::function<void(HeapImage&)> splice;
+    };
+    std::vector<Case> cases = {
+        {"live base mid-space", "live base",
+         [&](HeapImage& im) { im.from_base = space / 2; }},
+        {"live base 16 bytes before the end", "live base",
+         [&](HeapImage& im) {
+           im.from_base = 2 * space - 16;
+           im.bump = im.from_base + 8;
+           im.bytes.clear();
+         }},
+        {"bump below the live space", "bump pointer",
+         [](HeapImage& im) { im.bump = 4; }},
+        {"bump past the live space", "bump pointer",
+         [&](HeapImage& im) { im.bump = space + 8; }},
+        {"free block past the bump", "free block",
+         [](HeapImage& im) { im.free_blocks.emplace_back(im.bump, 32); }},
+        {"free block below the live space", "free block",
+         [](HeapImage& im) { im.free_blocks.emplace_back(0, 16); }},
+        {"free block overrunning the bump", "free block",
+         [](HeapImage& im) {
+           im.free_blocks.emplace_back(im.bump - 16, ~uint64_t(0) >> 1);
+         }},
+    };
+    if (kind == GcKind::kSemispaceCopying) {
+      cases.push_back({"bump past the high semispace", "bump pointer",
+                       [&](HeapImage& im) {
+                         im.from_base = space;
+                         im.bump = 2 * space + 8;
+                       }});
+    } else {  // one space: the high semispace's base is outside the heap
+      cases.push_back({"live base of a second space", "live base",
+                       [&](HeapImage& im) { im.from_base = space; }});
+    }
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.name);
+      HeapImage bad = valid;
+      c.splice(bad);
+      const std::vector<uint8_t> bytes = bad.encode();
+      Heap h(types, cfg);
+      ByteReader r(bytes);
+      try {
+        h.restore(r);
+        ADD_FAILURE() << "restore accepted the checkpoint";
+      } catch (const VmError& e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find(c.error), std::string::npos) << msg;
+        EXPECT_NE(msg.find("at offset"), std::string::npos) << msg;
+      }
+    }
   }
 }
 

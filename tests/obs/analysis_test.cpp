@@ -1021,8 +1021,6 @@ TEST(HeapChurn, CopyingGcMovesPreserveExactObjectHeat) {
   }
 }
 
-// Flipping the analysis knobs off yields no artifacts, and on yields all
-// four -- the config plumbing end to end.
 TEST(HeapMerge, HotObjectsAggregateByClassAndSite) {
   // Object ids are per-trace, so the fleet view re-keys hot objects by
   // (class, allocation site): two runs allocating at the same site must
@@ -1063,6 +1061,9 @@ TEST(HeapMerge, HotObjectsAggregateByClassAndSite) {
   EXPECT_EQ(e.find("reads")->number, 0.0);
 }
 
+// Flipping the analysis knobs off yields no artifacts, and on yields the
+// five documents analyzers_cfg selects plus the profiler's collapsed
+// stacks -- the config plumbing end to end.
 TEST(AnalysisConfig, KnobsSelectArtifacts) {
   bytecode::Program prog = golden_program();
   replay::RecordResult rec = record_workload(prog, 9);

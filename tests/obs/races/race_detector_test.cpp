@@ -310,6 +310,10 @@ TEST(RacesMerger, CountsAreRunWeighted) {
 TEST(RacesMerger, RejectsForeignSchema) {
   RacesMerger m;
   EXPECT_THROW(m.add_json("{\"schema\":\"dejavu-heap-v1\"}"), VmError);
+  // A document of its own kind that holds only the schema is rejected too,
+  // not folded as zeros.
+  EXPECT_THROW(m.add_json("{\"schema\":\"dejavu-races-v1\"}"), VmError);
+  EXPECT_EQ(m.runs(), 0u);
 }
 
 // ------------------------------------------------ unit-level edges

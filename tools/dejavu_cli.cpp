@@ -73,6 +73,7 @@
 #include "src/flight/session.hpp"
 #include "src/frontend/server.hpp"
 #include "src/fuzz/fuzzer.hpp"
+#include "src/obs/analysis/artifacts.hpp"
 #include "src/obs/divergence.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/metrics.hpp"
@@ -305,6 +306,15 @@ int cmd_replay(const std::string& name, const std::string& path, bool strict,
   return rep.verified ? 0 : 1;
 }
 
+// The artifact kinds in `dejavu analyze` order: the opt-in ones last.
+std::vector<const obs::ArtifactKind*> analyze_order() {
+  std::vector<const obs::ArtifactKind*> order;
+  for (bool opt_in : {false, true})
+    for (const obs::ArtifactKind& k : obs::artifact_kinds())
+      if (k.opt_in == opt_in) order.push_back(&k);
+  return order;
+}
+
 // dejavu analyze: replay a trace with every built-in analyzer attached and
 // write the artifacts. The analyzers observe the replay through the
 // engine's fan-out, so the replay itself is bit-identical to a plain
@@ -319,12 +329,8 @@ int cmd_analyze(const std::string& name, const std::string& path,
   }
   replay::SymmetryConfig cfg;
   cfg.obs.timeline = !tel.timeline.empty();
-  cfg.obs.analyze_profile = true;
-  cfg.obs.analyze_locks = true;
-  cfg.obs.analyze_heap = true;
-  cfg.obs.analyze_races = races;
-  cfg.obs.analyze_critpath = true;
-  cfg.obs.analyze_cachesim = true;
+  for (const obs::ArtifactKind& k : obs::artifact_kinds())
+    cfg.obs.*k.enable = !k.opt_in || races;
   cfg.obs.analysis_top_n = top_n;
   // Non-strict by default: a diverged replay still yields (clearly
   // labelled) partial artifacts plus the forensics, which is what you want
@@ -347,13 +353,9 @@ int cmd_analyze(const std::string& name, const std::string& path,
   };
   std::printf("replay %s; artifacts:\n",
               rep.verified ? "verified exact" : "DIVERGED");
-  emit("profile.json", rep.analysis.profile_json);
+  for (const obs::ArtifactKind* k : analyze_order())
+    if (cfg.obs.*k->enable) emit(k->file, rep.analysis.*k->result);
   emit("profile.collapsed", rep.analysis.profile_collapsed);
-  emit("locks.json", rep.analysis.locks_json);
-  emit("heap.json", rep.analysis.heap_json);
-  emit("critpath.json", rep.analysis.critpath_json);
-  emit("cachesim.json", rep.analysis.cachesim_json);
-  if (races) emit("races.json", rep.analysis.races_json);
   std::printf("flamegraph: flamegraph.pl %s/profile.collapsed > flame.svg\n",
               out_dir.c_str());
   if (strict && rep.post_violation)
@@ -368,242 +370,17 @@ int cmd_analyze(const std::string& name, const std::string& path,
   return rep.verified ? 0 : 1;
 }
 
-// --- `dejavu report` renderers for the analysis artifacts ------------------
-
-double num_or(const obs::JsonValue& v, const char* k, double dflt = 0) {
-  const obs::JsonValue* m = v.find(k);
-  return m != nullptr && m->is_number() ? m->number : dflt;
-}
-
-std::string str_or(const obs::JsonValue& v, const char* k) {
-  const obs::JsonValue* m = v.find(k);
-  return m != nullptr && m->is_string() ? m->string : std::string();
-}
-
-void render_profile(const obs::JsonValue& doc) {
-  std::printf("replay profile: %.0f instructions, %.0f yield points%s\n",
-              num_or(doc, "total_instructions"),
-              num_or(doc, "total_yield_points"),
-              doc.find("verified") != nullptr && doc.find("verified")->boolean
-                  ? " (verified)"
-                  : "");
-  const obs::JsonValue* methods = doc.find("methods");
-  if (methods == nullptr || !methods->is_array()) return;
-  std::printf("%12s %8s  %s\n", "instrs", "yields", "method");
-  for (const obs::JsonValue& m : methods->items) {
-    std::printf("%12.0f %8.0f  %s\n", num_or(m, "instructions"),
-                num_or(m, "yield_points"), str_or(m, "name").c_str());
-  }
-}
-
-void render_locks(const obs::JsonValue& doc) {
-  const obs::JsonValue* mons = doc.find("monitors");
-  std::printf("lock contention (durations in %s):\n",
-              str_or(doc, "duration_unit").c_str());
-  if (mons != nullptr && mons->is_array()) {
-    std::printf("%8s %10s %10s %10s %10s %8s\n", "monitor", "acquires",
-                "contended", "hold_max", "wait_max", "waits");
-    for (const obs::JsonValue& m : mons->items) {
-      std::printf("%8.0f %10.0f %10.0f %10.0f %10.0f %8.0f\n",
-                  num_or(m, "id"), num_or(m, "acquires"),
-                  num_or(m, "contended_blocks"), num_or(m, "hold_max"),
-                  num_or(m, "wait_max"), num_or(m, "waits"));
-    }
-  }
-  const obs::JsonValue* inv = doc.find("inversions");
-  if (inv != nullptr && inv->is_array() && !inv->items.empty()) {
-    std::printf("LOCK-ORDER INVERSIONS (potential deadlocks):\n");
-    for (const obs::JsonValue& p : inv->items)
-      std::printf("  monitors %.0f <-> %.0f acquired in both orders\n",
-                  num_or(p, "a"), num_or(p, "b"));
-  } else {
-    std::printf("no lock-order inversions observed\n");
-  }
-  const obs::JsonValue* dw = doc.find("deadlock_warnings");
-  if (dw != nullptr && dw->is_array() && !dw->items.empty()) {
-    std::printf("DEADLOCK-IMMINENT wait-for cycles observed at runtime:\n");
-    for (const obs::JsonValue& c : dw->items) {
-      const obs::JsonValue* tids = c.find("tids");
-      const obs::JsonValue* mons = c.find("monitors");
-      std::printf("  ");
-      if (tids != nullptr && mons != nullptr && tids->is_array() &&
-          mons->is_array() && tids->items.size() == mons->items.size()) {
-        // tids[i] blocks on monitors[i], held by tids[(i+1) % n].
-        for (size_t i = 0; i < tids->items.size(); ++i)
-          std::printf("t%.0f -(m%.0f)-> ", tids->items[i].number,
-                      mons->items[i].number);
-        std::printf("t%.0f", tids->items[0].number);
-      }
-      std::printf("  seen %.0fx, first at instr %.0f\n", num_or(c, "count"),
-                  num_or(c, "first_instr"));
-    }
-  }
-}
-
-void render_heap(const obs::JsonValue& doc) {
-  std::printf("heap churn: %.0f allocs (%.0f slots), %.0f reads, "
-              "%.0f writes\n",
-              num_or(doc, "allocs"), num_or(doc, "alloc_slots"),
-              num_or(doc, "reads"), num_or(doc, "writes"));
-  const obs::JsonValue* types = doc.find("by_type");
-  if (types != nullptr && types->is_array()) {
-    std::printf("%10s %12s  %s\n", "allocs", "slots", "type");
-    for (const obs::JsonValue& t : types->items)
-      std::printf("%10.0f %12.0f  %s\n", num_or(t, "count"),
-                  num_or(t, "slots"), str_or(t, "class").c_str());
-  }
-  const obs::JsonValue* sites = doc.find("top_sites");
-  if (sites != nullptr && sites->is_array() && !sites->items.empty()) {
-    std::printf("top allocation sites:\n");
-    for (const obs::JsonValue& s : sites->items)
-      std::printf("%10.0f  %s\n", num_or(s, "count"),
-                  str_or(s, "site").c_str());
-  }
-}
-
-void render_races(const obs::JsonValue& doc) {
-  double runs = num_or(doc, "merged_runs", 1);
-  std::printf("data races: %.0f distinct site pair(s), %.0f dynamic "
-              "occurrence(s), %.0f access check(s)",
-              num_or(doc, "race_count"), num_or(doc, "dynamic_count"),
-              num_or(doc, "checks"));
-  if (runs > 1) std::printf(" across %.0f runs", runs);
-  std::printf("\nedge model: %s\n", str_or(doc, "edge_model").c_str());
-  const obs::JsonValue* races = doc.find("races");
-  if (races == nullptr || !races->is_array() || races->items.empty()) {
-    std::printf("no data races detected\n");
-    return;
-  }
-  for (const obs::JsonValue& r : races->items) {
-    std::printf("%-11s %s slot %.0f (alloc %s)  x%.0f\n",
-                str_or(r, "kind").c_str(), str_or(r, "class").c_str(),
-                num_or(r, "slot"), str_or(r, "alloc_site").c_str(),
-                num_or(r, "count"));
-    std::printf("    t%.0f %s:%.0f @%.0f  <->  t%.0f %s:%.0f @%.0f  "
-                "(first at instr %.0f)\n",
-                num_or(r, "first_tid"), str_or(r, "first_site").c_str(),
-                num_or(r, "first_line"), num_or(r, "first_clock"),
-                num_or(r, "second_tid"), str_or(r, "second_site").c_str(),
-                num_or(r, "second_line"), num_or(r, "second_clock"),
-                num_or(r, "first_instr"));
-  }
-}
-
-void render_critpath(const obs::JsonValue& doc) {
-  std::printf("critical path: %.0f of %.0f instructions on path, "
-              "%.0f schedule switches\n",
-              num_or(doc, "critical_path_instrs"),
-              num_or(doc, "run_instr_count"), num_or(doc, "switches"));
-  const obs::JsonValue* threads = doc.find("threads");
-  if (threads != nullptr && threads->is_array()) {
-    std::printf("%6s %12s %12s %12s %12s\n", "tid", "running", "runnable",
-                "blocked", "waiting");
-    for (const obs::JsonValue& t : threads->items)
-      std::printf("%6.0f %12.0f %12.0f %12.0f %12.0f\n", num_or(t, "tid"),
-                  num_or(t, "running"), num_or(t, "runnable"),
-                  num_or(t, "blocked"), num_or(t, "waiting"));
-  }
-  const obs::JsonValue* path = doc.find("critical_path");
-  if (path != nullptr && path->is_array() && !path->items.empty()) {
-    std::printf("critical-path segments (chronological):\n");
-    for (const obs::JsonValue& s : path->items)
-      std::printf("  t%-4.0f [%10.0f, %10.0f) %8.0f instrs  %-10s %s\n",
-                  num_or(s, "tid"), num_or(s, "start"), num_or(s, "end"),
-                  num_or(s, "instrs"), str_or(s, "edge").c_str(),
-                  str_or(s, "method").c_str());
-  }
-  const obs::JsonValue* methods = doc.find("by_method");
-  if (methods != nullptr && methods->is_array() && !methods->items.empty()) {
-    std::printf("critical-path instructions by method:\n");
-    for (const obs::JsonValue& m : methods->items)
-      std::printf("%12.0f  %s\n", num_or(m, "instrs"),
-                  str_or(m, "method").c_str());
-  }
-  const obs::JsonValue* edges = doc.find("edge_kinds");
-  if (edges != nullptr && edges->is_array() && !edges->items.empty()) {
-    std::printf("dependency-edge kinds:\n");
-    for (const obs::JsonValue& e : edges->items)
-      std::printf("%12.0f  %s\n", num_or(e, "count"),
-                  str_or(e, "kind").c_str());
-  }
-}
-
-void render_cachesim(const obs::JsonValue& doc) {
-  double accesses = num_or(doc, "accesses");
-  double l1 = num_or(doc, "l1_misses");
-  double l2 = num_or(doc, "l2_misses");
-  std::printf("cache sim (%.0fB lines, L1 %.0fB/%.0f-way, L2 %.0fB/%.0f-way):"
-              "\n",
-              num_or(doc, "line_bytes"), num_or(doc, "l1_bytes"),
-              num_or(doc, "l1_ways"), num_or(doc, "l2_bytes"),
-              num_or(doc, "l2_ways"));
-  std::printf("  %.0f accesses (%.0f reads, %.0f writes), "
-              "L1 misses %.0f (%.1f%%), L2 misses %.0f (%.1f%%)\n",
-              accesses, num_or(doc, "reads"), num_or(doc, "writes"), l1,
-              accesses == 0 ? 0.0 : 100.0 * l1 / accesses, l2,
-              accesses == 0 ? 0.0 : 100.0 * l2 / accesses);
-  std::printf("  %.0f cross-thread shared line(s), %.0f false-sharing "
-              "candidate(s)\n",
-              num_or(doc, "shared_line_count"),
-              num_or(doc, "false_sharing_lines"));
-  const obs::JsonValue* sites = doc.find("by_site");
-  if (sites != nullptr && sites->is_array() && !sites->items.empty()) {
-    std::printf("%12s %10s %10s  %s\n", "accesses", "l1_miss", "l2_miss",
-                "site");
-    for (const obs::JsonValue& s : sites->items)
-      std::printf("%12.0f %10.0f %10.0f  %s\n", num_or(s, "accesses"),
-                  num_or(s, "l1_misses"), num_or(s, "l2_misses"),
-                  str_or(s, "site").c_str());
-  }
-  const obs::JsonValue* types = doc.find("by_type");
-  if (types != nullptr && types->is_array() && !types->items.empty()) {
-    std::printf("%12s %10s %10s  %s\n", "accesses", "l1_miss", "l2_miss",
-                "type");
-    for (const obs::JsonValue& t : types->items)
-      std::printf("%12.0f %10.0f %10.0f  %s\n", num_or(t, "accesses"),
-                  num_or(t, "l1_misses"), num_or(t, "l2_misses"),
-                  str_or(t, "class").c_str());
-  }
-  const obs::JsonValue* shared = doc.find("shared_lines");
-  if (shared != nullptr && shared->is_array() && !shared->items.empty()) {
-    std::printf("cross-thread shared lines (false-sharing candidates where "
-                "distinct_slots > 1):\n");
-    for (const obs::JsonValue& s : shared->items)
-      std::printf("  line %-8.0f %-16s accesses=%-8.0f threads=%-4.0f "
-                  "distinct_slots=%.0f\n",
-                  num_or(s, "line"), str_or(s, "class").c_str(),
-                  num_or(s, "accesses"), num_or(s, "threads"),
-                  num_or(s, "distinct_slots"));
-  }
-  const obs::JsonValue* by_class = doc.find("shared_by_class");
-  if (by_class != nullptr && by_class->is_array() &&
-      !by_class->items.empty()) {
-    std::printf("cross-thread sharing by class (fleet-merged):\n");
-    for (const obs::JsonValue& s : by_class->items)
-      std::printf("  %-20s lines=%-6.0f accesses=%-10.0f false_sharing=%.0f\n",
-                  str_or(s, "class").c_str(), num_or(s, "lines"),
-                  num_or(s, "accesses"), num_or(s, "false_sharing"));
-  }
-}
-
 // --- `dejavu analyze --diff` -- A/B regression report ----------------------
 
-// One keyed numeric series from an artifact's entry list ("methods" keyed by
-// "name", summing "instructions"; "by_site" keyed by "site", ...).
+// One keyed numeric series from an artifact's entry list.
 std::map<std::string, double> keyed_series(const obs::JsonValue& doc,
-                                           const char* list_key,
-                                           const char* key_field,
-                                           const char* value_field) {
+                                           const obs::DiffSeries& series) {
   std::map<std::string, double> out;
-  const obs::JsonValue* list = doc.find(list_key);
-  if (list == nullptr || !list->is_array()) return out;
-  for (const obs::JsonValue& e : list->items) {
-    const obs::JsonValue* k = e.find(key_field);
-    if (k == nullptr) continue;
-    std::string key = k->is_string()
-                          ? k->string
-                          : std::to_string(uint64_t(k->number));
-    out[key] += num_or(e, value_field);
+  for (const obs::JsonValue& e : doc.at(series.list).items) {
+    const obs::JsonValue& k = e.at(series.key);
+    std::string key =
+        k.is_string() ? k.string : std::to_string(uint64_t(k.number));
+    out[key] += e.at(series.value).number;
   }
   return out;
 }
@@ -655,7 +432,7 @@ void diff_table(const char* title, const std::map<std::string, double>& a,
 // dejavu analyze --diff: replay two traces of the same workload with the
 // full analyzer suite and render the deltas, regression-ranked. Both
 // replays are ordinary perturbation-free analyze runs; the comparison is
-// pure post-processing on the five artifact kinds.
+// pure post-processing on the artifacts, kind by kind.
 int cmd_analyze_diff(const std::string& name, const std::string& path_a,
                      const std::string& path_b, uint32_t top_n) {
   const Entry* e = find_workload(name);
@@ -665,12 +442,8 @@ int cmd_analyze_diff(const std::string& name, const std::string& path_a,
   }
   auto run = [&](const std::string& path) {
     replay::SymmetryConfig cfg;
-    cfg.obs.analyze_profile = true;
-    cfg.obs.analyze_locks = true;
-    cfg.obs.analyze_heap = true;
-    cfg.obs.analyze_races = true;
-    cfg.obs.analyze_critpath = true;
-    cfg.obs.analyze_cachesim = true;
+    for (const obs::ArtifactKind& k : obs::artifact_kinds())
+      cfg.obs.*k.enable = true;
     cfg.obs.analysis_top_n = top_n;
     cfg.strict = false;
     return replay::replay_file(e->make(), path, {}, cfg);
@@ -681,74 +454,20 @@ int cmd_analyze_diff(const std::string& name, const std::string& path_a,
               path_a.c_str(), ra.verified ? "verified" : "DIVERGED",
               path_b.c_str(), rb.verified ? "verified" : "DIVERGED");
 
-  obs::JsonValue pa = obs::parse_json(ra.analysis.profile_json);
-  obs::JsonValue pb = obs::parse_json(rb.analysis.profile_json);
-  obs::JsonValue la = obs::parse_json(ra.analysis.locks_json);
-  obs::JsonValue lb = obs::parse_json(rb.analysis.locks_json);
-  obs::JsonValue ha = obs::parse_json(ra.analysis.heap_json);
-  obs::JsonValue hb = obs::parse_json(rb.analysis.heap_json);
-  obs::JsonValue ca = obs::parse_json(ra.analysis.critpath_json);
-  obs::JsonValue cb = obs::parse_json(rb.analysis.critpath_json);
-  obs::JsonValue sa = obs::parse_json(ra.analysis.cachesim_json);
-  obs::JsonValue sb = obs::parse_json(rb.analysis.cachesim_json);
-  obs::JsonValue za = obs::parse_json(ra.analysis.races_json);
-  obs::JsonValue zb = obs::parse_json(rb.analysis.races_json);
-
-  std::printf("profile:\n");
-  std::printf("  %-28s %14s %14s %14s\n", "", "A", "B", "delta");
-  diff_scalar("total_instructions", num_or(pa, "total_instructions"),
-              num_or(pb, "total_instructions"));
-  diff_scalar("total_yield_points", num_or(pa, "total_yield_points"),
-              num_or(pb, "total_yield_points"));
-  diff_table("method instructions",
-             keyed_series(pa, "methods", "name", "instructions"),
-             keyed_series(pb, "methods", "name", "instructions"), top_n);
-
-  std::printf("locks:\n");
-  diff_table("monitor contended blocks",
-             keyed_series(la, "monitors", "id", "contended_blocks"),
-             keyed_series(lb, "monitors", "id", "contended_blocks"), top_n);
-  diff_table("monitor block time",
-             keyed_series(la, "monitors", "id", "block_total"),
-             keyed_series(lb, "monitors", "id", "block_total"), top_n);
-
-  std::printf("heap:\n");
-  std::printf("  %-28s %14s %14s %14s\n", "", "A", "B", "delta");
-  diff_scalar("allocs", num_or(ha, "allocs"), num_or(hb, "allocs"));
-  diff_scalar("reads", num_or(ha, "reads"), num_or(hb, "reads"));
-  diff_scalar("writes", num_or(ha, "writes"), num_or(hb, "writes"));
-  diff_table("allocations by type",
-             keyed_series(ha, "by_type", "class", "count"),
-             keyed_series(hb, "by_type", "class", "count"), top_n);
-
-  std::printf("critpath:\n");
-  std::printf("  %-28s %14s %14s %14s\n", "", "A", "B", "delta");
-  diff_scalar("critical_path_instrs", num_or(ca, "critical_path_instrs"),
-              num_or(cb, "critical_path_instrs"));
-  diff_scalar("switches", num_or(ca, "switches"), num_or(cb, "switches"));
-  diff_table("per-thread blocked time",
-             keyed_series(ca, "threads", "tid", "blocked"),
-             keyed_series(cb, "threads", "tid", "blocked"), top_n);
-  diff_table("critical-path method instrs",
-             keyed_series(ca, "by_method", "method", "instrs"),
-             keyed_series(cb, "by_method", "method", "instrs"), top_n);
-
-  std::printf("cachesim:\n");
-  std::printf("  %-28s %14s %14s %14s\n", "", "A", "B", "delta");
-  diff_scalar("accesses", num_or(sa, "accesses"), num_or(sb, "accesses"));
-  diff_scalar("l1_misses", num_or(sa, "l1_misses"), num_or(sb, "l1_misses"));
-  diff_scalar("l2_misses", num_or(sa, "l2_misses"), num_or(sb, "l2_misses"));
-  diff_scalar("false_sharing_lines", num_or(sa, "false_sharing_lines"),
-              num_or(sb, "false_sharing_lines"));
-  diff_table("site L1 misses",
-             keyed_series(sa, "by_site", "site", "l1_misses"),
-             keyed_series(sb, "by_site", "site", "l1_misses"), top_n);
-
-  std::printf("races:\n");
-  std::printf("  %-28s %14s %14s %14s\n", "", "A", "B", "delta");
-  diff_scalar("race_count", num_or(za, "race_count"), num_or(zb, "race_count"));
-  diff_scalar("dynamic_count", num_or(za, "dynamic_count"),
-              num_or(zb, "dynamic_count"));
+  for (const obs::ArtifactKind* k : analyze_order()) {
+    obs::JsonValue a = obs::parse_json(ra.analysis.*k->result);
+    obs::JsonValue b = obs::parse_json(rb.analysis.*k->result);
+    obs::check_artifact(a);
+    obs::check_artifact(b);
+    std::printf("%s:\n", k->name);
+    if (!k->diff_scalars.empty())
+      std::printf("  %-28s %14s %14s %14s\n", "", "A", "B", "delta");
+    for (const char* field : k->diff_scalars)
+      diff_scalar(field, a.at(field).number, b.at(field).number);
+    for (const obs::DiffSeries& series : k->diff_series)
+      diff_table(series.title, keyed_series(a, series),
+                 keyed_series(b, series), top_n);
+  }
   return ra.verified && rb.verified ? 0 : 1;
 }
 
@@ -798,20 +517,20 @@ int cmd_report(const std::string& path) {
   const std::string text = buf.str();
   size_t first = text.find_first_not_of(" \t\r\n");
   if (first != std::string::npos && text[first] == '{') {
+    obs::JsonValue doc;
     try {
-      obs::JsonValue doc = obs::parse_json(text);
-      std::string schema = str_or(doc, "schema");
-      if (schema == "dejavu-profile-v1") return render_profile(doc), 0;
-      if (schema == "dejavu-locks-v1") return render_locks(doc), 0;
-      if (schema == "dejavu-heap-v1") return render_heap(doc), 0;
-      if (schema == "dejavu-races-v1") return render_races(doc), 0;
-      if (schema == "dejavu-critpath-v1") return render_critpath(doc), 0;
-      if (schema == "dejavu-cachesim-v1") return render_cachesim(doc), 0;
-      if (schema == farm::kFarmReportSchema)
-        return std::fputs(farm::render_farm_report(text).c_str(), stdout), 0;
+      doc = obs::parse_json(text);
     } catch (const VmError&) {
-      // Not a JSON document we understand; fall through to dvrep.
+      // Not JSON; fall through to dvrep.
     }
+    // A document with a known schema renders, or fails naming what is
+    // wrong with it.
+    const obs::JsonValue* schema = doc.find("schema");
+    std::string s = schema != nullptr ? schema->string : "";
+    if (obs::find_artifact_kind(s) != nullptr)
+      return std::fputs(obs::render_artifact(doc).c_str(), stdout), 0;
+    if (s == farm::kFarmReportSchema)
+      return std::fputs(farm::render_farm_report(text).c_str(), stdout), 0;
   }
   obs::DivergenceReport rep;
   if (!obs::extract_report(text, &rep)) {

@@ -6,18 +6,15 @@
 //   metrics    dejavu-metrics-v1 (MetricsSnapshot::to_json)
 //   timeline   Chrome trace_event JSON (obs::timeline_to_chrome_json)
 //   bench      dejavu-bench-v1 (bench/bench_json.hpp sidecars)
-//   profile    dejavu-profile-v1 (replay profiler, `dejavu analyze`)
-//   locks      dejavu-locks-v1 (lock-contention analyzer)
-//   heap       dejavu-heap-v1 (heap-churn analyzer)
-//   races      dejavu-races-v1 (happens-before race detector)
-//   critpath   dejavu-critpath-v1 (critical-path / blocked-time analyzer)
-//   cachesim   dejavu-cachesim-v1 (replay-time cache simulator)
+//   <analysis kind>  profile, locks, heap, races, critpath, cachesim: the
+//              replay-time analyzers' dejavu-<kind>-v1 documents (`dejavu
+//              analyze`), checked by obs::check_artifact
 //   flight     dejavu-flight-v1 (`dejavu flight info --json`, tail
 //              provenance descriptor)
 //   collapsed  Brendan Gregg collapsed-stack text (flamegraph.pl input)
 //   farm-report    dejavu-farm-report-v1 (`dejavu farm run`); the embedded
-//                  merged metrics/profile/locks/heap documents are checked
-//                  with the same validators as their standalone forms
+//                  merged metrics and analysis documents are checked with
+//                  the same validators as their standalone forms
 //   farm-manifest  dejavu-farm-manifest-v1 shard manifest (JSON Lines)
 //   auto       pick by content (farm-manifest excluded: it is JSONL)
 //
@@ -34,6 +31,7 @@
 #include <string>
 
 #include "src/common/check.hpp"
+#include "src/obs/analysis/artifacts.hpp"
 #include "src/obs/json.hpp"
 
 using dejavu::VmError;
@@ -186,284 +184,13 @@ void check_bench(const std::string& file, const JsonValue& doc) {
   }
 }
 
-void check_profile(const std::string& file, const JsonValue& doc) {
-  if (!doc.is_object()) fail(file, "top level is not an object");
-  if (need(file, doc, "schema", JsonValue::Type::kString, "top").string !=
-      "dejavu-profile-v1")
-    fail(file, "schema is not dejavu-profile-v1");
-  need(file, doc, "total_instructions", JsonValue::Type::kNumber, "top");
-  need(file, doc, "total_yield_points", JsonValue::Type::kNumber, "top");
-  need(file, doc, "verified", JsonValue::Type::kBool, "top");
-  const JsonValue& methods =
-      need(file, doc, "methods", JsonValue::Type::kArray, "top");
-  size_t i = 0;
-  for (const JsonValue& m : methods.items) {
-    std::string where = "methods[" + std::to_string(i++) + "]";
-    if (!m.is_object()) fail(file, where + " is not an object");
-    need(file, m, "name", JsonValue::Type::kString, where);
-    need(file, m, "instructions", JsonValue::Type::kNumber, where);
-    need(file, m, "yield_points", JsonValue::Type::kNumber, where);
-    const JsonValue& pcs =
-        need(file, m, "hot_pcs", JsonValue::Type::kArray, where);
-    size_t j = 0;
-    for (const JsonValue& pc : pcs.items) {
-      std::string pw = where + ".hot_pcs[" + std::to_string(j++) + "]";
-      if (!pc.is_object()) fail(file, pw + " is not an object");
-      need(file, pc, "pc", JsonValue::Type::kNumber, pw);
-      need(file, pc, "op", JsonValue::Type::kString, pw);
-      need(file, pc, "count", JsonValue::Type::kNumber, pw);
-    }
-  }
-}
-
-void check_locks(const std::string& file, const JsonValue& doc) {
-  if (!doc.is_object()) fail(file, "top level is not an object");
-  if (need(file, doc, "schema", JsonValue::Type::kString, "top").string !=
-      "dejavu-locks-v1")
-    fail(file, "schema is not dejavu-locks-v1");
-  if (need(file, doc, "duration_unit", JsonValue::Type::kString, "top")
-          .string != "instructions")
-    fail(file, "duration_unit is not \"instructions\"");
-  const JsonValue& mons =
-      need(file, doc, "monitors", JsonValue::Type::kArray, "top");
-  size_t i = 0;
-  for (const JsonValue& m : mons.items) {
-    std::string where = "monitors[" + std::to_string(i++) + "]";
-    if (!m.is_object()) fail(file, where + " is not an object");
-    for (const char* k :
-         {"id", "acquires", "recursive_acquires", "contended_blocks",
-          "hold_total", "hold_max", "block_total", "block_max", "waits",
-          "wait_total", "wait_max", "notify_ops", "woken"})
-      need(file, m, k, JsonValue::Type::kNumber, where);
-  }
-  const JsonValue& edges =
-      need(file, doc, "wait_edges", JsonValue::Type::kArray, "top");
-  i = 0;
-  for (const JsonValue& e : edges.items) {
-    std::string where = "wait_edges[" + std::to_string(i++) + "]";
-    if (!e.is_object()) fail(file, where + " is not an object");
-    for (const char* k : {"blocked", "holder", "monitor", "count"})
-      need(file, e, k, JsonValue::Type::kNumber, where);
-  }
-  const JsonValue& inv =
-      need(file, doc, "inversions", JsonValue::Type::kArray, "top");
-  i = 0;
-  for (const JsonValue& p : inv.items) {
-    std::string where = "inversions[" + std::to_string(i++) + "]";
-    if (!p.is_object()) fail(file, where + " is not an object");
-    need(file, p, "a", JsonValue::Type::kNumber, where);
-    need(file, p, "b", JsonValue::Type::kNumber, where);
-  }
-  const JsonValue& warns =
-      need(file, doc, "deadlock_warnings", JsonValue::Type::kArray, "top");
-  i = 0;
-  for (const JsonValue& c : warns.items) {
-    std::string where = "deadlock_warnings[" + std::to_string(i++) + "]";
-    if (!c.is_object()) fail(file, where + " is not an object");
-    const JsonValue& tids =
-        need(file, c, "tids", JsonValue::Type::kArray, where);
-    const JsonValue& mons =
-        need(file, c, "monitors", JsonValue::Type::kArray, where);
-    if (tids.items.size() != mons.items.size() || tids.items.empty())
-      fail(file, where + ": tids/monitors must be equal-length, non-empty");
-    need(file, c, "first_instr", JsonValue::Type::kNumber, where);
-    need(file, c, "count", JsonValue::Type::kNumber, where);
-  }
-}
-
-void check_heap(const std::string& file, const JsonValue& doc) {
-  if (!doc.is_object()) fail(file, "top level is not an object");
-  if (need(file, doc, "schema", JsonValue::Type::kString, "top").string !=
-      "dejavu-heap-v1")
-    fail(file, "schema is not dejavu-heap-v1");
-  need(file, doc, "object_identity", JsonValue::Type::kString, "top");
-  for (const char* k : {"allocs", "alloc_slots", "reads", "writes"})
-    need(file, doc, k, JsonValue::Type::kNumber, "top");
-  const JsonValue& types =
-      need(file, doc, "by_type", JsonValue::Type::kArray, "top");
-  size_t i = 0;
-  for (const JsonValue& t : types.items) {
-    std::string where = "by_type[" + std::to_string(i++) + "]";
-    if (!t.is_object()) fail(file, where + " is not an object");
-    need(file, t, "class", JsonValue::Type::kString, where);
-    need(file, t, "count", JsonValue::Type::kNumber, where);
-    need(file, t, "slots", JsonValue::Type::kNumber, where);
-  }
-  const JsonValue& sites =
-      need(file, doc, "top_sites", JsonValue::Type::kArray, "top");
-  i = 0;
-  for (const JsonValue& t : sites.items) {
-    std::string where = "top_sites[" + std::to_string(i++) + "]";
-    if (!t.is_object()) fail(file, where + " is not an object");
-    need(file, t, "site", JsonValue::Type::kString, where);
-    need(file, t, "count", JsonValue::Type::kNumber, where);
-  }
-  const JsonValue& hot =
-      need(file, doc, "hot_objects", JsonValue::Type::kArray, "top");
-  i = 0;
-  for (const JsonValue& o : hot.items) {
-    std::string where = "hot_objects[" + std::to_string(i++) + "]";
-    if (!o.is_object()) fail(file, where + " is not an object");
-    need(file, o, "class", JsonValue::Type::kString, where);
-    need(file, o, "site", JsonValue::Type::kString, where);
-    need(file, o, "reads", JsonValue::Type::kNumber, where);
-    need(file, o, "writes", JsonValue::Type::kNumber, where);
-    // Per-run entries name one object (id + addr); merged entries are
-    // site-keyed aggregates and carry an "objects" tally instead.
-    bool per_run = o.find("addr") != nullptr;
-    if (per_run) {
-      need(file, o, "addr", JsonValue::Type::kNumber, where);
-      need(file, o, "id", JsonValue::Type::kNumber, where);
-    } else {
-      need(file, o, "objects", JsonValue::Type::kNumber, where);
-    }
-  }
-}
-
-void check_races(const std::string& file, const JsonValue& doc) {
-  if (!doc.is_object()) fail(file, "top level is not an object");
-  if (need(file, doc, "schema", JsonValue::Type::kString, "top").string !=
-      "dejavu-races-v1")
-    fail(file, "schema is not dejavu-races-v1");
-  need(file, doc, "edge_model", JsonValue::Type::kString, "top");
-  for (const char* k :
-       {"race_count", "dynamic_count", "checks", "run_instr_count"})
-    need(file, doc, k, JsonValue::Type::kNumber, "top");
-  need(file, doc, "verified", JsonValue::Type::kBool, "top");
-  need(file, doc, "post_violation", JsonValue::Type::kBool, "top");
-  const JsonValue& races =
-      need(file, doc, "races", JsonValue::Type::kArray, "top");
-  if (double(races.items.size()) !=
-      need(file, doc, "race_count", JsonValue::Type::kNumber, "top").number)
-    fail(file, "race_count does not match the races array length");
-  size_t i = 0;
-  for (const JsonValue& r : races.items) {
-    std::string where = "races[" + std::to_string(i++) + "]";
-    if (!r.is_object()) fail(file, where + " is not an object");
-    std::string kind =
-        need(file, r, "kind", JsonValue::Type::kString, where).string;
-    if (kind != "write-write" && kind != "read-write" && kind != "write-read")
-      fail(file, where + ": unknown race kind \"" + kind + "\"");
-    need(file, r, "class", JsonValue::Type::kString, where);
-    need(file, r, "alloc_site", JsonValue::Type::kString, where);
-    need(file, r, "first_site", JsonValue::Type::kString, where);
-    need(file, r, "second_site", JsonValue::Type::kString, where);
-    for (const char* k :
-         {"slot", "count", "first_instr", "first_tid", "first_line",
-          "first_clock", "second_tid", "second_line", "second_clock"})
-      need(file, r, k, JsonValue::Type::kNumber, where);
-  }
-}
-
-void check_critpath(const std::string& file, const JsonValue& doc) {
-  if (!doc.is_object()) fail(file, "top level is not an object");
-  if (need(file, doc, "schema", JsonValue::Type::kString, "top").string !=
-      "dejavu-critpath-v1")
-    fail(file, "schema is not dejavu-critpath-v1");
-  for (const char* k :
-       {"run_instr_count", "switches", "critical_path_instrs"})
-    need(file, doc, k, JsonValue::Type::kNumber, "top");
-  need(file, doc, "verified", JsonValue::Type::kBool, "top");
-  need(file, doc, "post_violation", JsonValue::Type::kBool, "top");
-  const JsonValue& threads =
-      need(file, doc, "threads", JsonValue::Type::kArray, "top");
-  size_t i = 0;
-  for (const JsonValue& t : threads.items) {
-    std::string where = "threads[" + std::to_string(i++) + "]";
-    if (!t.is_object()) fail(file, where + " is not an object");
-    for (const char* k : {"tid", "running", "runnable", "blocked", "waiting"})
-      need(file, t, k, JsonValue::Type::kNumber, where);
-  }
-  // Per-run documents carry the trace-local segment list; merged documents
-  // drop it (instruction indices don't compare across traces) and carry a
-  // merged_runs count instead.
-  const JsonValue* path = doc.find("critical_path");
-  if (path != nullptr) {
-    if (!path->is_array()) fail(file, "critical_path is not an array");
-    i = 0;
-    for (const JsonValue& s : path->items) {
-      std::string where = "critical_path[" + std::to_string(i++) + "]";
-      if (!s.is_object()) fail(file, where + " is not an object");
-      for (const char* k : {"tid", "start", "end", "instrs"})
-        need(file, s, k, JsonValue::Type::kNumber, where);
-      need(file, s, "method", JsonValue::Type::kString, where);
-      need(file, s, "edge", JsonValue::Type::kString, where);
-    }
-  } else {
-    need(file, doc, "merged_runs", JsonValue::Type::kNumber, "top");
-  }
-  const JsonValue& methods =
-      need(file, doc, "by_method", JsonValue::Type::kArray, "top");
-  i = 0;
-  for (const JsonValue& m : methods.items) {
-    std::string where = "by_method[" + std::to_string(i++) + "]";
-    if (!m.is_object()) fail(file, where + " is not an object");
-    need(file, m, "method", JsonValue::Type::kString, where);
-    need(file, m, "instrs", JsonValue::Type::kNumber, where);
-  }
-  const JsonValue& edges =
-      need(file, doc, "edge_kinds", JsonValue::Type::kArray, "top");
-  i = 0;
-  for (const JsonValue& e : edges.items) {
-    std::string where = "edge_kinds[" + std::to_string(i++) + "]";
-    if (!e.is_object()) fail(file, where + " is not an object");
-    need(file, e, "kind", JsonValue::Type::kString, where);
-    need(file, e, "count", JsonValue::Type::kNumber, where);
-  }
-}
-
-void check_cachesim(const std::string& file, const JsonValue& doc) {
-  if (!doc.is_object()) fail(file, "top level is not an object");
-  if (need(file, doc, "schema", JsonValue::Type::kString, "top").string !=
-      "dejavu-cachesim-v1")
-    fail(file, "schema is not dejavu-cachesim-v1");
-  for (const char* k :
-       {"line_bytes", "l1_bytes", "l1_ways", "l2_bytes", "l2_ways",
-        "accesses", "reads", "writes", "l1_misses", "l2_misses",
-        "shared_line_count", "false_sharing_lines", "run_instr_count"})
-    need(file, doc, k, JsonValue::Type::kNumber, "top");
-  need(file, doc, "verified", JsonValue::Type::kBool, "top");
-  need(file, doc, "post_violation", JsonValue::Type::kBool, "top");
-  auto check_sites = [&](const char* list_key, const char* name_key) {
-    const JsonValue& list =
-        need(file, doc, list_key, JsonValue::Type::kArray, "top");
-    size_t i = 0;
-    for (const JsonValue& s : list.items) {
-      std::string where =
-          std::string(list_key) + "[" + std::to_string(i++) + "]";
-      if (!s.is_object()) fail(file, where + " is not an object");
-      need(file, s, name_key, JsonValue::Type::kString, where);
-      for (const char* k : {"accesses", "l1_misses", "l2_misses"})
-        need(file, s, k, JsonValue::Type::kNumber, where);
-    }
-  };
-  check_sites("by_site", "site");
-  check_sites("by_type", "class");
-  // Per-run documents report concrete shared lines (trace-local synthetic
-  // line indices); merged documents re-key by class and carry merged_runs.
-  const JsonValue* shared = doc.find("shared_lines");
-  if (shared != nullptr) {
-    if (!shared->is_array()) fail(file, "shared_lines is not an array");
-    size_t i = 0;
-    for (const JsonValue& s : shared->items) {
-      std::string where = "shared_lines[" + std::to_string(i++) + "]";
-      if (!s.is_object()) fail(file, where + " is not an object");
-      need(file, s, "class", JsonValue::Type::kString, where);
-      for (const char* k : {"line", "accesses", "threads", "distinct_slots"})
-        need(file, s, k, JsonValue::Type::kNumber, where);
-    }
-  } else {
-    need(file, doc, "merged_runs", JsonValue::Type::kNumber, "top");
-    const JsonValue& by_class =
-        need(file, doc, "shared_by_class", JsonValue::Type::kArray, "top");
-    size_t i = 0;
-    for (const JsonValue& s : by_class.items) {
-      std::string where = "shared_by_class[" + std::to_string(i++) + "]";
-      if (!s.is_object()) fail(file, where + " is not an object");
-      need(file, s, "class", JsonValue::Type::kString, where);
-      for (const char* k : {"lines", "accesses", "false_sharing"})
-        need(file, s, k, JsonValue::Type::kNumber, where);
-    }
+// An analysis artifact whose header must name `schema`.
+void check_analysis(const std::string& file, const JsonValue& doc,
+                    const char* schema) {
+  try {
+    dejavu::obs::check_artifact(doc, schema);
+  } catch (const VmError& e) {
+    fail(file, e.what());
   }
 }
 
@@ -522,22 +249,15 @@ void check_farm_report(const std::string& file, const JsonValue& doc) {
   const JsonValue& metrics =
       need(file, doc, "merged_metrics", JsonValue::Type::kObject, "top");
   check_metrics(file + "#merged_metrics", metrics);
-  auto sub = [&](const char* key, void (*check)(const std::string&,
-                                                const JsonValue&)) {
+  for (const dejavu::obs::ArtifactKind& k : dejavu::obs::artifact_kinds()) {
+    std::string key = std::string("merged_") + k.name;
     const JsonValue* v = doc.find(key);
-    if (v == nullptr) fail(file, std::string("top: missing key \"") + key +
-                                     "\"");
-    if (v->type == JsonValue::Type::kNull) return;
+    if (v == nullptr) fail(file, "top: missing key \"" + key + "\"");
+    if (v->type == JsonValue::Type::kNull) continue;
     if (!v->is_object())
-      fail(file, std::string("top: key \"") + key + "\" has the wrong type");
-    check(file + "#" + key, *v);
-  };
-  sub("merged_profile", check_profile);
-  sub("merged_locks", check_locks);
-  sub("merged_heap", check_heap);
-  sub("merged_races", check_races);
-  sub("merged_critpath", check_critpath);
-  sub("merged_cachesim", check_cachesim);
+      fail(file, "top: key \"" + key + "\" has the wrong type");
+    check_analysis(file + "#" + key, *v, k.schema);
+  }
   const JsonValue& methods =
       need(file, doc, "top_methods", JsonValue::Type::kArray, "top");
   i = 0;
@@ -625,6 +345,13 @@ void check_collapsed(const std::string& file, const std::string& text) {
   if (lineno == 0) fail(file, "empty collapsed-stack file");
 }
 
+// The analysis artifact kind named `name`, or nullptr.
+const dejavu::obs::ArtifactKind* analysis_kind(const std::string& name) {
+  for (const dejavu::obs::ArtifactKind& k : dejavu::obs::artifact_kinds())
+    if (name == k.name) return &k;
+  return nullptr;
+}
+
 std::string sniff_kind(const JsonValue& doc) {
   if (doc.is_object() && doc.find("traceEvents") != nullptr)
     return "timeline";
@@ -632,12 +359,9 @@ std::string sniff_kind(const JsonValue& doc) {
   if (schema == nullptr) return "";
   if (schema->string == "dejavu-metrics-v1") return "metrics";
   if (schema->string == "dejavu-bench-v1") return "bench";
-  if (schema->string == "dejavu-profile-v1") return "profile";
-  if (schema->string == "dejavu-locks-v1") return "locks";
-  if (schema->string == "dejavu-heap-v1") return "heap";
-  if (schema->string == "dejavu-races-v1") return "races";
-  if (schema->string == "dejavu-critpath-v1") return "critpath";
-  if (schema->string == "dejavu-cachesim-v1") return "cachesim";
+  if (const dejavu::obs::ArtifactKind* k =
+          dejavu::obs::find_artifact_kind(schema->string))
+    return k->name;
   if (schema->string == "dejavu-flight-v1") return "flight";
   if (schema->string == "dejavu-farm-report-v1") return "farm-report";
   // A schema header we do not know is a drift, not a skip: report it so
@@ -649,11 +373,13 @@ std::string sniff_kind(const JsonValue& doc) {
 
 int main(int argc, char** argv) {
   if (argc < 3) {
+    std::string kinds = "metrics|timeline|bench";
+    for (const dejavu::obs::ArtifactKind& k : dejavu::obs::artifact_kinds())
+      kinds.append("|").append(k.name);
     std::fprintf(stderr,
-                 "usage: obs_schema_check "
-                 "<metrics|timeline|bench|profile|locks|heap|races|critpath"
-                 "|cachesim|flight|collapsed|farm-report|farm-manifest|auto> "
-                 "<file>...\n");
+                 "usage: obs_schema_check <%s|flight|collapsed|farm-report"
+                 "|farm-manifest|auto> <file>...\n",
+                 kinds.c_str());
     return 2;
   }
   std::string kind = argv[1];
@@ -686,22 +412,12 @@ int main(int argc, char** argv) {
       check_timeline(file, doc);
     } else if (k == "bench") {
       check_bench(file, doc);
-    } else if (k == "profile") {
-      check_profile(file, doc);
-    } else if (k == "locks") {
-      check_locks(file, doc);
-    } else if (k == "heap") {
-      check_heap(file, doc);
-    } else if (k == "races") {
-      check_races(file, doc);
-    } else if (k == "critpath") {
-      check_critpath(file, doc);
-    } else if (k == "cachesim") {
-      check_cachesim(file, doc);
     } else if (k == "flight") {
       check_flight(file, doc);
     } else if (k == "farm-report") {
       check_farm_report(file, doc);
+    } else if (const dejavu::obs::ArtifactKind* a = analysis_kind(k)) {
+      check_analysis(file, doc, a->schema);
     } else if (k.rfind("unknown-schema:", 0) == 0) {
       fail(file, "unrecognized schema header \"" +
                      k.substr(sizeof("unknown-schema:") - 1) + "\"");
