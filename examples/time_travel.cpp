@@ -4,8 +4,9 @@
 //
 // The checkpoint/reverse-execution systems the paper surveys (§5) need
 // process forking or shared-read logs; on top of DejaVu replay, the past
-// is simply re-replayed -- the trace is a handful of bytes and pins the
-// execution completely.
+// is simply replayed again -- the trace is a handful of bytes and pins the
+// execution completely -- from the nearest in-memory keyframe the
+// debugger took on its way forward.
 #include <cstdio>
 
 #include "src/debugger/time_travel.hpp"

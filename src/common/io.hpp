@@ -66,6 +66,9 @@ class ByteWriter {
   std::vector<uint8_t> take() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
   void clear() { buf_.clear(); }
+  // For a writer whose final size is known: take() then hands over a
+  // buffer without the slack of geometric growth.
+  void reserve(size_t n) { buf_.reserve(n); }
 
  private:
   std::vector<uint8_t> buf_;
@@ -157,6 +160,25 @@ class ByteReader {
   size_t size_;
   size_t pos_ = 0;
 };
+
+// Zero-run elision, for byte images whose bulk is runs of zeros (a VM
+// checkpoint: a mostly empty heap, cleared tables). The stream is
+//
+//   uvarint decoded_size | record*
+//   record := uvarint literal_len | literal bytes | uvarint zero_run_len
+//
+// with records until decoded_size bytes are produced and nothing after.
+// The encoder elides every run of at least kMinZeroRun zeros (a run costs
+// two varints, 2-4 bytes); shorter runs stay in the literals.
+inline constexpr size_t kMinZeroRun = 8;
+std::vector<uint8_t> zero_run_encode(const uint8_t* data, size_t n);
+// Decodes into *out, replacing its contents. The declared size must not
+// exceed `max_size`, and *out never grows past the declared size: a
+// truncated stream, a record that overruns the declared size or trailing
+// bytes throw a VmError naming the stream offset, before any allocation
+// beyond that size.
+void zero_run_decode(const uint8_t* data, size_t n, size_t max_size,
+                     std::vector<uint8_t>* out);
 
 // Opens `path` for writing as a new, empty file; nullptr on failure. An
 // existing regular file is unlinked first instead of truncated: on ext4

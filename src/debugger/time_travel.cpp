@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/common/io.hpp"
+
 namespace dejavu::debugger {
 
 TimeTravelDebugger::TimeTravelDebugger(bytecode::Program prog,
@@ -12,14 +14,94 @@ TimeTravelDebugger::TimeTravelDebugger(bytecode::Program prog,
       trace_(std::move(trace)),
       opts_(opts),
       cfg_(cfg) {
-  rebuild();
+  open(nullptr);
 }
 
-void TimeTravelDebugger::rebuild() {
-  session_ = std::make_unique<replay::ReplaySession>(
-      prog_, std::make_unique<replay::TraceFileSource>(&trace_), opts_, cfg_);
+void TimeTravelDebugger::open(const Keyframe* from) {
+  // The old session goes first, so two replayed heaps never coexist; its
+  // output may reach past every keyframe, so keep that.
+  if (session_ != nullptr) sync_output();
+  dbg_.reset();
+  session_.reset();
+  auto source = std::make_unique<replay::TraceFileSource>(&trace_);
+  if (from == nullptr) {
+    session_ = std::make_unique<replay::ReplaySession>(
+        prog_, std::move(source), opts_, cfg_);
+  } else {
+    replay::ResumePoint p;
+    zero_run_decode(from->packed.data(), from->packed.size(),
+                    from->checkpoint_bytes, &p.checkpoint);
+    p.offsets = from->offsets;
+    p.instr = from->instr;
+    session_ = std::make_unique<replay::ReplaySession>(
+        prog_, std::move(source), opts_, cfg_, &p);
+  }
   dbg_ = std::make_unique<Debugger>(*session_, prog_);
+  if (from == nullptr) {
+    first_instr_ = session_->start_instr();
+    output_base_ = 0;
+    if (spacing_ == 0)  // the first boot: the history's length is known
+      spacing_ = std::max<uint64_t>(
+          1, (end_position() - first_instr_) / kInitialKeyframes);
+  } else {
+    output_base_ = from->output_len;
+  }
   reinstall_breakpoints();
+  arm_next_keyframe();
+}
+
+void TimeTravelDebugger::arm_next_keyframe() {
+  // Analyzers must see the whole run, so with any of them on every replay
+  // starts at the trace's start.
+  if (cfg_.obs.any_analysis()) return;
+  uint64_t last = keyframes_.empty() ? first_instr_ : keyframes_.back().instr;
+  session_->engine().arm_keyframe(
+      last + spacing_, [this](replay::ResumePoint p) { keep(std::move(p)); });
+}
+
+void TimeTravelDebugger::keep(replay::ResumePoint p) {
+  // Armed past the last keyframe, so the list stays ascending.
+  DV_CHECK(keyframes_.empty() || p.instr > keyframes_.back().instr);
+  Keyframe k;
+  k.instr = p.instr;
+  k.output_len = output_base_ + session_->vm().output().size();
+  k.checkpoint_bytes = p.checkpoint.size();
+  k.packed = zero_run_encode(p.checkpoint.data(), p.checkpoint.size());
+  k.offsets = std::move(p.offsets);
+  keyframe_bytes_ += k.packed.size();
+  keyframes_.push_back(std::move(k));
+  // Over budget: drop every other keyframe (the first stays) and double
+  // the spacing, until the rest fit. One keyframe alone over the budget
+  // goes too.
+  while (keyframe_bytes_ > kKeyframeBudget) {
+    size_t n = keyframes_.size() == 1 ? 0 : (keyframes_.size() + 1) / 2;
+    for (size_t i = 1; i < n; ++i) keyframes_[i] = std::move(keyframes_[2 * i]);
+    keyframes_.resize(n);
+    keyframe_bytes_ = 0;
+    for (const Keyframe& f : keyframes_) keyframe_bytes_ += f.packed.size();
+    spacing_ *= 2;
+  }
+  arm_next_keyframe();
+}
+
+const TimeTravelDebugger::Keyframe* TimeTravelDebugger::nearest_keyframe(
+    uint64_t target) const {
+  auto it = std::upper_bound(
+      keyframes_.begin(), keyframes_.end(), target,
+      [](uint64_t t, const Keyframe& k) { return t < k.instr; });
+  return it == keyframes_.begin() ? nullptr : &*(it - 1);
+}
+
+std::vector<uint64_t> TimeTravelDebugger::keyframe_positions() const {
+  std::vector<uint64_t> v;
+  for (const Keyframe& k : keyframes_) v.push_back(k.instr);
+  return v;
+}
+
+void TimeTravelDebugger::sync_output() {
+  const std::string& out = session_->vm().output();
+  if (output_base_ + out.size() > output_.size())
+    output_.append(out, output_.size() - output_base_, std::string::npos);
 }
 
 void TimeTravelDebugger::reinstall_breakpoints() {
@@ -41,8 +123,10 @@ bool TimeTravelDebugger::at_end() const { return session_->vm().finished(); }
 
 void TimeTravelDebugger::goto_instruction(uint64_t target) {
   // A flight tail starts at its checkpoint; nothing before it exists.
-  target = std::clamp(target, session_->start_instr(), end_position());
-  if (target < position()) rebuild();  // the past: re-replay from the start
+  target = std::clamp(target, first_instr_, end_position());
+  // The past: resume from the nearest keyframe (boot fresh before the
+  // first one) and step forward.
+  if (target < position()) open(nearest_keyframe(target));
   uint64_t remaining = target - position();
   while (remaining > 0 && !session_->vm().finished()) {
     uint64_t done = session_->vm().step(remaining);
@@ -92,7 +176,11 @@ bool TimeTravelDebugger::remove_breakpoint(int id) {
 }
 
 replay::ReplayResult TimeTravelDebugger::run_to_end_and_verify() {
-  return session_->finish();
+  replay::ReplayResult r = session_->finish();
+  sync_output();
+  // A resumed replay printed only what follows its keyframe.
+  r.output.insert(0, output_, 0, output_base_);
+  return r;
 }
 
 }  // namespace dejavu::debugger

@@ -1,6 +1,7 @@
 #include "src/farm/outcome_cache.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -23,21 +24,49 @@ std::string hex16(uint64_t h) {
   return buf;
 }
 
-// Exact-width JSON round-trip: every persisted number is a counter-sized
-// integer (< 2^53), so double is lossless here.
-uint64_t num(const obs::JsonValue& obj, const char* k) {
-  const obs::JsonValue* v = obj.find(k);
-  return v != nullptr && v->is_number() ? uint64_t(v->number) : 0;
+// Strict reads: a cached value is used only when its key is present with
+// its type, so a damaged entry is a miss, never a silently zeroed hit.
+// Counts are non-negative integers below 2^64 and gauges integers in int64
+// range, as JsonWriter wrote them (every persisted number is below 2^53,
+// so double is lossless here).
+bool get_count(const obs::JsonValue& v, uint64_t* out) {
+  if (!v.is_number() || v.number < 0 || v.number >= 0x1p64 ||
+      v.number != std::floor(v.number))
+    return false;
+  *out = uint64_t(v.number);
+  return true;
 }
 
-int64_t snum(const obs::JsonValue& obj, const char* k) {
+bool get_count(const obs::JsonValue& obj, const char* k, uint64_t* out) {
   const obs::JsonValue* v = obj.find(k);
-  return v != nullptr && v->is_number() ? int64_t(v->number) : 0;
+  return v != nullptr && get_count(*v, out);
 }
 
-std::string str(const obs::JsonValue& obj, const std::string& k) {
+bool get_int(const obs::JsonValue& obj, const char* k, int64_t* out) {
   const obs::JsonValue* v = obj.find(k);
-  return v != nullptr && v->is_string() ? v->string : std::string();
+  if (v == nullptr || !v->is_number() || v->number < -0x1p63 ||
+      v->number >= 0x1p63 || v->number != std::floor(v->number))
+    return false;
+  *out = int64_t(v->number);
+  return true;
+}
+
+bool get_counts(const obs::JsonValue& obj, const char* k,
+                std::vector<uint64_t>* out) {
+  const obs::JsonValue* v = obj.find(k);
+  if (v == nullptr || !v->is_array()) return false;
+  out->resize(v->items.size());
+  for (size_t i = 0; i < v->items.size(); ++i)
+    if (!get_count(v->items[i], &(*out)[i])) return false;
+  return true;
+}
+
+bool get_str(const obs::JsonValue& obj, const std::string& k,
+             std::string* out) {
+  const obs::JsonValue* v = obj.find(k);
+  if (v == nullptr || !v->is_string()) return false;
+  *out = v->string;
+  return true;
 }
 
 void write_metrics(obs::JsonWriter& w, const obs::MetricsSnapshot& m) {
@@ -69,32 +98,25 @@ bool read_metrics(const obs::JsonValue& doc, obs::MetricsSnapshot* out) {
   const obs::JsonValue* arr = doc.find("metrics");
   if (arr == nullptr || !arr->is_array()) return false;
   for (const obs::JsonValue& s : arr->items) {
-    if (!s.is_object()) return false;
     obs::MetricSample m;
-    m.name = str(s, "name");
-    std::string kind = str(s, "kind");
+    std::string kind;
+    if (!s.is_object() || !get_str(s, "name", &m.name) ||
+        !get_str(s, "kind", &kind))
+      return false;
+    bool ok = false;
     if (kind == "counter") {
       m.kind = obs::MetricKind::kCounter;
-      m.value = num(s, "value");
+      ok = get_count(s, "value", &m.value);
     } else if (kind == "gauge") {
       m.kind = obs::MetricKind::kGauge;
-      m.gauge = snum(s, "gauge");
+      ok = get_int(s, "gauge", &m.gauge);
     } else if (kind == "histogram") {
       m.kind = obs::MetricKind::kHistogram;
-      m.count = num(s, "count");
-      m.sum = num(s, "sum");
-      const obs::JsonValue* bounds = s.find("bounds");
-      const obs::JsonValue* buckets = s.find("buckets");
-      if (bounds == nullptr || !bounds->is_array() || buckets == nullptr ||
-          !buckets->is_array())
-        return false;
-      for (const obs::JsonValue& b : bounds->items)
-        m.bounds.push_back(uint64_t(b.number));
-      for (const obs::JsonValue& b : buckets->items)
-        m.buckets.push_back(uint64_t(b.number));
-    } else {
-      return false;
+      ok = get_count(s, "count", &m.count) && get_count(s, "sum", &m.sum) &&
+           get_counts(s, "bounds", &m.bounds) &&
+           get_counts(s, "buckets", &m.buckets);
     }
+    if (!ok) return false;
     out->samples.push_back(std::move(m));
   }
   return true;
@@ -240,22 +262,28 @@ std::optional<TraceOutcome> OutcomeCache::load(
   } catch (const VmError&) {
     return std::nullopt;  // damaged entry == miss; the farm replays
   }
-  if (!doc.is_object() || str(doc, "schema") != kFarmCacheSchema)
+  std::string schema, fingerprint;
+  if (!doc.is_object() || !get_str(doc, "schema", &schema) ||
+      schema != kFarmCacheSchema)
     return std::nullopt;
-  if (str(doc, "program_fingerprint") != hex16(program_fingerprint))
+  if (!get_str(doc, "program_fingerprint", &fingerprint) ||
+      fingerprint != hex16(program_fingerprint))
     return std::nullopt;  // the workload changed since this was cached
 
+  // Every key save() writes must be there with its type; a damaged entry
+  // is a miss.
   TraceOutcome out;
   out.record = record;
-  out.verdict = str(doc, "verdict");
-  if (out.verdict.empty() || out.verdict == "error") return std::nullopt;
-  out.violations = num(doc, "violations");
-  out.first_violation = str(doc, "first_violation");
-  if (!read_metrics(doc, &out.metrics)) return std::nullopt;
-  out.analysis.profile_collapsed = str(doc, "profile_collapsed");
+  if (!get_str(doc, "verdict", &out.verdict) || out.verdict.empty() ||
+      out.verdict == "error" || !get_count(doc, "violations", &out.violations) ||
+      !get_str(doc, "first_violation", &out.first_violation) ||
+      !read_metrics(doc, &out.metrics) ||
+      !get_str(doc, "profile_collapsed", &out.analysis.profile_collapsed))
+    return std::nullopt;
   for (const obs::ArtifactKind& k : obs::artifact_kinds()) {
     std::string& artifact = out.analysis.*k.result;
-    artifact = str(doc, std::string(k.name) + "_json");
+    if (!get_str(doc, std::string(k.name) + "_json", &artifact))
+      return std::nullopt;
     if (artifact.empty()) continue;
     // An artifact the fold would reject is a damaged entry too.
     try {

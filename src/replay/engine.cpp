@@ -273,14 +273,26 @@ void DejaVuEngine::attach(vm::Vm& vm) {
     uint64_t fp = fingerprint_program(vm.program());
     DV_CHECK_MSG(fp == source_->meta().program_fingerprint,
                  "trace was recorded from a different program");
+    // A resume starts each cursor at its cut (all 0 unless resuming from a
+    // keyframe); a fresh replay at 0.
+    const StreamOffsets& at = resume_offsets_;
+    DV_CHECK_MSG(at.schedule.empty() || (at.schedule.size() == lane_count_ &&
+                                         at.events.size() == lane_count_),
+                 "resume offsets cover " << at.schedule.size() << "/"
+                     << at.events.size() << " lane(s), trace has "
+                     << lane_count_);
+    auto offset = [](const std::vector<uint64_t>& v, uint32_t k) {
+      return v.empty() ? 0 : v[k];
+    };
     for (uint32_t k = 0; k < lane_count_; ++k) {
-      lanes_[k].schedule_r =
-          std::make_unique<StreamCursor>(*source_, StreamId::kSchedule, k);
-      lanes_[k].events_r =
-          std::make_unique<StreamCursor>(*source_, StreamId::kEvents, k);
+      lanes_[k].schedule_r = std::make_unique<StreamCursor>(
+          *source_, StreamId::kSchedule, k, offset(at.schedule, k));
+      lanes_[k].events_r = std::make_unique<StreamCursor>(
+          *source_, StreamId::kEvents, k, offset(at.events, k));
     }
     if (lane_count_ > 1)
-      order_r_ = std::make_unique<StreamCursor>(*source_, StreamId::kOrder);
+      order_r_ = std::make_unique<StreamCursor>(*source_, StreamId::kOrder, 0,
+                                                at.order);
   }
 
   if (mode_ == Mode::kReplay && !resume_state_.empty()) {
@@ -312,6 +324,7 @@ void DejaVuEngine::attach(vm::Vm& vm) {
       lane.nyp = int64_t(delta) - int64_t(elapsed);
     }
     resume_state_.clear();
+    resume_offsets_ = {};
   } else {
     // §2.4 "Symmetry in Loading and Compilation": load the classes of
     // *both* modes, and compile their methods, before the application
@@ -653,7 +666,11 @@ bool DejaVuEngine::yield_point(bool hardware_bit) {
       if (lane.nyp <= 0) {
         c_.preempt->add();
         lane.preempts++;
+        lane.preempt_clock = lane.logical_clock;
         if (lane.c_preempts != nullptr) lane.c_preempts->add();
+        // A keyframe cuts where a flight epoch would: the safepoint after
+        // this preempt.
+        if (vm_->instr_count() >= keyframe_at_) vm_->request_safepoint();
         do_switch = true;
         // The firing delta's bytes reach the guest buffer now, where record
         // mirrored them; reload_nyp then reads (and parks) the next one.
@@ -1006,30 +1023,65 @@ void DejaVuEngine::detach(vm::Vm& vm) {
 }
 
 void DejaVuEngine::on_safepoint(vm::Vm& vm) {
-  if (mode_ != Mode::kRecord || cfg_.flight_epoch_preempts == 0 ||
-      writer_ == nullptr) {
+  if (mode_ == Mode::kReplay) {
+    if (keyframe_at_ == kNoKeyframe) return;
+    keyframe_at_ = kNoKeyframe;
+    // The sink may arm the next keyframe, replacing keyframe_sink_.
+    KeyframeSink sink = std::move(keyframe_sink_);
+    sink(resume_point());
     return;
   }
+  if (cfg_.flight_epoch_preempts == 0 || writer_ == nullptr) return;
   // Entry-aligned cut: flush every partially filled chunk so all bytes
   // written so far seal into the current epoch; everything the run writes
   // after this call lands in the next one.
   writer_->flush();
-  ByteWriter vw;
-  vm.capture_snapshot(vw);
-  ByteWriter ew;
-  serialize_resume_state(ew);
-  writer_->sink().begin_epoch(make_flight_checkpoint(vw.bytes(), ew.bytes()),
-                              logical_clock_, vm.instr_count());
+  writer_->sink().begin_epoch(resume_point().checkpoint, logical_clock_,
+                              vm.instr_count());
   if (timeline_ != nullptr)
     timeline_->instant("flight", "epoch", logical_clock_, cur_tid(), "instr",
                        int64_t(vm.instr_count()));
 }
 
-void DejaVuEngine::prepare_resume(std::vector<uint8_t> engine_state) {
+void DejaVuEngine::prepare_resume(std::vector<uint8_t> engine_state,
+                                  StreamOffsets offsets) {
   DV_CHECK_MSG(mode_ == Mode::kReplay, "prepare_resume on a record engine");
   DV_CHECK_MSG(vm_ == nullptr, "prepare_resume after attach");
   DV_CHECK_MSG(!engine_state.empty(), "empty engine resume state");
   resume_state_ = std::move(engine_state);
+  resume_offsets_ = std::move(offsets);
+}
+
+ResumePoint DejaVuEngine::resume_point() const {
+  DV_CHECK_MSG(vm_ != nullptr, "resume point before attach");
+  ResumePoint p;
+  p.instr = vm_->instr_count();
+  ByteWriter vw;
+  vm_->capture_snapshot(vw);
+  ByteWriter ew;
+  serialize_resume_state(ew);
+  p.checkpoint = make_flight_checkpoint(vw.bytes(), ew.bytes());
+  // Record: every byte appended so far. Replay: every byte consumed, less
+  // the schedule delta each lane reads one switch ahead (still parked in
+  // its cursor's pending mirror), which a recording has not yet written.
+  auto at = [this](const StreamCursor* c, StreamId id, threads::LaneId k) {
+    if (mode_ == Mode::kRecord) return writer_->stream_bytes(id, k);
+    return c->position() - c->pending_mirror().size();
+  };
+  for (uint32_t k = 0; k < lane_count_; ++k) {
+    p.offsets.schedule.push_back(
+        at(lanes_[k].schedule_r.get(), StreamId::kSchedule, k));
+    p.offsets.events.push_back(
+        at(lanes_[k].events_r.get(), StreamId::kEvents, k));
+  }
+  if (lane_count_ > 1) p.offsets.order = at(order_r_.get(), StreamId::kOrder, 0);
+  return p;
+}
+
+void DejaVuEngine::arm_keyframe(uint64_t instr, KeyframeSink sink) {
+  DV_CHECK_MSG(mode_ == Mode::kReplay, "arm_keyframe on a record engine");
+  keyframe_at_ = instr;
+  keyframe_sink_ = std::move(sink);
 }
 
 void DejaVuEngine::serialize_resume_state(ByteWriter& w) const {
@@ -1053,8 +1105,14 @@ void DejaVuEngine::serialize_resume_state(ByteWriter& w) const {
   w.put_uvarint(c_.preempt->value());
   w.put_uvarint(c_.checkpoints->value());
   for (const LaneState& l : lanes_) {
-    DV_CHECK_MSG(l.nyp >= 0, "negative record-side nyp at safepoint");
-    w.put_uvarint(uint64_t(l.nyp));  // yields since the lane's last preempt
+    // Yields since the lane's last preempt: a recording counts them in
+    // nyp, a replay (whose nyp counts down) from the lane's clock.
+    if (mode_ == Mode::kRecord) {
+      DV_CHECK_MSG(l.nyp >= 0, "negative record-side nyp at safepoint");
+      w.put_uvarint(uint64_t(l.nyp));
+    } else {
+      w.put_uvarint(l.logical_clock - l.preempt_clock);
+    }
     w.put_uvarint(l.logical_clock);
     w.put_uvarint(l.preempts);
     w.put_u8(l.sched_buf.allocated ? 1 : 0);
@@ -1104,8 +1162,14 @@ void DejaVuEngine::restore_resume_state(ByteReader& r) {
   c_.preempt->add(r.get_uvarint());
   c_.checkpoints->add(r.get_uvarint());
   for (LaneState& l : lanes_) {
-    l.nyp = int64_t(r.get_uvarint());  // record-side elapsed; attach rebases
+    uint64_t elapsed = r.get_uvarint();
+    l.nyp = int64_t(elapsed);  // record-side elapsed; attach rebases
     l.logical_clock = r.get_uvarint();
+    DV_CHECK_MSG(elapsed <= l.logical_clock,
+                 "resume state: " << elapsed << " yield(s) since the last "
+                                  << "preempt exceed the lane clock "
+                                  << l.logical_clock);
+    l.preempt_clock = l.logical_clock - elapsed;
     l.preempts = r.get_uvarint();
     if (l.c_clock != nullptr) l.c_clock->add(l.logical_clock);
     if (l.c_preempts != nullptr) l.c_preempts->add(l.preempts);
@@ -1135,7 +1199,10 @@ void DejaVuEngine::restore_resume_state(ByteReader& r) {
 std::vector<uint8_t> make_flight_checkpoint(
     const std::vector<uint8_t>& vm_snapshot,
     const std::vector<uint8_t>& engine_state) {
+  // Exact size (two fixed words, two varints of at most 10 bytes): flight
+  // rings and keyframes keep the blob, so it carries no growth slack.
   ByteWriter w;
+  w.reserve(8 + 2 * 10 + vm_snapshot.size() + engine_state.size());
   w.put_u32_fixed(kFlightCheckpointMagic);
   w.put_u32_fixed(kFlightCheckpointVersion);
   w.put_uvarint(vm_snapshot.size());

@@ -35,6 +35,8 @@
 #pragma once
 
 #include <array>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -131,6 +133,25 @@ struct EngineStats {
   }
 };
 
+// Where each stream stood at a cut: bytes written (record) or consumed
+// (replay), per lane for schedule and events, plus the cross-lane order
+// stream. A resumed replay's cursors start reading there; an empty vector
+// means offset 0 for every lane, which is a flight tail's case (its streams
+// begin at its checkpoint).
+struct StreamOffsets {
+  std::vector<uint64_t> schedule, events;
+  uint64_t order = 0;
+};
+
+// A cut a replay can resume from: the flight checkpoint a recording takes
+// at a preempt-aligned safepoint (make_flight_checkpoint's blob), and the
+// stream offsets at that cut.
+struct ResumePoint {
+  std::vector<uint8_t> checkpoint;
+  StreamOffsets offsets;
+  uint64_t instr = 0;  // VM instruction count at the cut
+};
+
 class DejaVuEngine : public vm::ExecHooks {
  public:
   // Record mode: chunks are flushed to the sink as recording proceeds, so
@@ -160,14 +181,30 @@ class DejaVuEngine : public vm::ExecHooks {
     return divergence_;
   }
 
-  // ---- flight-tail resume (driven by ReplaySession) ----------------------
+  // ---- mid-trace resume (driven by ReplaySession) ------------------------
   // Replay mode, before the VM boots: arm a mid-trace resume from the
-  // engine half of a flight checkpoint. The paired Vm must
-  // boot_from_snapshot() with the VM half; the engine's attach (fired from
-  // there, after restore) then performs a resume-style attach -- no class
-  // preloading, I/O warm-up or buffer preallocation, because the snapshot
-  // already contains every one of those side effects.
-  void prepare_resume(std::vector<uint8_t> engine_state);
+  // engine half of a flight checkpoint, with each stream's cursor starting
+  // at `offsets`. The paired Vm must boot_from_snapshot() with the VM half;
+  // the engine's attach (fired from there, after restore) then performs a
+  // resume-style attach -- no class preloading, I/O warm-up or buffer
+  // preallocation, because the snapshot already contains every one of
+  // those side effects.
+  void prepare_resume(std::vector<uint8_t> engine_state,
+                      StreamOffsets offsets = {});
+
+  // The resume point at the current cut. Must be called at a safepoint
+  // (a loop top outside instrumentation), after attach. A replay engine
+  // emits the bytes a recording engine emits at the same cut: the same VM
+  // snapshot, the same engine state and the same stream offsets.
+  ResumePoint resume_point() const;
+
+  // ---- keyframes (replay mode; driven by the time-travel debugger) ------
+  // Arms a VM safepoint at the first preempt at or past VM instruction
+  // `instr`; there the engine hands `sink` the resume_point(). One-shot:
+  // the sink may arm the next keyframe. Unarmed, each replayed preempt
+  // pays one untaken branch.
+  using KeyframeSink = std::function<void(ResumePoint)>;
+  void arm_keyframe(uint64_t instr, KeyframeSink sink);
 
   // ---- replay-time analysis fan-out (src/obs/analysis) -------------------
   // Registers an analyzer (not owned; must outlive the run). Replay mode
@@ -212,7 +249,9 @@ class DejaVuEngine : public vm::ExecHooks {
   void on_switch(threads::Tid from, threads::Tid to,
                  threads::SwitchReason reason) override;
   // Record mode + flight_epoch_preempts: capture the paired VM/engine
-  // checkpoint and open a new epoch at the sink. No-op otherwise.
+  // checkpoint and open a new epoch at the sink. Replay mode with a
+  // keyframe armed: hand the resume point to the keyframe sink. No-op
+  // otherwise.
   void on_safepoint(vm::Vm& vm) override;
   // Cross-lane order events (K>1 lanes only): record mode appends each to
   // the trace's order stream; replay mode verifies the live event against
@@ -273,6 +312,9 @@ class DejaVuEngine : public vm::ExecHooks {
     bool schedule_exhausted = false;  // replay: no recorded switches remain
     uint64_t logical_clock = 0;       // live yield points on this lane
     uint64_t preempts = 0;            // preemptive switches on this lane
+    // Replay: logical_clock at the lane's last preempt, so a replay cut
+    // can state the record-side nyp (yields since that preempt).
+    uint64_t preempt_clock = 0;
     std::unique_ptr<StreamCursor> schedule_r, events_r;  // replay cursors
     GuestBuffer sched_buf, event_buf;
     // Per-lane telemetry; registered only when lane_count_ > 1 so a
@@ -303,7 +345,7 @@ class DejaVuEngine : public vm::ExecHooks {
   // (heap-transfer) cross-lane events.
   void handle_cross_lane(const threads::CrossLaneEvent& e);
 
-  // Flight checkpoint halves (record side writes, resume attach reads).
+  // Flight checkpoint halves (a cut writes, resume attach reads).
   void serialize_resume_state(ByteWriter& w) const;
   void restore_resume_state(ByteReader& r);
 
@@ -409,16 +451,25 @@ class DejaVuEngine : public vm::ExecHooks {
   bool io_class_loaded_ = false;
   bool detached_ = false;
 
-  // Flight resume: the engine half of the checkpoint, held from
-  // prepare_resume until the resume-style attach consumes it.
+  // Mid-trace resume: the engine half of the checkpoint and the stream
+  // offsets, held from prepare_resume until the resume-style attach
+  // consumes them.
   std::vector<uint8_t> resume_state_;
+  StreamOffsets resume_offsets_;
+
+  // Keyframes: the instruction count past which the next replayed preempt
+  // arms a safepoint (never, when unarmed), and who gets the cut.
+  static constexpr uint64_t kNoKeyframe = std::numeric_limits<uint64_t>::max();
+  uint64_t keyframe_at_ = kNoKeyframe;
+  KeyframeSink keyframe_sink_;
 };
 
 // A flight checkpoint pairs the VM snapshot with the engine's resume state
-// in one framed blob ("DVCK"). The engine emits it at each safepoint;
-// ReplaySession splits it back apart to resume a flight tail. Both halves stay
-// opaque to everything in between -- the flight container code never needs
-// to know either layout.
+// in one framed blob ("DVCK"). The engine emits it at each safepoint (a
+// recording's flight epochs, a replay's keyframes); ReplaySession splits it
+// back apart to resume a flight tail or a keyframe. Both halves stay opaque
+// to everything in between -- the flight container code and the debugger
+// never need to know either layout.
 std::vector<uint8_t> make_flight_checkpoint(
     const std::vector<uint8_t>& vm_snapshot,
     const std::vector<uint8_t>& engine_state);

@@ -145,7 +145,8 @@ ReplayResult replay_file(const bytecode::Program& prog,
 
 ReplaySession::ReplaySession(const bytecode::Program& prog,
                              std::unique_ptr<TraceSource> source,
-                             vm::VmOptions opts, SymmetryConfig cfg)
+                             vm::VmOptions opts, SymmetryConfig cfg,
+                             const ResumePoint* from)
     // All non-determinism is substituted from the trace; the live sources
     // are placeholders whose values the guest never observes.
     : env_(std::make_unique<vm::ScriptedEnvironment>(0, 1,
@@ -153,14 +154,21 @@ ReplaySession::ReplaySession(const bytecode::Program& prog,
                                                      0)),
       timer_(std::make_unique<threads::NullTimer>()),
       analyzers_(cfg.obs) {
-  std::vector<uint8_t> vm_snapshot, engine_state;
-  if (!source->flight_chunk().empty()) {
+  if (!source->flight_chunk().empty())
     flight_ = FlightInfo::decode(source->flight_chunk());
-    if (flight_->has_checkpoint)
-      split_flight_checkpoint(flight_->checkpoint, &vm_snapshot,
-                              &engine_state);
+  // A tail's streams begin at its checkpoint: every offset is 0.
+  const std::vector<uint8_t>* checkpoint = nullptr;
+  StreamOffsets offsets;
+  if (from != nullptr) {
+    checkpoint = &from->checkpoint;
+    offsets = from->offsets;
+  } else if (flight_.has_value() && flight_->has_checkpoint) {
+    checkpoint = &flight_->checkpoint;
   }
-  bool resume = flight_.has_value() && flight_->has_checkpoint;
+  std::vector<uint8_t> vm_snapshot, engine_state;
+  if (checkpoint != nullptr)
+    split_flight_checkpoint(*checkpoint, &vm_snapshot, &engine_state);
+  bool resume = checkpoint != nullptr;
   engine_ = std::make_unique<DejaVuEngine>(std::move(source), cfg);
   analyzers_.install(*engine_);  // before boot: attach fixes subscriptions
   if (!resume) {
@@ -177,7 +185,7 @@ ReplaySession::ReplaySession(const bytecode::Program& prog,
   vm::VmOptions vopts = vm::Vm::peek_snapshot_options(vm_snapshot);
   vopts.echo_output = opts.echo_output;
   vopts.max_instructions = opts.max_instructions;
-  engine_->prepare_resume(std::move(engine_state));
+  engine_->prepare_resume(std::move(engine_state), std::move(offsets));
   vm_ = std::make_unique<vm::Vm>(prog, vopts, *env_, *timer_, engine_.get());
   vm_->boot_from_snapshot(vm_snapshot);
   start_instr_ = vm_->instr_count();

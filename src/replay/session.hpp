@@ -147,16 +147,21 @@ ReplayResult replay_file(const bytecode::Program& prog,
 // environment/timer. The one place that sets up a replay: finish() runs it
 // to completion, the debugger steps it first.
 //
-// When the trace is a flight tail whose descriptor carries a checkpoint,
-// the VM boots from the checkpoint's snapshot with the recording's VM
+// A session resumes mid-trace from a checkpoint in two cases, through one
+// path: a flight tail whose descriptor carries a checkpoint (its streams
+// start at the cut, so every stream offset is 0), and an explicit
+// ResumePoint, which a replay of the same trace took (the time-travel
+// debugger's keyframes; see DejaVuEngine::arm_keyframe). Either way the VM
+// boots from the checkpoint's snapshot with the recording's VM
 // configuration (only the caller's echo_output and max_instructions are
-// kept) and the engine resumes mid-trace; otherwise the VM boots fresh with
-// the trace's lane count.
+// kept) and the engine resumes at the stream offsets. Otherwise the VM
+// boots fresh with the trace's lane count.
 class ReplaySession {
  public:
+  // `from`, when given, is a resume point a replay of this trace took.
   ReplaySession(const bytecode::Program& prog,
                 std::unique_ptr<TraceSource> source, vm::VmOptions opts,
-                SymmetryConfig cfg = {});
+                SymmetryConfig cfg = {}, const ResumePoint* from = nullptr);
   ReplaySession(const bytecode::Program& prog, TraceFile trace,
                 vm::VmOptions opts, SymmetryConfig cfg = {})
       : ReplaySession(prog,
@@ -165,10 +170,11 @@ class ReplaySession {
 
   vm::Vm& vm() { return *vm_; }
   const DejaVuEngine& engine() const { return *engine_; }
+  DejaVuEngine& engine() { return *engine_; }
   // The trace's kFlight descriptor; empty for an ordinary full trace.
   const std::optional<FlightInfo>& flight() const { return flight_; }
   // VM instruction count the replay starts from: the checkpoint's for a
-  // resumed tail, 0 otherwise. Nothing earlier can be replayed.
+  // resumed session, 0 otherwise. Nothing earlier can be replayed.
   uint64_t start_instr() const { return start_instr_; }
 
   // Completes the run (if not already complete) and reports verification.

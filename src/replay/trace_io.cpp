@@ -736,9 +736,21 @@ std::unique_ptr<TraceSource> open_trace_source(const std::string& path) {
 
 // ---------------------------------------------------------------- cursor
 
-StreamCursor::StreamCursor(TraceSource& src, StreamId id, LaneId lane)
+StreamCursor::StreamCursor(TraceSource& src, StreamId id, LaneId lane,
+                           uint64_t start)
     : src_(src), id_(id), lane_(lane),
-      total_(src.stream_info(id, lane).bytes) {}
+      total_(src.stream_info(id, lane).bytes) {
+  DV_CHECK_MSG(start <= total_, stream_name(id) << " stream resume offset "
+                                    << start << " exceeds its " << total_
+                                    << " byte(s)");
+  while (consumed_ < start) {
+    DV_CHECK_MSG(ensure_byte(), stream_name(id_) << " stream underrun (skip)");
+    size_t m = size_t(std::min<uint64_t>(start - consumed_,
+                                         chunk_.size() - pos_));
+    pos_ += m;
+    consumed_ += m;
+  }
+}
 
 bool StreamCursor::ensure_byte() {
   while (pos_ == chunk_.size()) {

@@ -391,7 +391,11 @@ std::unique_ptr<TraceSource> open_trace_source(const std::string& path);
 // engine keeps its guest trace buffers byte-identical to record mode.
 class StreamCursor {
  public:
-  StreamCursor(TraceSource& src, StreamId id, LaneId lane = 0);
+  // Starts reading at byte `start` of the stream (a resume's cut), so
+  // position() counts from there; throws VmError when the stream is
+  // shorter.
+  StreamCursor(TraceSource& src, StreamId id, LaneId lane = 0,
+               uint64_t start = 0);
 
   uint8_t get_u8();
   uint64_t get_uvarint();

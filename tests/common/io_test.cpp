@@ -126,5 +126,110 @@ TEST(ByteIo, MissingFileThrows) {
   EXPECT_THROW(read_file("/nonexistent/dir/file.bin"), VmError);
 }
 
+// A buffer of literals and zero runs of every length around the elision
+// threshold, at the start, the middle and the end.
+std::vector<uint8_t> zero_run_sample() {
+  std::vector<uint8_t> v;
+  for (size_t run = 0; run <= 2 * kMinZeroRun + 1; ++run) {
+    v.insert(v.end(), run, 0);
+    for (uint8_t b = 1; b <= run % 5 + 1; ++b) v.push_back(uint8_t(b * 37));
+  }
+  v.insert(v.end(), 1000, 0);
+  return v;
+}
+
+std::vector<uint8_t> zero_run_round_trip(const std::vector<uint8_t>& in) {
+  std::vector<uint8_t> packed = zero_run_encode(in.data(), in.size());
+  std::vector<uint8_t> out;
+  zero_run_decode(packed.data(), packed.size(), in.size(), &out);
+  return out;
+}
+
+TEST(ZeroRun, RoundTripsEveryRunLength) {
+  std::vector<std::vector<uint8_t>> cases = {
+      {}, {0}, {1}, std::vector<uint8_t>(7, 0), std::vector<uint8_t>(8, 0),
+      std::vector<uint8_t>(4096, 0xff), zero_run_sample()};
+  std::vector<uint8_t> leading(kMinZeroRun, 0);
+  leading.push_back(9);
+  cases.push_back(leading);
+  for (const std::vector<uint8_t>& c : cases) {
+    SCOPED_TRACE(c.size());
+    EXPECT_EQ(zero_run_round_trip(c), c);
+  }
+}
+
+TEST(ZeroRun, LongRunsCostAFewBytes) {
+  std::vector<uint8_t> v(1 << 20, 0);
+  v[100] = 1;
+  v[500000] = 2;
+  std::vector<uint8_t> packed = zero_run_encode(v.data(), v.size());
+  EXPECT_LT(packed.size(), 24u);
+  EXPECT_EQ(zero_run_round_trip(v), v);
+  // Runs shorter than the threshold stay literal: no expansion beyond the
+  // framing of the one record.
+  std::vector<uint8_t> short_runs;
+  for (int i = 0; i < 100; ++i) {
+    short_runs.push_back(uint8_t(i + 1));
+    short_runs.insert(short_runs.end(), kMinZeroRun - 1, 0);
+  }
+  EXPECT_LE(zero_run_encode(short_runs.data(), short_runs.size()).size(),
+            short_runs.size() + 6);
+}
+
+// Decoding hostile bytes throws a located VmError, and the output never
+// holds more than the declared size, even when a record claims more.
+void expect_rejected(const std::vector<uint8_t>& stream, size_t max_size,
+                     size_t declared, const std::string& what) {
+  SCOPED_TRACE(what);
+  std::vector<uint8_t> out;
+  try {
+    zero_run_decode(stream.data(), stream.size(), max_size, &out);
+    ADD_FAILURE() << "decoded without an error";
+  } catch (const VmError& e) {
+    std::string msg = e.what();
+    EXPECT_NE(msg.find("zero-run stream"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("offset"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(what), std::string::npos) << msg;
+  }
+  EXPECT_LE(out.capacity(), declared);
+}
+
+TEST(ZeroRun, HostileStreamsAreLocatedErrorsWithBoundedOutput) {
+  std::vector<uint8_t> sample = zero_run_sample();
+  std::vector<uint8_t> packed = zero_run_encode(sample.data(), sample.size());
+  // Every truncation of a valid stream.
+  for (size_t cut = 0; cut < packed.size(); ++cut) {
+    std::vector<uint8_t> part(packed.begin(), packed.begin() + long(cut));
+    expect_rejected(part, sample.size(), sample.size(),
+                    cut == 0 ? "decoded size" : "");
+  }
+  auto stream = [](std::initializer_list<uint64_t> lens,
+                   std::vector<uint8_t> tail = {}) {
+    ByteWriter w;
+    for (uint64_t n : lens) w.put_uvarint(n);
+    w.put_bytes(tail.data(), tail.size());
+    return w.take();
+  };
+  // A literal longer than the declared size.
+  expect_rejected(stream({10, 11}, std::vector<uint8_t>(11, 1)), 64, 10,
+                  "literal length 11 at offset 1 exceeds the 10");
+  // A literal longer than the bytes that follow it.
+  expect_rejected(stream({10, 4}, {1, 2}), 64, 10, "is cut off after 2");
+  // A zero run far past the declared size.
+  std::vector<uint8_t> huge_run = stream({10, 2}, {1, 2});
+  for (uint8_t b : stream({1ull << 40})) huge_run.push_back(b);
+  expect_rejected(huge_run, 64, 10,
+                  "zero run 1099511627776 at offset 4 exceeds the 8");
+  // Trailing bytes after the declared size is reached.
+  std::vector<uint8_t> trailing = packed;
+  trailing.push_back(0);
+  expect_rejected(trailing, sample.size(), sample.size(), "trailing byte");
+  // A declared size over the caller's limit allocates nothing.
+  expect_rejected(stream({1ull << 40}), 1 << 20, 0,
+                  "decoded size 1099511627776 at offset 0 exceeds");
+  // A length varint that never ends.
+  expect_rejected(std::vector<uint8_t>(12, 0xff), 64, 0, "malformed");
+}
+
 }  // namespace
 }  // namespace dejavu

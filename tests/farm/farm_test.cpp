@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -480,6 +481,20 @@ std::string with_member(const std::string& entry, const std::string& key,
   return entry.substr(0, start) + obs::json_escape(value) + entry.substr(end);
 }
 
+// `entry` with the `,"value":N` of its first cached counter replaced by
+// `replacement`.
+std::string with_counter_value(const std::string& entry,
+                               const std::string& replacement) {
+  const std::string needle = ",\"value\":";
+  size_t at = entry.find("\"kind\":\"counter\"" + needle);
+  EXPECT_NE(at, std::string::npos);
+  if (at == std::string::npos) return entry;
+  at = entry.find(needle, at);
+  size_t end = at + needle.size();
+  while (end < entry.size() && std::isdigit((unsigned char)entry[end])) ++end;
+  return entry.substr(0, at) + replacement + entry.substr(end);
+}
+
 TEST(FarmCache, DamagedEntryIsAMissNotAnError) {
   CacheFixture fx;
   FarmRunResult fresh = fx.run(true);
@@ -507,6 +522,12 @@ TEST(FarmCache, DamagedEntryIsAMissNotAnError) {
       // An artifact that holds only its schema.
       {"schema-only locks",
        with_member(whole, "locks_json", "{\"schema\":\"dejavu-locks-v1\"}")},
+      // A metric counter without its value, or with a value that is not a
+      // count.
+      {"counter without value", with_counter_value(whole, "")},
+      {"string counter", with_counter_value(whole, ",\"value\":\"7\"")},
+      {"negative counter", with_counter_value(whole, ",\"value\":-1")},
+      {"fractional counter", with_counter_value(whole, ",\"value\":1.5")},
   };
   for (const auto& [name, damaged] : damages) {
     SCOPED_TRACE(name);

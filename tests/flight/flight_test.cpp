@@ -392,6 +392,61 @@ TEST(FlightTail, EveryReplayEntryPointAgreesOnTails) {
   }
 }
 
+// A tail's earliest keyframe is its own checkpoint. Time travel over a
+// tail takes keyframes past it, goes back by resuming from them, lands
+// where a straight tail replay lands, and finishes with the tail's whole
+// output.
+TEST(FlightTail, TimeTravelResumesFromKeyframesPastTheCheckpoint) {
+  bytecode::Program prog = workloads::counter_locked(4, 600);
+  for (uint32_t lanes : {1u, 2u}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    std::string path = tmp_path("tt_tail");
+    FlightRecordResult rec =
+        flight_record(path, prog, lanes, 5, FlightConfig{8, 16});
+    FlightInfo info;
+    ASSERT_TRUE(read_flight_info(path, &info));
+    ASSERT_TRUE(info.has_checkpoint);
+    TailReplayResult whole = replay_tail_file(prog, path, {});
+    ASSERT_TRUE(whole.replay.verified);
+
+    debugger::TimeTravelDebugger tt(prog, replay::TraceFile::load(path));
+    EXPECT_EQ(tt.replay_start(), info.checkpoint_instr);
+    tt.goto_instruction(tt.end_position());
+    std::vector<uint64_t> kf = tt.keyframe_positions();
+    ASSERT_GE(kf.size(), 4u);
+    EXPECT_GT(kf.front(), info.checkpoint_instr);
+
+    const uint64_t k = (info.checkpoint_instr + tt.end_position()) / 2;
+    replay::ReplaySession straight(prog, replay::open_trace_source(path), {});
+    while (straight.vm().instr_count() < k)
+      straight.vm().step(k - straight.vm().instr_count());
+    tt.goto_instruction(k);
+    EXPECT_GT(tt.replay_start(), info.checkpoint_instr);
+    EXPECT_LE(tt.replay_start(), k);
+    vm::BehaviorSummary want = straight.vm().summary();
+    vm::BehaviorSummary got = tt.vm().summary();
+    EXPECT_EQ(got.instr_count, want.instr_count);
+    EXPECT_EQ(got.output_hash, want.output_hash);
+    EXPECT_EQ(got.switch_seq_hash, want.switch_seq_hash);
+    EXPECT_EQ(got.heap_hash, want.heap_hash);
+    EXPECT_EQ(got.audit_digest, want.audit_digest);
+
+    // Before the first keyframe: the tail's own checkpoint.
+    tt.goto_instruction(0);
+    EXPECT_EQ(tt.position(), info.checkpoint_instr);
+    EXPECT_EQ(tt.replay_start(), info.checkpoint_instr);
+    tt.goto_instruction(kf.back() + 1);
+    EXPECT_EQ(tt.replay_start(), info.checkpoint_instr);  // forward: no jump
+    tt.step_back(1);
+    EXPECT_EQ(tt.replay_start(), kf.back());
+    replay::ReplayResult end = tt.run_to_end_and_verify();
+    EXPECT_TRUE(end.verified) << end.stats.first_violation;
+    EXPECT_EQ(end.summary, rec.summary);
+    EXPECT_EQ(end.output, whole.replay.output);
+    std::remove(path.c_str());
+  }
+}
+
 // ------------------------------------------------------ hostile descriptors
 
 // Splits a sealed tail into the bytes before its kFlight chunk, the
