@@ -21,6 +21,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -125,14 +126,17 @@ class BenchSidecar {
 };
 
 // Tees google-benchmark runs into the sidecar while keeping the normal
-// console table.
+// console table, and counts the runs that ended in SkipWithError.
 class SidecarReporter : public ::benchmark::ConsoleReporter {
  public:
   explicit SidecarReporter(BenchSidecar* sidecar) : sidecar_(sidecar) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& r : runs) {
-      if (r.error_occurred) continue;
+      if (r.error_occurred) {
+        errored_++;
+        continue;
+      }
       BenchSidecar::Metrics m;
       m.emplace_back("real_time", r.GetAdjustedRealTime());
       m.emplace_back("cpu_time", r.GetAdjustedCPUTime());
@@ -144,13 +148,18 @@ class SidecarReporter : public ::benchmark::ConsoleReporter {
     ConsoleReporter::ReportRuns(runs);
   }
 
+  int errored() const { return errored_; }
+
  private:
   BenchSidecar* sidecar_;
+  int errored_ = 0;
 };
 
 }  // namespace dejavu::bench
 
-// Drop-in for BENCHMARK_MAIN() with sidecar support.
+// Drop-in for BENCHMARK_MAIN() with sidecar support. Exits non-zero when
+// any run errored (a replay that diverged, a perturbation detected), so
+// a smoke test of the bench fails on it.
 #define DV_BENCH_MAIN(bench_name)                                         \
   int main(int argc, char** argv) {                                       \
     ::dejavu::bench::BenchSidecar sidecar =                               \
@@ -161,5 +170,10 @@ class SidecarReporter : public ::benchmark::ConsoleReporter {
     ::benchmark::RunSpecifiedBenchmarks(&reporter);                       \
     ::benchmark::Shutdown();                                              \
     sidecar.write();                                                      \
+    if (reporter.errored() != 0) {                                        \
+      std::fprintf(stderr, "%s: %d run(s) errored\n", bench_name,         \
+                   reporter.errored());                                   \
+      return 1;                                                           \
+    }                                                                     \
     return 0;                                                             \
   }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +23,11 @@ namespace dejavu {
 class ByteWriter {
  public:
   ByteWriter() = default;
+  // Writes into `buf`'s storage: its bytes are dropped, its capacity kept,
+  // so a buffer handed back by take() is reused without a new allocation.
+  explicit ByteWriter(std::vector<uint8_t> buf) : buf_(std::move(buf)) {
+    buf_.clear();
+  }
 
   void put_u8(uint8_t v) { buf_.push_back(v); }
 
@@ -67,7 +73,8 @@ class ByteWriter {
   size_t size() const { return buf_.size(); }
   void clear() { buf_.clear(); }
   // For a writer whose final size is known: take() then hands over a
-  // buffer without the slack of geometric growth.
+  // buffer without the slack of geometric growth. A no-op when the buffer
+  // already has room for `n` bytes.
   void reserve(size_t n) { buf_.reserve(n); }
 
  private:
@@ -77,7 +84,7 @@ class ByteWriter {
 class ByteReader {
  public:
   ByteReader(const uint8_t* data, size_t n) : data_(data), size_(n) {}
-  explicit ByteReader(const std::vector<uint8_t>& v)
+  explicit ByteReader(std::span<const uint8_t> v)
       : data_(v.data()), size_(v.size()) {}
 
   uint8_t get_u8() {

@@ -87,6 +87,17 @@ int Debugger::watch_static(const std::string& cls,
   return wp.id;
 }
 
+void Debugger::restore_watchpoint(int id, const std::string& cls,
+                                  const std::string& field) {
+  Watchpoint wp;
+  wp.id = id;
+  wp.class_name = cls;
+  wp.field_name = field;
+  wp.armed = read_watched(wp, &wp.last);
+  watches_.push_back(wp);
+  next_bp_id_ = std::max(next_bp_id_, id + 1);
+}
+
 bool Debugger::remove_watchpoint(int id) {
   for (size_t i = 0; i < watches_.size(); ++i) {
     if (watches_[i].id == id) {
@@ -104,16 +115,21 @@ const Watchpoint* Debugger::last_watch_hit() const {
   return nullptr;
 }
 
-bool Debugger::watch_fired() {
+bool Debugger::read_watched(const Watchpoint& wp, int64_t* value) const {
   const vm::Vm& vm = session_.vm();
+  const vm::RuntimeClass* rc = vm.runtime_class(wp.class_name);
+  if (rc == nullptr || !rc->loaded) return false;
+  auto it = rc->static_slot.find(wp.field_name);
+  if (it == rc->static_slot.end()) return false;
+  *value = vm.guest_heap().field_i64(heap::Addr(rc->statics_obj), it->second);
+  return true;
+}
+
+bool Debugger::watch_fired() {
   bool fired = false;
   for (Watchpoint& wp : watches_) {
-    const vm::RuntimeClass* rc = vm.runtime_class(wp.class_name);
-    if (rc == nullptr || !rc->loaded) continue;
-    auto it = rc->static_slot.find(wp.field_name);
-    if (it == rc->static_slot.end()) continue;
-    int64_t v = vm.guest_heap().field_i64(heap::Addr(rc->statics_obj),
-                                          it->second);
+    int64_t v;
+    if (!read_watched(wp, &v)) continue;
     if (!wp.armed) {
       wp.armed = true;
       wp.last = v;

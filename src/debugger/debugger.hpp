@@ -72,6 +72,11 @@ class Debugger {
 
   // ---- watchpoints --------------------------------------------------------
   int watch_static(const std::string& cls, const std::string& field);
+  // Re-creates a watchpoint kept across relocations (TimeTravelDebugger)
+  // under its own id, baselined at the current position: armed with the
+  // value read now when the class is loaded, else as watch_static's are.
+  void restore_watchpoint(int id, const std::string& cls,
+                          const std::string& field);
   bool remove_watchpoint(int id);
   const std::vector<Watchpoint>& watchpoints() const { return watches_; }
   // The watchpoint that caused the last stop (nullptr if a breakpoint did).
@@ -103,6 +108,9 @@ class Debugger {
  private:
   bool hits_breakpoint(const vm::FrameView& fv) const;
   bool watch_fired();
+  // The watched static's current value; false while its class is not
+  // loaded (or has no such field).
+  bool read_watched(const Watchpoint& wp, int64_t* value) const;
   void refresh_reflection();
   DebugFrame describe_frame(const remote::RemoteFrame& rf);
 

@@ -115,6 +115,11 @@ void TimeTravelDebugger::reinstall_breakpoints() {
   }
 }
 
+void TimeTravelDebugger::reinstall_watchpoints() {
+  for (const Watchpoint& wp : saved_watches_)
+    dbg_->restore_watchpoint(wp.id, wp.class_name, wp.field_name);
+}
+
 uint64_t TimeTravelDebugger::position() const {
   return session_->vm().instr_count();
 }
@@ -126,13 +131,16 @@ void TimeTravelDebugger::goto_instruction(uint64_t target) {
   target = std::clamp(target, first_instr_, end_position());
   // The past: resume from the nearest keyframe (boot fresh before the
   // first one) and step forward.
-  if (target < position()) open(nearest_keyframe(target));
+  const bool relocate = target < position();
+  if (relocate) open(nearest_keyframe(target));
   uint64_t remaining = target - position();
   while (remaining > 0 && !session_->vm().finished()) {
     uint64_t done = session_->vm().step(remaining);
     if (done == 0) break;
     remaining -= done;
   }
+  // Watches are baselined where the move lands, not at the keyframe.
+  if (relocate) reinstall_watchpoints();
 }
 
 void TimeTravelDebugger::step_back(uint64_t n) {
@@ -169,6 +177,28 @@ bool TimeTravelDebugger::remove_breakpoint(int id) {
     if (saved_bps_[i].id == id) {
       saved_bps_.erase(saved_bps_.begin() + long(i));
       reinstall_breakpoints();
+      return true;
+    }
+  }
+  return false;
+}
+
+int TimeTravelDebugger::watch_static(const std::string& cls,
+                                     const std::string& field) {
+  Watchpoint wp;
+  wp.id = next_bp_id_++;
+  wp.class_name = cls;
+  wp.field_name = field;
+  saved_watches_.push_back(wp);
+  dbg_->restore_watchpoint(wp.id, cls, field);
+  return wp.id;
+}
+
+bool TimeTravelDebugger::remove_watchpoint(int id) {
+  for (size_t i = 0; i < saved_watches_.size(); ++i) {
+    if (saved_watches_[i].id == id) {
+      saved_watches_.erase(saved_watches_.begin() + long(i));
+      dbg_->remove_watchpoint(id);
       return true;
     }
   }

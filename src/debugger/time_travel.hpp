@@ -30,11 +30,11 @@
 // doubles.
 //
 // A fresh Debugger is exposed after each relocation; inspection state
-// (breakpoints) lives here so it survives relocations. The VM snapshot
-// holds no output text, so this wrapper keeps the output prefix a resumed
-// replay did not produce itself. A flight tail replays from its embedded
-// checkpoint, so its earliest position is the checkpoint's instruction
-// count and backward motion clamps there.
+// (breakpoints and watchpoints) lives here so it survives relocations.
+// The VM snapshot holds no output text, so this wrapper keeps the output
+// prefix a resumed replay did not produce itself. A flight tail replays
+// from its embedded checkpoint, so its earliest position is the
+// checkpoint's instruction count and backward motion clamps there.
 #pragma once
 
 #include <memory>
@@ -94,6 +94,13 @@ class TimeTravelDebugger {
   int break_at_line(const std::string& cls, int32_t line);
   bool remove_breakpoint(int id);
 
+  // Watchpoints that survive relocation, with ids shared with the
+  // breakpoints'. After a backward move a watch is baselined where the
+  // move lands (Debugger::restore_watchpoint), so resume() stops where a
+  // straight replay with the watch set at that position would.
+  int watch_static(const std::string& cls, const std::string& field);
+  bool remove_watchpoint(int id);
+
   // Completes the replay from the current position and reports
   // verification, with the output of the whole execution (relocating
   // afterwards is still allowed).
@@ -118,6 +125,7 @@ class TimeTravelDebugger {
   // Extends output_ with what the current session printed past it.
   void sync_output();
   void reinstall_breakpoints();
+  void reinstall_watchpoints();
 
   bytecode::Program prog_;
   replay::TraceFile trace_;
@@ -126,6 +134,7 @@ class TimeTravelDebugger {
   std::unique_ptr<replay::ReplaySession> session_;
   std::unique_ptr<Debugger> dbg_;
   std::vector<Breakpoint> saved_bps_;
+  std::vector<Watchpoint> saved_watches_;
   int next_bp_id_ = 1;
 
   std::vector<Keyframe> keyframes_;  // ascending by instr

@@ -2,6 +2,7 @@
 
 #include "src/common/check.hpp"
 #include "src/common/io.hpp"
+#include "src/replay/engine.hpp"
 
 namespace dejavu::flight {
 
@@ -10,15 +11,16 @@ using replay::StreamId;
 
 namespace {
 
-// Frame one chunk exactly as the container sinks do:
+// Bytes frame() adds around a payload.
+constexpr size_t kFrameBytes = 1 + 4 + 4;
+
+// Appends one chunk framed exactly as the container sinks frame it:
 // [wire_id][payload_len le][payload][crc32 le].
-std::vector<uint8_t> frame(uint8_t wire_id, const uint8_t* payload, size_t n) {
-  ByteWriter w;
+void frame(ByteWriter& w, uint8_t wire_id, const uint8_t* payload, size_t n) {
   w.put_u8(wire_id);
   w.put_u32_fixed(uint32_t(n));
   w.put_bytes(payload, n);
   w.put_u32_fixed(replay::chunk_crc(wire_id, payload, n));
-  return w.take();
 }
 
 }  // namespace
@@ -54,23 +56,30 @@ void FlightRecorder::write_chunk(StreamId id, const uint8_t* payload,
   }
   uint8_t wire = replay::wire_stream_id(id, lane);
   Epoch& e = epochs_.back();
-  e.chunks.push_back(frame(wire, payload, n));
+  frame(e.chunks, wire, payload, n);
   e.wire_ids.push_back(wire);
   e.payload_lens.push_back(uint32_t(n));
-  uint64_t framed = e.chunks.back().size();
-  e.framed_bytes += framed;
-  bytes_retained_ += framed;
+  bytes_retained_ += kFrameBytes + n;
 }
 
-void FlightRecorder::begin_epoch(std::vector<uint8_t> checkpoint,
+void FlightRecorder::begin_epoch(const CheckpointCapture& capture,
                                  uint64_t clock, uint64_t instr) {
   DV_CHECK_MSG(!sealed_, "begin_epoch on a sealed flight recorder");
-  DV_CHECK_MSG(!checkpoint.empty(), "epoch boundary without a checkpoint");
-  Epoch e;
+  // The new epoch takes over the buffers of the last one retired.
+  Epoch e = std::move(spare_);
+  ByteWriter vm_snapshot(std::move(e.vm_snapshot));
+  ByteWriter engine_state(std::move(e.engine_state));
+  capture(vm_snapshot, engine_state);
+  DV_CHECK_MSG(vm_snapshot.size() != 0 && engine_state.size() != 0,
+               "epoch boundary without a checkpoint");
   e.has_checkpoint = true;
-  e.checkpoint = std::move(checkpoint);
+  e.vm_snapshot = vm_snapshot.take();
+  e.engine_state = engine_state.take();
   e.clock = clock;
   e.instr = instr;
+  e.chunks.clear();
+  e.wire_ids.clear();
+  e.payload_lens.clear();
   epochs_.push_back(std::move(e));
   checkpoints_++;
   retire_old_epochs();
@@ -83,11 +92,13 @@ void FlightRecorder::retire_old_epochs() {
   // every successor, so the guard only matters for the start-up window.
   while (epochs_.size() > cfg_.window_epochs &&
          epochs_[1].has_checkpoint) {
-    const Epoch& victim = epochs_.front();
-    bytes_retired_ += victim.framed_bytes;
-    DV_CHECK(bytes_retained_ >= victim.framed_bytes);
-    bytes_retained_ -= victim.framed_bytes;
+    Epoch& victim = epochs_.front();
+    uint64_t framed = victim.chunks.size();
+    bytes_retired_ += framed;
+    DV_CHECK(bytes_retained_ >= framed);
+    bytes_retained_ -= framed;
     epochs_retired_++;
+    spare_ = std::move(victim);
     epochs_.pop_front();
   }
 }
@@ -110,7 +121,9 @@ void FlightRecorder::seal_to_file(const std::string& path,
   info.seal_reason = reason;
   info.checkpoint_clock = first.clock;
   info.checkpoint_instr = first.instr;
-  info.checkpoint = first.checkpoint;
+  if (first.has_checkpoint)
+    info.checkpoint =
+        replay::make_flight_checkpoint(first.vm_snapshot, first.engine_state);
   std::vector<uint8_t> flight_payload = info.encode();
 
   // Per-(stream, lane) totals over the retained chunks only; the kFlight
@@ -145,28 +158,6 @@ void FlightRecorder::seal_to_file(const std::string& path,
     }
   }
 
-  ByteWriter out;
-  out.put_u32_fixed(replay::kTraceMagic);
-  out.put_u32_fixed(version_);
-  // kFlight first: readers that want the descriptor (report, flight info)
-  // find it without scanning past the data chunks.
-  {
-    std::vector<uint8_t> framed = frame(
-        uint8_t(StreamId::kFlight), flight_payload.data(),
-        flight_payload.size());
-    out.put_bytes(framed.data(), framed.size());
-  }
-  for (const Epoch& e : epochs_) {
-    for (const std::vector<uint8_t>& c : e.chunks) {
-      out.put_bytes(c.data(), c.size());
-    }
-  }
-  {
-    std::vector<uint8_t> framed = frame(uint8_t(StreamId::kMeta),
-                                        meta_payload_.data(),
-                                        meta_payload_.size());
-    out.put_bytes(framed.data(), framed.size());
-  }
   ByteWriter sw;
   if (version_ >= replay::kTraceVersionMulti) {
     sw.put_uvarint(lanes_);
@@ -184,13 +175,21 @@ void FlightRecorder::seal_to_file(const std::string& path,
     sw.put_u32_fixed(sched_chunks[0]);
     sw.put_u32_fixed(events_chunks[0]);
   }
-  std::vector<uint8_t> seal_payload = sw.take();
-  {
-    std::vector<uint8_t> framed = frame(uint8_t(StreamId::kSeal),
-                                        seal_payload.data(),
-                                        seal_payload.size());
-    out.put_bytes(framed.data(), framed.size());
-  }
+
+  ByteWriter out;
+  out.reserve(8 + 3 * kFrameBytes + flight_payload.size() + bytes_retained_ +
+              meta_payload_.size() + sw.size());
+  out.put_u32_fixed(replay::kTraceMagic);
+  out.put_u32_fixed(version_);
+  // kFlight first: readers that want the descriptor (report, flight info)
+  // find it without scanning past the data chunks.
+  frame(out, uint8_t(StreamId::kFlight), flight_payload.data(),
+        flight_payload.size());
+  for (const Epoch& e : epochs_)
+    out.put_bytes(e.chunks.bytes().data(), e.chunks.size());
+  frame(out, uint8_t(StreamId::kMeta), meta_payload_.data(),
+        meta_payload_.size());
+  frame(out, uint8_t(StreamId::kSeal), sw.bytes().data(), sw.size());
   write_file(path, out.bytes());
 }
 

@@ -5,22 +5,28 @@
 // chunks are framed exactly as the v4/v5 container would frame them and
 // grouped into *epochs*: every flight_epoch_preempts-th preemptive switch
 // the engine reaches a VM safepoint, flushes its writer (so the cut falls
-// on an entry/chunk boundary) and hands the sink a checkpoint blob that
-// restores the whole machine -- VM snapshot plus engine resume state --
-// to exactly that cut (TraceSink::begin_epoch). The recorder then retires
-// the oldest epochs beyond the configured window: healthy execution costs
-// O(window) memory and writes zero trace bytes to disk.
+// on an entry/chunk boundary) and opens a new epoch (TraceSink::begin_epoch).
+// There the recorder has the engine capture the checkpoint that restores
+// the whole machine to exactly that cut -- the VM snapshot and the engine
+// resume state, kept as two byte vectors -- in one serialization pass
+// straight into buffers the ring recycles: a retired epoch hands its
+// buffers to the next cut, so the ring holds at most window_epochs + 1
+// snapshot buffers, and a steady-state cut allocates nothing and faults
+// in no new pages. The recorder then retires the oldest epochs beyond the
+// configured window: healthy execution costs O(window) memory and writes
+// zero trace bytes to disk.
 //
 // On a crash (or an explicit dump) seal_to_file() emits the retained
 // window as a self-contained trace file: container header, a kFlight
 // descriptor chunk (replay::FlightInfo: window geometry, seal reason, the
-// start checkpoint), the retained data chunks verbatim, the meta chunk the
-// engine produced at detach, and a seal whose per-stream totals the
-// recorder computes over the *retained* chunks. The result passes every
-// existing scan and replays through any replay entry point: the
-// replay::ReplaySession resumes it from the embedded checkpoint when one is
-// present, and starts from the beginning when the run was shorter than one
-// epoch (then the tail simply is the complete trace).
+// start checkpoint, framed as the DVCK blob only here, once per seal), the
+// retained data chunks verbatim, the meta chunk the engine produced at
+// detach, and a seal whose per-stream totals the recorder computes over
+// the *retained* chunks. The result passes every existing scan and
+// replays through any replay entry point: the replay::ReplaySession
+// resumes it from the embedded checkpoint when one is present, and starts
+// from the beginning when the run was shorter than one epoch (then the
+// tail simply is the complete trace).
 #pragma once
 
 #include <deque>
@@ -58,7 +64,7 @@ class FlightRecorder : public replay::TraceSink {
   using TraceSink::write_chunk;
   void write_chunk(replay::StreamId id, const uint8_t* payload, size_t n,
                    replay::LaneId lane) override;
-  void begin_epoch(std::vector<uint8_t> checkpoint, uint64_t clock,
+  void begin_epoch(const CheckpointCapture& capture, uint64_t clock,
                    uint64_t instr) override;
 
   // Writes the retained window as a self-contained sealed trace. Requires
@@ -70,15 +76,15 @@ class FlightRecorder : public replay::TraceSink {
  private:
   struct Epoch {
     bool has_checkpoint = false;
-    std::vector<uint8_t> checkpoint;
+    // The checkpoint's two halves at the epoch's cut.
+    std::vector<uint8_t> vm_snapshot, engine_state;
     uint64_t clock = 0;
     uint64_t instr = 0;
-    // Framed chunks ([wire_id][len le][payload][crc]) in arrival order,
-    // plus the geometry needed to recompute the seal totals.
-    std::vector<std::vector<uint8_t>> chunks;
+    // Framed chunks ([wire_id][len le][payload][crc]) back to back, in
+    // arrival order, plus the geometry needed to recompute the seal totals.
+    ByteWriter chunks;
     std::vector<uint8_t> wire_ids;
     std::vector<uint32_t> payload_lens;
-    uint64_t framed_bytes = 0;
   };
 
   void retire_old_epochs();
@@ -87,6 +93,7 @@ class FlightRecorder : public replay::TraceSink {
   uint32_t lanes_;
   FlightConfig cfg_;
   std::deque<Epoch> epochs_;
+  Epoch spare_;  // the last retired epoch, whose buffers the next cut fills
   std::vector<uint8_t> meta_payload_;  // captured at the engine's finish
   bool meta_seen_ = false;
   bool sealed_ = false;

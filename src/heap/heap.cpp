@@ -410,7 +410,7 @@ void Heap::serialize(ByteWriter& w) const {
   }
   // The live space only: bytes in the inactive semispace are never read
   // (allocation zeroes, GC copies out of from-space only).
-  size_t len = bump_ - (from_base_ + 8);
+  size_t len = image_bytes();
   w.put_uvarint(len);
   w.put_bytes(mem_.get() + from_base_ + 8, len);
 }

@@ -189,6 +189,8 @@ class Heap {
   // Addr held elsewhere (thread stacks, registry, engine buffers) survives.
   void serialize(ByteWriter& w) const;
   void restore(ByteReader& r);
+  // Bytes of the live-space image serialize() stores (its bulk).
+  size_t image_bytes() const { return bump_ - (from_base_ + 8); }
 
  private:
   uint32_t read_u32(size_t off) const;

@@ -323,7 +323,7 @@ void DejaVuEngine::attach(vm::Vm& vm) {
       uint64_t delta = lane.schedule_r->get_uvarint();
       lane.nyp = int64_t(delta) - int64_t(elapsed);
     }
-    resume_state_.clear();
+    resume_state_ = {};
     resume_offsets_ = {};
   } else {
     // §2.4 "Symmetry in Loading and Compilation": load the classes of
@@ -1036,19 +1036,23 @@ void DejaVuEngine::on_safepoint(vm::Vm& vm) {
   // written so far seal into the current epoch; everything the run writes
   // after this call lands in the next one.
   writer_->flush();
-  writer_->sink().begin_epoch(resume_point().checkpoint, logical_clock_,
-                              vm.instr_count());
+  writer_->sink().begin_epoch(
+      [this, &vm](ByteWriter& vm_snapshot, ByteWriter& engine_state) {
+        vm.capture_snapshot(vm_snapshot);
+        serialize_resume_state(engine_state);
+      },
+      logical_clock_, vm.instr_count());
   if (timeline_ != nullptr)
     timeline_->instant("flight", "epoch", logical_clock_, cur_tid(), "instr",
                        int64_t(vm.instr_count()));
 }
 
-void DejaVuEngine::prepare_resume(std::vector<uint8_t> engine_state,
+void DejaVuEngine::prepare_resume(std::span<const uint8_t> engine_state,
                                   StreamOffsets offsets) {
   DV_CHECK_MSG(mode_ == Mode::kReplay, "prepare_resume on a record engine");
   DV_CHECK_MSG(vm_ == nullptr, "prepare_resume after attach");
   DV_CHECK_MSG(!engine_state.empty(), "empty engine resume state");
-  resume_state_ = std::move(engine_state);
+  resume_state_ = engine_state;
   resume_offsets_ = std::move(offsets);
 }
 
@@ -1197,10 +1201,10 @@ void DejaVuEngine::restore_resume_state(ByteReader& r) {
 }
 
 std::vector<uint8_t> make_flight_checkpoint(
-    const std::vector<uint8_t>& vm_snapshot,
-    const std::vector<uint8_t>& engine_state) {
+    std::span<const uint8_t> vm_snapshot,
+    std::span<const uint8_t> engine_state) {
   // Exact size (two fixed words, two varints of at most 10 bytes): flight
-  // rings and keyframes keep the blob, so it carries no growth slack.
+  // tails and keyframes keep the blob, so it carries no growth slack.
   ByteWriter w;
   w.reserve(8 + 2 * 10 + vm_snapshot.size() + engine_state.size());
   w.put_u32_fixed(kFlightCheckpointMagic);
@@ -1212,26 +1216,27 @@ std::vector<uint8_t> make_flight_checkpoint(
   return w.take();
 }
 
-void split_flight_checkpoint(const std::vector<uint8_t>& blob,
-                             std::vector<uint8_t>* vm_snapshot,
-                             std::vector<uint8_t>* engine_state) {
+FlightCheckpointView split_flight_checkpoint(std::span<const uint8_t> blob) {
   ByteReader r(blob);
   DV_CHECK_MSG(r.get_u32_fixed() == kFlightCheckpointMagic,
                "bad flight checkpoint magic");
   DV_CHECK_MSG(r.get_u32_fixed() == kFlightCheckpointVersion,
                "unsupported flight checkpoint version");
-  auto half = [&r](const char* what, std::vector<uint8_t>* out) {
+  auto half = [&r, blob](const char* what) {
     uint64_t n = r.get_uvarint();
     DV_CHECK_MSG(n <= r.remaining(),
                  "flight checkpoint " << what << " length " << n
                      << " at offset " << r.position() << " exceeds the "
                      << r.remaining() << " byte(s) left");
-    out->resize(size_t(n));
-    r.get_bytes(out->data(), size_t(n));
+    std::span<const uint8_t> view = blob.subspan(r.position(), size_t(n));
+    r.skip(size_t(n));
+    return view;
   };
-  half("VM snapshot", vm_snapshot);
-  half("engine state", engine_state);
+  FlightCheckpointView v;
+  v.vm_snapshot = half("VM snapshot");
+  v.engine_state = half("engine state");
   DV_CHECK_MSG(r.at_end(), "trailing bytes in flight checkpoint");
+  return v;
 }
 
 }  // namespace dejavu::replay

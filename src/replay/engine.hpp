@@ -39,6 +39,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -189,7 +190,9 @@ class DejaVuEngine : public vm::ExecHooks {
   // resume-style attach -- no class preloading, I/O warm-up or buffer
   // preallocation, because the snapshot already contains every one of
   // those side effects.
-  void prepare_resume(std::vector<uint8_t> engine_state,
+  // `engine_state` is read in place, so its bytes must outlive the VM's
+  // boot_from_snapshot (where the attach consumes it).
+  void prepare_resume(std::span<const uint8_t> engine_state,
                       StreamOffsets offsets = {});
 
   // The resume point at the current cut. Must be called at a safepoint
@@ -451,10 +454,10 @@ class DejaVuEngine : public vm::ExecHooks {
   bool io_class_loaded_ = false;
   bool detached_ = false;
 
-  // Mid-trace resume: the engine half of the checkpoint and the stream
-  // offsets, held from prepare_resume until the resume-style attach
-  // consumes them.
-  std::vector<uint8_t> resume_state_;
+  // Mid-trace resume: the engine half of the checkpoint (a view into the
+  // caller's blob) and the stream offsets, held from prepare_resume until
+  // the resume-style attach consumes them.
+  std::span<const uint8_t> resume_state_;
   StreamOffsets resume_offsets_;
 
   // Keyframes: the instruction count past which the next replayed preempt
@@ -465,16 +468,24 @@ class DejaVuEngine : public vm::ExecHooks {
 };
 
 // A flight checkpoint pairs the VM snapshot with the engine's resume state
-// in one framed blob ("DVCK"). The engine emits it at each safepoint (a
-// recording's flight epochs, a replay's keyframes); ReplaySession splits it
-// back apart to resume a flight tail or a keyframe. Both halves stay opaque
-// to everything in between -- the flight container code and the debugger
+// in one framed blob ("DVCK"). resume_point() frames one at a replay's
+// keyframe; a recording's flight epochs capture the two halves into the
+// sink's buffers (TraceSink::begin_epoch) and the flight recorder frames
+// the blob once, when it seals a tail. ReplaySession resumes a flight tail
+// or a keyframe from views into the blob. Both halves stay opaque to
+// everything in between -- the flight container code and the debugger
 // never need to know either layout.
 std::vector<uint8_t> make_flight_checkpoint(
-    const std::vector<uint8_t>& vm_snapshot,
-    const std::vector<uint8_t>& engine_state);
-void split_flight_checkpoint(const std::vector<uint8_t>& blob,
-                             std::vector<uint8_t>* vm_snapshot,
-                             std::vector<uint8_t>* engine_state);
+    std::span<const uint8_t> vm_snapshot,
+    std::span<const uint8_t> engine_state);
+
+// The two halves of a DVCK blob, viewed in place: valid while the blob is.
+struct FlightCheckpointView {
+  std::span<const uint8_t> vm_snapshot;
+  std::span<const uint8_t> engine_state;
+};
+// Throws VmError on a bad magic or version, a half whose length runs past
+// the blob (located by offset) or trailing bytes.
+FlightCheckpointView split_flight_checkpoint(std::span<const uint8_t> blob);
 
 }  // namespace dejavu::replay

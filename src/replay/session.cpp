@@ -165,9 +165,9 @@ ReplaySession::ReplaySession(const bytecode::Program& prog,
   } else if (flight_.has_value() && flight_->has_checkpoint) {
     checkpoint = &flight_->checkpoint;
   }
-  std::vector<uint8_t> vm_snapshot, engine_state;
-  if (checkpoint != nullptr)
-    split_flight_checkpoint(*checkpoint, &vm_snapshot, &engine_state);
+  // Both halves are views into *checkpoint, which outlives the boot.
+  FlightCheckpointView halves;
+  if (checkpoint != nullptr) halves = split_flight_checkpoint(*checkpoint);
   bool resume = checkpoint != nullptr;
   engine_ = std::make_unique<DejaVuEngine>(std::move(source), cfg);
   analyzers_.install(*engine_);  // before boot: attach fixes subscriptions
@@ -182,12 +182,12 @@ ReplaySession::ReplaySession(const bytecode::Program& prog,
   // The resuming VM must be built with the recording's configuration (heap
   // geometry, lanes, stack) from the snapshot prologue; only host-side
   // knobs stay the caller's.
-  vm::VmOptions vopts = vm::Vm::peek_snapshot_options(vm_snapshot);
+  vm::VmOptions vopts = vm::Vm::peek_snapshot_options(halves.vm_snapshot);
   vopts.echo_output = opts.echo_output;
   vopts.max_instructions = opts.max_instructions;
-  engine_->prepare_resume(std::move(engine_state), std::move(offsets));
+  engine_->prepare_resume(halves.engine_state, std::move(offsets));
   vm_ = std::make_unique<vm::Vm>(prog, vopts, *env_, *timer_, engine_.get());
-  vm_->boot_from_snapshot(vm_snapshot);
+  vm_->boot_from_snapshot(halves.vm_snapshot);
   start_instr_ = vm_->instr_count();
 }
 

@@ -154,8 +154,9 @@ ReplayResult replay_file(const bytecode::Program& prog,
 // debugger's keyframes; see DejaVuEngine::arm_keyframe). Either way the VM
 // boots from the checkpoint's snapshot with the recording's VM
 // configuration (only the caller's echo_output and max_instructions are
-// kept) and the engine resumes at the stream offsets. Otherwise the VM
-// boots fresh with the trace's lane count.
+// kept) and the engine resumes at the stream offsets; both read their
+// half of the checkpoint in place (split_flight_checkpoint's views).
+// Otherwise the VM boots fresh with the trace's lane count.
 class ReplaySession {
  public:
   // `from`, when given, is a resume point a replay of this trace took.

@@ -135,15 +135,23 @@ class TraceSink {
   }
   virtual void flush() {}  // push buffered bytes toward durable storage
 
+  // Appends the two halves of a flight checkpoint at the current cut to
+  // the writers given: the VM snapshot and the engine's resume state.
+  // make_flight_checkpoint (src/replay/engine.hpp) frames them as the DVCK
+  // blob that restores the machine to exactly that cut.
+  using CheckpointCapture =
+      std::function<void(ByteWriter& vm_snapshot, ByteWriter& engine_state)>;
+
   // Flight-recorder epoch boundary. The recording engine calls this at a
   // safepoint immediately after an entry-aligned TraceWriter::flush():
-  // every chunk written so far belongs to completed epochs, and
-  // `checkpoint` (a flight checkpoint blob, see src/flight) restores the
-  // machine to exactly this cut. Plain sinks ignore it; the FlightRecorder
-  // uses it to rotate its bounded ring.
-  virtual void begin_epoch(std::vector<uint8_t> checkpoint, uint64_t clock,
+  // every chunk written so far belongs to completed epochs. The sink runs
+  // `capture` at most once, during the call, into writers it supplies --
+  // the FlightRecorder into buffers its ring recycles, so a steady-state
+  // cut allocates nothing; the blob is framed only when a tail is sealed.
+  // Plain sinks ignore the call and capture nothing.
+  virtual void begin_epoch(const CheckpointCapture& capture, uint64_t clock,
                            uint64_t instr) {
-    (void)checkpoint; (void)clock; (void)instr;
+    (void)capture; (void)clock; (void)instr;
   }
 
   // The container bytes written so far, when the sink keeps them in memory

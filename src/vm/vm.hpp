@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -85,6 +86,9 @@ class Vm : public heap::RootProvider {
   // and options can continue the identical execution. Host-side transcripts
   // (out_ text, switch_trace_) are excluded: only their running hashes are
   // state. Must be called at a safepoint (mask_depth_ == 0, no temp roots).
+  // Reserves room for the whole snapshot first (sized from the live heap
+  // image and the stacks), so a writer reused across captures grows only
+  // when the machine did, and never by doubling.
   void capture_snapshot(ByteWriter& w) const;
   // In-place restore into a booted-from-snapshot Vm. Checked against the
   // program fingerprint and the construction options.
@@ -92,10 +96,11 @@ class Vm : public heap::RootProvider {
   // boot() replacement for resuming from a snapshot: wires the observers
   // exactly as boot() does, restores the snapshot, then attaches the hooks
   // (which must perform a resume-style attach, not a fresh one).
-  void boot_from_snapshot(const std::vector<uint8_t>& snapshot);
+  // The snapshot is read in place.
+  void boot_from_snapshot(std::span<const uint8_t> snapshot);
   // Reads just the options prologue of a snapshot blob so a session can
   // construct the resuming Vm with matching heap/lane/stack configuration.
-  static VmOptions peek_snapshot_options(const std::vector<uint8_t>& snapshot);
+  static VmOptions peek_snapshot_options(std::span<const uint8_t> snapshot);
   const VmOptions& options() const { return opts_; }
 
   // Host-side observation point, checked before each instruction when set.

@@ -255,6 +255,52 @@ TEST(TimeTravel, BreakpointsSurviveAKeyframeResume) {
   EXPECT_EQ(tt.resume(), StopReason::kFinished);
 }
 
+// Every watch hit from the current position to the end: where it stopped
+// and the value it saw.
+std::vector<std::pair<uint64_t, int64_t>> watch_hits(TimeTravelDebugger& tt,
+                                                     int id) {
+  std::vector<std::pair<uint64_t, int64_t>> hits;
+  while (tt.resume() == StopReason::kBreakpoint) {
+    const Watchpoint* wp = tt.debugger().last_watch_hit();
+    EXPECT_NE(wp, nullptr);
+    if (wp == nullptr) break;
+    EXPECT_EQ(wp->id, id);
+    hits.emplace_back(tt.position(), wp->last);
+  }
+  return hits;
+}
+
+TEST(TimeTravel, WatchpointsSurviveAKeyframeResume) {
+  bytecode::Program prog = chatty(150);
+  replay::RecordResult rec = record(prog);
+  const uint64_t end = rec.summary.instr_count;
+  const uint64_t target = end * 3 / 4;
+
+  // Straight: forward to the target, watch from there.
+  TimeTravelDebugger straight_tt(prog, rec.trace);
+  straight_tt.goto_instruction(target);
+  int sid = straight_tt.watch_static("Main", "c");
+  std::vector<std::pair<uint64_t, int64_t>> want = watch_hits(straight_tt, sid);
+  ASSERT_GT(want.size(), 10u);
+
+  // Watched from the start, run to the end, then back to the target: the
+  // replay resumes from a keyframe and the watch, re-armed with the value
+  // there, stops at the same spots.
+  TimeTravelDebugger tt(prog, rec.trace);
+  int id = tt.watch_static("Main", "c");
+  tt.goto_instruction(end);
+  tt.goto_instruction(target);
+  EXPECT_GT(tt.replay_start(), 0u);
+  EXPECT_EQ(tt.replay_start(), keyframe_before(tt, target, 0));
+  EXPECT_EQ(watch_hits(tt, id), want);
+
+  // A removed watch stays removed across relocations.
+  EXPECT_TRUE(tt.remove_watchpoint(id));
+  EXPECT_FALSE(tt.remove_watchpoint(id));
+  tt.goto_instruction(target);
+  EXPECT_EQ(tt.resume(), StopReason::kFinished);
+}
+
 TEST(TimeTravel, RunToEndAfterBackwardJumpsHasTheFullOutput) {
   bytecode::Program prog = chatty(150);
   replay::RecordResult rec = record(prog);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "src/common/io.hpp"
 #include "src/debugger/time_travel.hpp"
 #include "src/flight/session.hpp"
+#include "src/replay/engine.hpp"
 #include "src/replay/session.hpp"
 #include "src/workloads/workloads.hpp"
 
@@ -95,6 +97,95 @@ TEST(FlightInfo, EncodeDecodeRoundTrips) {
   EXPECT_EQ(out.checkpoint, in.checkpoint);
   EXPECT_NE(out.describe().find("crash: division by zero"), std::string::npos);
   EXPECT_NE(out.describe_json().find(kFlightSchema), std::string::npos);
+}
+
+// ------------------------------------------------------ the recycled ring
+
+// A plain sink that captures every epoch into fresh writers and frames the
+// DVCK blob itself: the reference a ring's recycled buffers must match.
+class CollectingSink : public replay::VectorTraceSink {
+ public:
+  using VectorTraceSink::VectorTraceSink;
+  void begin_epoch(const CheckpointCapture& capture, uint64_t,
+                   uint64_t instr) override {
+    ByteWriter vm_snapshot, engine_state;
+    capture(vm_snapshot, engine_state);
+    cuts.emplace_back(instr, replay::make_flight_checkpoint(
+                                 vm_snapshot.bytes(), engine_state.bytes()));
+  }
+  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> cuts;
+};
+
+// A sealed tail's checkpoint, captured into a buffer the ring recycled,
+// is byte for byte the one a fresh capture takes at the same cut: no
+// stale bytes survive from a larger earlier snapshot. The instruction
+// budget seals tails at cuts spread over the run; alloc_churn's copying
+// GC makes the live heap, and so the snapshot, shrink and grow between
+// cuts.
+TEST(FlightRing, RecycledBuffersSealWhatAFreshCaptureTakes) {
+  constexpr uint32_t kEpochPreempts = 2;
+  vm::VmOptions small_heap;
+  small_heap.heap.size_bytes = 256u << 10;  // collects every few cuts
+  struct Case {
+    const char* name;
+    bytecode::Program prog;
+    vm::VmOptions opts;
+  };
+  const Case cases[] = {
+      {"alloc_churn", workloads::alloc_churn(3000, 8, 4), small_heap},
+      {"clock_mixer", workloads::clock_mixer(3, 300), {}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    World ref_world(7);
+    SymmetryConfig cfg;
+    cfg.flight_epoch_preempts = kEpochPreempts;
+    auto sink = std::make_unique<CollectingSink>();
+    CollectingSink* ref = sink.get();
+    replay::RecordSession session(c.prog, std::move(sink), c.opts,
+                                  ref_world.env, ref_world.timer, nullptr,
+                                  cfg);
+    session.finish();
+    const auto& cuts = ref->cuts;
+    ASSERT_GE(cuts.size(), 12u);
+    if (std::string(c.name) == "alloc_churn") {
+      bool shrank = false, grew = false;
+      for (size_t i = 1; i < cuts.size(); ++i) {
+        shrank |= cuts[i].second.size() < cuts[i - 1].second.size();
+        grew |= cuts[i].second.size() > cuts[i - 1].second.size();
+      }
+      EXPECT_TRUE(shrank && grew);
+    }
+    for (uint32_t window : {1u, 4u}) {
+      for (size_t k : {size_t(window) + 3, cuts.size() / 2, cuts.size()}) {
+        SCOPED_TRACE("window " + std::to_string(window) + ", cut " +
+                     std::to_string(k));
+        // Past the k-th cut's epoch, or the whole run.
+        vm::VmOptions opts = c.opts;
+        if (k < cuts.size()) opts.max_instructions = cuts[k].first + 1;
+        std::string path = tmp_path("recycled");
+        World w(7);
+        FlightRecordResult r = record_flight(
+            path, c.prog, opts, w.env, w.timer,
+            FlightConfig{window, kEpochPreempts}, nullptr, {});
+        EXPECT_EQ(r.crashed, k < cuts.size());
+        EXPECT_GE(r.flight.checkpoints, window + 3);
+        FlightInfo info;
+        ASSERT_TRUE(read_flight_info(path, &info));
+        ASSERT_TRUE(info.has_checkpoint);
+        auto at = std::find_if(cuts.begin(), cuts.end(), [&](const auto& cut) {
+          return cut.first == info.checkpoint_instr;
+        });
+        ASSERT_NE(at, cuts.end());
+        EXPECT_TRUE(info.checkpoint == at->second)
+            << "sealed checkpoint differs from a fresh capture";
+        TailReplayResult tail = replay_tail_file(c.prog, path, opts);
+        EXPECT_TRUE(tail.from_checkpoint);
+        EXPECT_TRUE(tail.replay.verified) << tail.replay.stats.first_violation;
+        std::remove(path.c_str());
+      }
+    }
+  }
 }
 
 // ------------------------------------------------- black-box fundamentals

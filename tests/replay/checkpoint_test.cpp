@@ -5,6 +5,7 @@
 // so flight tails and the time-travel debugger's keyframes are one thing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 
 #include "src/common/rng.hpp"
@@ -16,7 +17,8 @@ namespace dejavu::replay {
 namespace {
 
 // A memory sink that keeps every flight epoch's checkpoint with the stream
-// offsets at its cut. The engine flushes its writer before it opens an
+// offsets at its cut: it captures each epoch into fresh writers and frames
+// the blob itself. The engine flushes its writer before it opens an
 // epoch, so the offsets are the payload bytes written so far.
 class EpochSink : public VectorTraceSink {
  public:
@@ -32,10 +34,13 @@ class EpochSink : public VectorTraceSink {
     if (v.size() <= lane) v.resize(size_t(lane) + 1, 0);
     v[lane] += n;
   }
-  void begin_epoch(std::vector<uint8_t> checkpoint, uint64_t,
+  void begin_epoch(const CheckpointCapture& capture, uint64_t,
                    uint64_t instr) override {
+    ByteWriter vm_snapshot, engine_state;
+    capture(vm_snapshot, engine_state);
     ResumePoint p;
-    p.checkpoint = std::move(checkpoint);
+    p.checkpoint =
+        make_flight_checkpoint(vm_snapshot.bytes(), engine_state.bytes());
     p.offsets = written_;
     p.instr = instr;
     epochs.push_back(std::move(p));
@@ -103,11 +108,12 @@ std::unique_ptr<TraceSource> source_of(const Recorded& r) {
 // the same VM half and engine half, the same stream offsets.
 void expect_same_cut(const ResumePoint& got, const ResumePoint& want) {
   EXPECT_EQ(got.instr, want.instr);
-  std::vector<uint8_t> got_vm, got_engine, want_vm, want_engine;
-  split_flight_checkpoint(got.checkpoint, &got_vm, &got_engine);
-  split_flight_checkpoint(want.checkpoint, &want_vm, &want_engine);
-  EXPECT_TRUE(got_vm == want_vm) << "VM snapshots differ";
-  EXPECT_TRUE(got_engine == want_engine) << "engine states differ";
+  FlightCheckpointView g = split_flight_checkpoint(got.checkpoint);
+  FlightCheckpointView w = split_flight_checkpoint(want.checkpoint);
+  EXPECT_TRUE(std::ranges::equal(g.vm_snapshot, w.vm_snapshot))
+      << "VM snapshots differ";
+  EXPECT_TRUE(std::ranges::equal(g.engine_state, w.engine_state))
+      << "engine states differ";
   EXPECT_EQ(got.offsets.schedule, want.offsets.schedule);
   EXPECT_EQ(got.offsets.events, want.offsets.events);
   EXPECT_EQ(got.offsets.order, want.offsets.order);
