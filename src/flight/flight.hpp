@@ -2,7 +2,7 @@
 //
 // A FlightRecorder is a TraceSink that keeps the recording in a bounded
 // in-memory ring instead of writing it anywhere. The recording engine's
-// chunks are framed exactly as the v4/v5 container would frame them and
+// chunks are framed exactly as the trace container would frame them and
 // grouped into *epochs*: every flight_epoch_preempts-th preemptive switch
 // the engine reaches a VM safepoint, flushes its writer (so the cut falls
 // on an entry/chunk boundary) and opens a new epoch (TraceSink::begin_epoch).
@@ -66,6 +66,7 @@ class FlightRecorder : public replay::TraceSink {
                    replay::LaneId lane) override;
   void begin_epoch(const CheckpointCapture& capture, uint64_t clock,
                    uint64_t instr) override;
+  uint32_t version() const override { return version_; }
 
   // Writes the retained window as a self-contained sealed trace. Requires
   // that the engine detached first (the meta chunk must have arrived).

@@ -12,7 +12,7 @@ FlightRecordResult record_flight(const std::string& tail_path,
   DV_CHECK_MSG(fcfg.epoch_preempts >= 1, "flight epoch must be >= 1 preempt");
   cfg.flight_epoch_preempts = fcfg.epoch_preempts;
   auto sink = std::make_unique<FlightRecorder>(
-      replay::trace_version_for_lanes(cfg.lanes), cfg.lanes, fcfg);
+      replay::kTraceVersionPredicted, cfg.lanes, fcfg);
   FlightRecorder& ring = *sink;
   replay::RecordSession session(prog, std::move(sink), opts, env, timer,
                                 natives, cfg);

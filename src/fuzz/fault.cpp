@@ -26,6 +26,7 @@ class DroppingSink : public replay::TraceSink {
     if (calls_++ != drop_index_) inner_->write_chunk(id, payload, n, lane);
   }
   void flush() override { inner_->flush(); }
+  uint32_t version() const override { return inner_->version(); }
 
  private:
   std::unique_ptr<replay::TraceSink> inner_;
@@ -65,6 +66,7 @@ class ScheduleSkewSink : public replay::TraceSink {
     inner_->write_chunk(id, w.bytes().data(), w.size(), lane);
   }
   void flush() override { inner_->flush(); }
+  uint32_t version() const override { return inner_->version(); }
   const std::vector<uint8_t>* in_memory() const override {
     return inner_->in_memory();
   }

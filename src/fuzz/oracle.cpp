@@ -95,7 +95,7 @@ replay::RecordResult record_case(const bytecode::Program& prog,
   bool in_memory = sink == nullptr;
   if (in_memory)
     sink = std::make_unique<replay::VectorTraceSink>(
-        replay::trace_version_for_lanes(cfg.lanes));
+        replay::kTraceVersionPredicted);
   if (oo.test_skew_schedule_delta != 0)
     sink = skew_schedule(std::move(sink), oo.test_skew_schedule_delta,
                          cfg.checkpoint_interval);
@@ -110,13 +110,15 @@ vm::NativeRegistry fuzz_natives() {
   vm::NativeRegistry reg;
   reg.register_native(
       "host.mix", [](vm::NativeContext& nc, const std::vector<int64_t>& a) {
-        int64_t acc = 17;
-        for (int64_t v : a) acc = acc * 31 + v;
+        // Mixed in uint64_t: wraps where int64_t would overflow, with the
+        // same bits.
+        uint64_t acc = 17;
+        for (int64_t v : a) acc = acc * 31 + uint64_t(v);
         if (!a.empty() && nc.vm().runtime_class("Main") != nullptr &&
             nc.vm().runtime_class("Main")->find_method("cb") != nullptr) {
-          acc += nc.call_guest("Main", "cb", {a[0]});
+          acc += uint64_t(nc.call_guest("Main", "cb", {a[0]}));
         }
-        return acc;
+        return int64_t(acc);
       });
   reg.register_native("host.pure",
                       [](vm::NativeContext&, const std::vector<int64_t>& a) {

@@ -1,6 +1,7 @@
 #include "src/obs/analysis/profiler.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "src/bytecode/opcodes.hpp"
 #include "src/obs/json.hpp"
@@ -11,22 +12,18 @@ ReplayProfiler::MethodStat& ReplayProfiler::stat_for(const vm::InstrEvent& ev) {
   auto it = methods_.find(ev.method);
   if (it == methods_.end()) {
     MethodStat ms;
+    ms.id = uint32_t(methods_.size());
     ms.name = *ev.owner + "." + *ev.method;
     it = methods_.emplace(ev.method, std::move(ms)).first;
   }
   return it->second;
 }
 
-void ReplayProfiler::rebuild_slot(ThreadShadow& sh, uint32_t tid) {
-  std::string joined = "t";
-  joined.append(std::to_string(tid));
-  for (const MethodStat* ms : sh.stack) {
-    joined += ';';
-    joined += ms->name;
-  }
-  // unordered_map values are pointer-stable across rehash, so caching the
-  // counter's address is safe until the map entry is erased (never).
-  sh.slot = &collapsed_[joined];
+uint32_t ReplayProfiler::child(uint32_t parent, const MethodStat* method) {
+  uint64_t key = uint64_t(parent) << 32 | method->id;
+  auto [it, fresh] = children_.try_emplace(key, uint32_t(nodes_.size()));
+  if (fresh) nodes_.push_back({parent, method, nodes_[parent].tid, 0});
+  return it->second;
 }
 
 void ReplayProfiler::on_instruction(const vm::InstrEvent& ev) {
@@ -45,22 +42,22 @@ void ReplayProfiler::on_instruction(const vm::InstrEvent& ev) {
 
   if (shadows_.size() <= ev.tid) shadows_.resize(ev.tid + 1);
   ThreadShadow& sh = shadows_[ev.tid];
-  bool changed = false;
-  while (sh.stack.size() > ev.frame_depth) {
-    sh.stack.pop_back();
-    changed = true;
+  if (sh.root == kNoNode) {
+    sh.root = uint32_t(nodes_.size());
+    nodes_.push_back({kNoNode, nullptr, ev.tid, 0});
   }
+  auto top = [&sh] {
+    return sh.stack.empty() ? sh.root : sh.stack.back().node;
+  };
+  while (sh.stack.size() > ev.frame_depth) sh.stack.pop_back();
   if (sh.stack.size() == ev.frame_depth && !sh.stack.empty() &&
-      sh.stack.back() != &ms) {
-    sh.stack.back() = &ms;
-    changed = true;
+      sh.stack.back().method != &ms) {
+    sh.stack.pop_back();
+    sh.stack.push_back({&ms, child(top(), &ms)});
   }
-  while (sh.stack.size() < ev.frame_depth) {
-    sh.stack.push_back(&ms);
-    changed = true;
-  }
-  if (changed || sh.slot == nullptr) rebuild_slot(sh, ev.tid);
-  (*sh.slot)++;
+  while (sh.stack.size() < ev.frame_depth)
+    sh.stack.push_back({&ms, child(top(), &ms)});
+  nodes_[top()].count++;
 }
 
 void ReplayProfiler::on_yield_point(uint64_t, bool) {
@@ -123,9 +120,23 @@ std::string ReplayProfiler::artifact() const {
 }
 
 std::string ReplayProfiler::collapsed() const {
-  std::vector<std::pair<std::string, uint64_t>> lines(collapsed_.begin(),
-                                                      collapsed_.end());
-  std::sort(lines.begin(), lines.end());
+  // Two methods may share a name ("Owner.method"), so stacks are merged by
+  // their rendered string.
+  std::map<std::string, uint64_t> lines;
+  std::vector<const MethodStat*> path;
+  for (const StackNode& n : nodes_) {
+    if (n.count == 0) continue;  // only ever an inner frame
+    path.clear();
+    for (const StackNode* p = &n; p->method != nullptr; p = &nodes_[p->parent])
+      path.push_back(p->method);
+    std::string stack = "t";
+    stack.append(std::to_string(n.tid));
+    for (auto it = path.rbegin(); it != path.rend(); ++it) {
+      stack += ';';
+      stack += (*it)->name;
+    }
+    lines[stack] += n.count;
+  }
   std::string out;
   for (const auto& [stack, count] : lines) {
     out += stack;

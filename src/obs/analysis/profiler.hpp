@@ -6,8 +6,11 @@
 //
 // Cost. Per instruction: a compare against the last method hit (a hash
 // lookup by method pointer on a miss), an increment of a per-pc counter in
-// a flat vector indexed by pc, and the shadow-stack depth check; the
-// collapsed-stack key is rebuilt only when a thread's stack changes.
+// a flat vector indexed by pc, the shadow-stack depth check and an
+// increment of the stack's counter. Stacks are interned as a tree of
+// (parent node, method) ids, so a call or a return costs one probe of an
+// integer-keyed map and builds no string; collapsed() renders each stack's
+// string once, at the end.
 #pragma once
 
 #include <cstdint>
@@ -43,26 +46,44 @@ class ReplayProfiler : public AnalysisObserver {
     int32_t line = -1;
   };
   struct MethodStat {
+    uint32_t id = 0;   // dense, in first-execution order
     std::string name;  // "Owner.method"
     uint64_t instructions = 0;
     uint64_t yield_points = 0;
     std::vector<PcStat> pcs;  // by pc; count 0 = never executed
   };
+  // One interned stack: a thread's root ("t<tid>", no method) or a frame
+  // of `method` called from the stack `parent`. `count` is the collapsed
+  // stack's instruction count.
+  static constexpr uint32_t kNoNode = UINT32_MAX;
+  struct StackNode {
+    uint32_t parent = kNoNode;
+    const MethodStat* method = nullptr;
+    uint32_t tid = 0;
+    uint64_t count = 0;
+  };
   // Shadow call stack per thread, reconstructed from frame_depth deltas
   // (every InstrEvent's depth differs from the previous one in that thread
-  // by at most one frame).
+  // by at most one frame). Each frame keeps the node of the stack it tops.
+  struct Frame {
+    const MethodStat* method;
+    uint32_t node;
+  };
   struct ThreadShadow {
-    std::vector<const MethodStat*> stack;
-    uint64_t* slot = nullptr;  // cached collapsed-stack counter
+    std::vector<Frame> stack;
+    uint32_t root = kNoNode;
   };
 
   MethodStat& stat_for(const vm::InstrEvent& ev);
-  void rebuild_slot(ThreadShadow& sh, uint32_t tid);
+  // The node of `method` called on top of the stack `parent`.
+  uint32_t child(uint32_t parent, const MethodStat* method);
 
   // Keyed by the method-name string's address: unique per MethodDef and
   // stable for the life of the run (the entries copy the names they need).
   std::unordered_map<const std::string*, MethodStat> methods_;
-  std::unordered_map<std::string, uint64_t> collapsed_;
+  std::vector<StackNode> nodes_;
+  // (parent node << 32 | method id) -> node.
+  std::unordered_map<uint64_t, uint32_t> children_;
   std::vector<ThreadShadow> shadows_;  // by tid
   // The most recently executed method: the per-instruction cache of the
   // methods_ lookup, and the yield-point attribution.

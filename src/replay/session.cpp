@@ -68,8 +68,7 @@ RecordResult record_run(const bytecode::Program& prog, vm::VmOptions opts,
                         const vm::NativeRegistry* natives,
                         SymmetryConfig cfg) {
   RecordSession s(prog,
-                  std::make_unique<VectorTraceSink>(
-                      trace_version_for_lanes(cfg.lanes)),
+                  std::make_unique<VectorTraceSink>(kTraceVersionPredicted),
                   opts, env, timer, natives, cfg);
   RecordResult r = s.finish();
   r.trace = s.take_trace();
@@ -84,7 +83,7 @@ RecordFileResult record_run_to(const std::string& path,
                                SymmetryConfig cfg) {
   return RecordSession(prog,
                        std::make_unique<FileTraceSink>(
-                           path, trace_version_for_lanes(cfg.lanes)),
+                           path, kTraceVersionPredicted),
                        opts, env, timer, natives, cfg)
       .finish();
 }

@@ -85,7 +85,9 @@ struct BuiltinAnalyzers {
 
 // A recording VM bundled with its engine. The one place that sets up a
 // recording: the session pairs cfg.lanes with VmOptions::lanes, and the
-// sink must have been created for trace_version_for_lanes(cfg.lanes).
+// engine records in the sink's container version -- v6 for record_run,
+// record_run_to and flight::record_flight; a sink created for v4 (one lane
+// only) or v5 writes those formats byte for byte.
 // The environment, timer and natives supply the non-determinism
 // (host-real or scripted/seeded) and must outlive the session.
 class RecordSession {
@@ -122,8 +124,7 @@ RecordResult record_run(const bytecode::Program& prog, vm::VmOptions opts,
                         const vm::NativeRegistry* natives = nullptr,
                         SymmetryConfig cfg = {});
 
-// Records one execution straight to a v4 (v5 when cfg.lanes > 1) trace
-// file, flushing chunks as the run proceeds instead of keeping the trace
+// Records one execution straight to a v6 trace file, flushing chunks as the run proceeds instead of keeping the trace
 // in memory. The file holds the bytes record_run would have kept.
 RecordFileResult record_run_to(const std::string& path,
                                const bytecode::Program& prog,
@@ -137,7 +138,7 @@ RecordFileResult record_run_to(const std::string& path,
 ReplayResult replay_run(const bytecode::Program& prog, const TraceFile& trace,
                         vm::VmOptions opts, SymmetryConfig cfg = {});
 
-// Replays a trace file, streaming chunks from disk on demand (v4/v5) or via
+// Replays a trace file, streaming chunks from disk on demand (v4-v6) or via
 // the v3 compatibility loader.
 ReplayResult replay_file(const bytecode::Program& prog,
                          const std::string& path, vm::VmOptions opts,

@@ -22,8 +22,9 @@
 //
 // This header holds the format's vocabulary: versions, event tags, the
 // checkpoint and meta blocks. The streams are stored in the chunked,
-// checksummed v4/v5 container, and a trace held in memory (TraceFile) is
-// those container bytes; both live in src/replay/trace_io.hpp. The
+// checksummed v4/v5/v6 container, and a trace held in memory (TraceFile)
+// is those container bytes; both live in src/replay/trace_io.hpp. How one
+// event is encoded in the events stream lives in event_codec.hpp. The
 // unframed v3 blob layout is still readable, converted to v4 at load.
 #pragma once
 
@@ -40,19 +41,19 @@ inline constexpr uint32_t kTraceMagic = 0x44564a55;  // "DVJU"
 inline constexpr uint32_t kTraceVersion = 4;         // chunked + checksummed
 inline constexpr uint32_t kTraceVersionLegacy = 3;   // unframed blob
 inline constexpr uint32_t kTraceVersionMulti = 5;    // multi-lane + order log
-
-// The container a recording on `lanes` scheduler lanes is written in:
-// multi-lane traces need v5, single-lane ones stay classic v4.
-inline constexpr uint32_t trace_version_for_lanes(uint32_t lanes) {
-  return lanes > 1 ? kTraceVersionMulti : kTraceVersion;
-}
+// v5's layout with clock reads predicted per lane (event_codec.hpp). Every
+// recording writes it, whatever its lane count; v4 and v5 are written only
+// through a sink created for them.
+inline constexpr uint32_t kTraceVersionPredicted = 6;
 
 // Container lane type (mirrors threads::LaneId without a dependency).
 using LaneId = uint32_t;
 // Wire-format bound: lane data streams are encoded in the chunk id byte.
 inline constexpr uint32_t kMaxLanes = 64;
 
-// Event tags in the events stream.
+// Event kinds, which are also their tags in the events stream. A v6 trace
+// has one more, wire-only tag: a clock read that repeats the lane's last
+// delta (event_codec.hpp).
 enum class EventTag : uint8_t {
   kClock = 1,
   kInput = 2,

@@ -195,7 +195,7 @@ bool parse_seal_v5(const uint8_t* p, size_t n, SealTotalsV5* out) {
 
 // ---------------------------------------------------------------- writing
 
-VectorTraceSink::VectorTraceSink(uint32_t version) {
+VectorTraceSink::VectorTraceSink(uint32_t version) : version_(version) {
   w_.put_u32_fixed(kTraceMagic);
   w_.put_u32_fixed(version);
 }
@@ -206,7 +206,7 @@ void VectorTraceSink::write_chunk(StreamId id, const uint8_t* payload,
 }
 
 FileTraceSink::FileTraceSink(const std::string& path, uint32_t version)
-    : path_(path) {
+    : path_(path), version_(version) {
   f_ = open_for_replace(path);
   DV_CHECK_MSG(f_ != nullptr, "cannot open trace for write: " << path);
   ByteWriter w;
@@ -232,13 +232,12 @@ void FileTraceSink::flush() {
   if (f_ != nullptr) std::fflush(f_);
 }
 
-TraceWriter::TraceWriter(std::unique_ptr<TraceSink> sink, size_t chunk_bytes,
-                         uint32_t version)
+TraceWriter::TraceWriter(std::unique_ptr<TraceSink> sink, size_t chunk_bytes)
     : sink_(std::move(sink)),
-      chunk_bytes_(chunk_bytes == 0 ? 1 : chunk_bytes),
-      version_(version) {
+      chunk_bytes_(chunk_bytes == 0 ? 1 : chunk_bytes) {
   DV_CHECK_MSG(sink_ != nullptr, "TraceWriter needs a sink");
-  DV_CHECK_MSG(version_ == kTraceVersion || version_ == kTraceVersionMulti,
+  version_ = sink_->version();
+  DV_CHECK_MSG(version_ >= kTraceVersion && version_ <= kTraceVersionPredicted,
                "TraceWriter cannot write container version " << version_);
 }
 
@@ -247,13 +246,13 @@ TraceWriter::~TraceWriter() = default;
 TraceWriter::StreamBuf& TraceWriter::buf(StreamId id, LaneId lane) {
   if (id == StreamId::kOrder) {
     DV_CHECK_MSG(version_ >= kTraceVersionMulti && lane == 0,
-                 "order stream requires a v5 writer");
+                 "order stream requires a v5 or v6 writer");
     return order_;
   }
   DV_CHECK_MSG(id == StreamId::kSchedule || id == StreamId::kEvents,
                "only data streams are appendable");
   DV_CHECK_MSG(lane == 0 || version_ >= kTraceVersionMulti,
-               "lane streams require a v5 writer");
+               "lane streams require a v5 or v6 writer");
   DV_CHECK_MSG(lane < kMaxLanes, "lane " << lane << " out of range");
   auto& v = id == StreamId::kSchedule ? sched_ : events_;
   if (lane >= v.size()) v.resize(lane + 1);
@@ -356,11 +355,11 @@ const StreamIndex* ContainerIndex::find(StreamId id, LaneId lane) const {
 
 namespace {
 
-// The one walk over a chunked (v4/v5) container. Every reader goes through
+// The one walk over a chunked (v4-v6) container. Every reader goes through
 // it -- FileTraceSource, verify_trace_file and TraceFile::deserialize --
 // so the container's structural rules live here and nowhere else: header
 // and version, known stream ids, per-chunk CRC, a single meta and flight
-// chunk, nothing after the seal, v4/v5 seal totals, and the meta lane
+// chunk, nothing after the seal, v4/v5-layout seal totals, and the meta lane
 // count against the lanes present.
 struct ScanOutcome {
   bool ok = false;
@@ -405,8 +404,8 @@ ScanOutcome scan_chunks(Read&& read) {
   ByteReader hr(header, 8);
   if (hr.get_u32_fixed() != kTraceMagic) return fail("not a DejaVu trace (bad magic)");
   idx.version = hr.get_u32_fixed();
-  if (idx.version != kTraceVersion && idx.version != kTraceVersionMulti) {
-    err << "trace version " << idx.version << " is not v4";
+  if (idx.version < kTraceVersion || idx.version > kTraceVersionPredicted) {
+    err << "trace version " << idx.version << " is not v4, v5 or v6";
     return fail(err.str());
   }
 
@@ -578,7 +577,7 @@ ScanOutcome scan_chunks(Read&& read) {
     return fail(err.str());
   }
   if (!out.meta_seen) return fail("sealed trace has no meta chunk");
-  if (idx.version == kTraceVersionMulti &&
+  if (idx.version >= kTraceVersionMulti &&
       out.meta.lane_count <
           std::max(idx.schedule.size(), idx.events.size())) {
     err << "meta lane count " << out.meta.lane_count
@@ -619,7 +618,7 @@ std::vector<uint8_t> upgrade_v3(const std::vector<uint8_t>& blob) {
   ByteReader r(blob);
   r.skip(8);
   TraceMeta meta = read_meta_payload(r);
-  auto sink = std::make_unique<VectorTraceSink>();
+  auto sink = std::make_unique<VectorTraceSink>(kTraceVersion);
   VectorTraceSink* mem = sink.get();
   TraceWriter w(std::move(sink));
   for (StreamId id : {StreamId::kSchedule, StreamId::kEvents}) {

@@ -1,4 +1,4 @@
-// Trace storage: the chunked, checksummed v4/v5 container.
+// Trace storage: the chunked, checksummed v4/v5/v6 container.
 //
 // v3 stored a recording as one unframed blob, which forced the recorder to
 // keep both streams resident until detach and turned any corruption into an
@@ -6,7 +6,7 @@
 // streaming layer:
 //
 //   file  := header chunk*
-//   header:= magic u32le ("DVJU") | version u32le (4)
+//   header:= magic u32le ("DVJU") | version u32le (4, 5 or 6)
 //   chunk := stream_id u8 | payload_len u32le | payload | crc32 u32le
 //
 // The CRC-32 covers the stream id, the length field and the payload, so a
@@ -27,7 +27,9 @@
 // record never spans chunks), which keeps every chunk independently
 // decodable for salvage and partial dumps. It is the only writer: a
 // recording, a v3 blob upgraded at load and `dejavu convert` all go
-// through it.
+// through it. The container version is the sink's: v6 (v5's layout, clock
+// reads predicted per lane; event_codec.hpp) unless the sink was created
+// for v4 or v5.
 //
 // Reader side: one structural walk checks a container -- header, stream
 // ids, every CRC, single meta/flight chunk, seal totals, meta lane count --
@@ -134,6 +136,9 @@ class TraceSink {
     write_chunk(id, payload, n, 0);
   }
   virtual void flush() {}  // push buffered bytes toward durable storage
+  // The container version the sink's header declares. The recording
+  // engine encodes its events for it (event_codec.hpp).
+  virtual uint32_t version() const = 0;
 
   // Appends the two halves of a flight checkpoint at the current cut to
   // the writers given: the VM snapshot and the engine's resume state.
@@ -162,10 +167,11 @@ class TraceSink {
 // Chunks appended to an in-memory byte vector (record_run's sink).
 class VectorTraceSink : public TraceSink {
  public:
-  explicit VectorTraceSink(uint32_t version = kTraceVersion);
+  explicit VectorTraceSink(uint32_t version = kTraceVersionPredicted);
   using TraceSink::write_chunk;
   void write_chunk(StreamId id, const uint8_t* payload, size_t n,
                    LaneId lane) override;
+  uint32_t version() const override { return version_; }
   const std::vector<uint8_t>& bytes() const { return w_.bytes(); }
   std::vector<uint8_t> take() { return w_.take(); }
   const std::vector<uint8_t>* in_memory() const override {
@@ -173,6 +179,7 @@ class VectorTraceSink : public TraceSink {
   }
 
  private:
+  uint32_t version_;
   ByteWriter w_;
 };
 
@@ -182,7 +189,7 @@ class VectorTraceSink : public TraceSink {
 class FileTraceSink : public TraceSink {
  public:
   explicit FileTraceSink(const std::string& path,
-                         uint32_t version = kTraceVersion);
+                         uint32_t version = kTraceVersionPredicted);
   ~FileTraceSink() override;
   FileTraceSink(const FileTraceSink&) = delete;
   FileTraceSink& operator=(const FileTraceSink&) = delete;
@@ -191,22 +198,25 @@ class FileTraceSink : public TraceSink {
   void write_chunk(StreamId id, const uint8_t* payload, size_t n,
                    LaneId lane) override;
   void flush() override;
+  uint32_t version() const override { return version_; }
 
  private:
   std::FILE* f_ = nullptr;
   std::string path_;
+  uint32_t version_;
 };
 
 // Engine-facing writer: per-(stream, lane) bounded buffering over a
-// TraceSink. With version 4 (the default) exactly lane 0 exists and the
-// output is the classic v4 container, byte-for-byte. With version 5 the
-// writer accepts appends to any lane plus the kOrder stream and finishes
-// with the v5 seal.
+// TraceSink, in the sink's container version. With a v4 sink exactly lane
+// 0 exists and the output is the classic v4 container, byte-for-byte.
+// With a v5 or v6 sink the writer accepts appends to any lane plus the
+// kOrder stream and finishes with the v5 seal. The writer copies bytes; it
+// never looks inside a record, so the version's event encoding is the
+// caller's (event_codec.hpp).
 class TraceWriter {
  public:
   explicit TraceWriter(std::unique_ptr<TraceSink> sink,
-                       size_t chunk_bytes = kDefaultChunkBytes,
-                       uint32_t version = kTraceVersion);
+                       size_t chunk_bytes = kDefaultChunkBytes);
   ~TraceWriter();
 
   // Append one whole logical record (schedule entry, event, checkpoint,
@@ -275,6 +285,9 @@ class TraceSource {
     return read_chunk(id, 0, index, out);
   }
   uint32_t lane_count() const { return meta().lane_count; }
+  // The container version (4, 5 or 6; a v3 file reads as its v4 upgrade),
+  // which selects the events stream's encoding.
+  virtual uint32_t version() const = 0;
   // Payload of the trace's kFlight chunk; empty for ordinary full traces.
   // Non-empty only for flight-recorder tails, whose replay must start from
   // the embedded checkpoint (when one is present).
@@ -296,7 +309,7 @@ struct StreamIndex {
   uint64_t bytes = 0;  // payload bytes over all chunks
 };
 
-// What the container walk learns about a well-formed v4/v5 container.
+// What the container walk learns about a well-formed v4/v5/v6 container.
 struct ContainerIndex {
   uint32_t version = 0;
   std::vector<StreamIndex> schedule, events;  // indexed by lane
@@ -307,8 +320,8 @@ struct ContainerIndex {
   const StreamIndex* find(StreamId id, LaneId lane) const;
 };
 
-// A trace held in memory: the container bytes (v4, or v5 when multi-lane)
-// exactly as they were recorded or loaded, plus the walk's index over them.
+// A trace held in memory: the container bytes exactly as they were
+// recorded or loaded, plus the walk's index over them.
 // Nothing is decoded or re-encoded on the way in or out, so serialize()
 // and save() return the recording byte for byte. A v3 blob is upgraded to
 // v4 bytes once, at deserialize/load, through the ordinary TraceWriter.
@@ -320,8 +333,8 @@ class TraceFile {
   TraceMeta meta;
 
   TraceFile() = default;
-  // Accepts v3, v4 and v5 bytes; throws VmError, located, on anything the
-  // container walk rejects.
+  // Accepts v3, v4, v5 and v6 bytes; throws VmError, located, on anything
+  // the container walk rejects.
   static TraceFile deserialize(std::vector<uint8_t> bytes);
   static TraceFile load(const std::string& path);
 
@@ -348,6 +361,7 @@ class TraceFileSource : public TraceSource {
   using TraceSource::read_chunk;
   using TraceSource::stream_info;
   const TraceMeta& meta() const override { return file().meta; }
+  uint32_t version() const override { return file().version(); }
   StreamInfo stream_info(StreamId id, LaneId lane) const override;
   bool read_chunk(StreamId id, LaneId lane, size_t index,
                   std::vector<uint8_t>* out) override;
@@ -361,7 +375,7 @@ class TraceFileSource : public TraceSource {
   const TraceFile* borrowed_ = nullptr;
 };
 
-// Streams a v4/v5 file: one CRC-verifying walk at open (O(chunk) memory)
+// Streams a v4/v5/v6 file: one CRC-verifying walk at open (O(chunk) memory)
 // builds the container index and loads the meta block; read_chunk then
 // seeks on demand. Throws VmError with the offending stream/offset on
 // corruption, truncation, or a missing seal.
@@ -375,6 +389,7 @@ class FileTraceSource : public TraceSource {
   using TraceSource::read_chunk;
   using TraceSource::stream_info;
   const TraceMeta& meta() const override { return meta_; }
+  uint32_t version() const override { return index_.version; }
   StreamInfo stream_info(StreamId id, LaneId lane) const override;
   bool read_chunk(StreamId id, LaneId lane, size_t index,
                   std::vector<uint8_t>* out) override;
@@ -389,7 +404,7 @@ class FileTraceSource : public TraceSource {
   ContainerIndex index_;
 };
 
-// Opens `path` as a streaming source: v4/v5 files stream from disk; v3
+// Opens `path` as a streaming source: v4-v6 files stream from disk; v3
 // files are loaded whole through the compatibility reader.
 std::unique_ptr<TraceSource> open_trace_source(const std::string& path);
 

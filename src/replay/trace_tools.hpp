@@ -21,12 +21,15 @@
 
 namespace dejavu::replay {
 
+// One event, its clock value absolute whatever the trace's encoding.
 struct DecodedEvent {
   EventTag tag;
   int64_t value = 0;                // clock/input/rand/native-return
   std::string callback_class;      // native callbacks only
   std::string callback_method;
   std::vector<int64_t> callback_args;
+
+  bool operator==(const DecodedEvent&) const = default;
 };
 
 struct DecodedSchedule {
@@ -49,8 +52,10 @@ struct DecodedOrderEvent {
   uint64_t subject = 0;
 };
 
-// Stream decoding (throws VmError on malformed streams). `lane` selects
-// the per-lane stream of a v5 trace; 0 is the only lane of a v3/v4 trace.
+// Stream decoding (throws VmError, located, on malformed streams). `lane`
+// selects the per-lane stream of a v5/v6 trace; 0 is the only lane of a
+// v3/v4 trace. Events decode through the EventCodec, so a v6 trace's clock
+// values come out absolute, as a v4/v5 trace's do.
 DecodedSchedule decode_schedule(TraceSource& src, LaneId lane = 0);
 std::vector<DecodedEvent> decode_events(TraceSource& src, LaneId lane = 0);
 std::vector<DecodedOrderEvent> decode_order(TraceSource& src);
@@ -81,7 +86,10 @@ TraceStats trace_stats(TraceSource& src);
 // v4 -> v4 is a copy of every chunk; v4 -> v5 lifts a single-lane trace
 // into a one-lane v5 container and a one-lane v5 trace goes back to v4
 // the same way. Throws VmError when v4 cannot hold the source (more than
-// one lane, or an order stream).
+// one lane, or an order stream), and between v6 and v3-v5 either way: it
+// would have to re-encode the clock events, and the bytes a recording
+// mirrors into its guest buffers -- so its recorded heap hash -- depend on
+// that encoding.
 std::vector<uint8_t> convert_trace(TraceSource& src, uint32_t version);
 
 // Human-readable dump (optionally truncated to `max_lines` per stream).

@@ -22,6 +22,7 @@ using testutil::streams_of;
 
 struct LaneSetup {
   uint32_t lanes = 2;
+  uint32_t version = kTraceVersionPredicted;  // the sink's container
   uint64_t timer_seed = 7;
   std::vector<int64_t> inputs{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
   vm::VmOptions opts;
@@ -38,7 +39,7 @@ RecordResult record_with(const bytecode::Program& prog, const LaneSetup& s) {
   SymmetryConfig cfg = s.cfg;
   cfg.lanes = s.lanes;
   std::unique_ptr<TraceSink> sink =
-      std::make_unique<VectorTraceSink>(trace_version_for_lanes(cfg.lanes));
+      std::make_unique<VectorTraceSink>(s.version);
   if (s.skew_nth != 0)
     sink = fuzz::skew_schedule(std::move(sink), s.skew_nth,
                                cfg.checkpoint_interval);
@@ -101,20 +102,45 @@ INSTANTIATE_TEST_SUITE_P(Lanes, LaneReplay, ::testing::Values(1u, 2u, 3u, 5u));
 
 // ---------------------------------------------------- container versions
 
+// Sinks created for v4 and v5 still record those containers: one lane in
+// v4, several in v5. A v4 sink cannot hold two lanes.
 TEST(LaneTrace, SingleLaneRecordsV4MultiLaneRecordsV5) {
   LaneSetup s1;
   s1.lanes = 1;
+  s1.version = kTraceVersion;
   RecordResult r1 = record_with(workloads::counter_race(2, 8), s1);
   EXPECT_EQ(r1.trace.meta.lane_count, 1u);
   EXPECT_EQ(r1.trace.version(), kTraceVersion);
 
   LaneSetup s2;
   s2.lanes = 2;
+  s2.version = kTraceVersionMulti;
   RecordResult r2 = record_with(workloads::counter_race(2, 8), s2);
   EXPECT_EQ(r2.trace.meta.lane_count, 2u);
   EXPECT_EQ(r2.trace.version(), kTraceVersionMulti);
   EXPECT_EQ(r2.trace.index().schedule.size(), 2u);
   EXPECT_EQ(r2.trace.index().events.size(), 2u);
+
+  s2.version = kTraceVersion;
+  EXPECT_THROW(record_with(workloads::counter_race(2, 8), s2), VmError);
+}
+
+// Every recording through the sessions writes v6, whatever its lane
+// count, and replays verified.
+TEST(LaneTrace, EveryLaneCountRecordsV6) {
+  bytecode::Program prog = workloads::counter_race(2, 8);
+  for (uint32_t lanes : {1u, 2u, 3u}) {
+    SCOPED_TRACE("lanes " + std::to_string(lanes));
+    vm::ScriptedEnvironment env(1000, 7, {1, 2, 3}, 17);
+    threads::VirtualTimer timer(7, 5, 120);
+    SymmetryConfig cfg;
+    cfg.lanes = lanes;
+    RecordResult rec = record_run(prog, {}, env, timer, nullptr, cfg);
+    EXPECT_EQ(rec.trace.version(), kTraceVersionPredicted);
+    EXPECT_EQ(rec.trace.meta.lane_count, lanes);
+    ReplayResult rep = replay_run(prog, rec.trace, {}, cfg);
+    EXPECT_TRUE(rep.verified) << rep.stats.first_violation;
+  }
 }
 
 TEST(LaneTrace, SingleLaneTraceIsByteIdenticalToPreLaneEngine) {
@@ -165,6 +191,7 @@ std::vector<uint8_t> converted(const TraceFile& trace, uint32_t version) {
 TEST(LaneConvert, ConvertToV5RoundTripsSingleLaneTrace) {
   LaneSetup s;
   s.lanes = 1;
+  s.version = kTraceVersion;
   bytecode::Program prog = workloads::counter_race(3, 12);
   RecordResult rec = record_with(prog, s);
   ASSERT_EQ(rec.trace.version(), kTraceVersion);
@@ -191,6 +218,7 @@ TEST(LaneConvert, ConvertToV5RoundTripsSingleLaneTrace) {
 TEST(LaneConvert, ConvertedV5FileOpensThroughEveryReader) {
   LaneSetup s;
   s.lanes = 1;
+  s.version = kTraceVersion;
   bytecode::Program prog = workloads::lock_pingpong(8);
   RecordResult rec = record_with(prog, s);
   std::vector<uint8_t> v5 = converted(rec.trace, kTraceVersionMulti);

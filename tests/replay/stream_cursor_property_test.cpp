@@ -56,7 +56,7 @@ std::vector<uint8_t> reference_payload() {
 void write_manual_v4(const std::string& path,
                      const std::vector<uint8_t>& sched,
                      const std::vector<uint8_t>& events, size_t split) {
-  FileTraceSink sink(path);
+  FileTraceSink sink(path, kTraceVersion);
   uint32_t sched_chunks = 0, events_chunks = 0;
   auto emit = [&](StreamId id, const std::vector<uint8_t>& payload,
                   uint32_t* count) {

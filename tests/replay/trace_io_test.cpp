@@ -254,7 +254,7 @@ TEST(TraceV4, TruncationAtEveryPointIsDetected) {
 TEST(ReaderAgreement, MetaLaneCountBelowLanesPresentIsRejectedEverywhere) {
   auto sink = std::make_unique<VectorTraceSink>(kTraceVersionMulti);
   VectorTraceSink* mem = sink.get();
-  TraceWriter w(std::move(sink), /*chunk_bytes=*/16, kTraceVersionMulti);
+  TraceWriter w(std::move(sink), /*chunk_bytes=*/16);
   std::vector<uint8_t> sched = sample_schedule(), events = sample_events();
   for (LaneId lane = 0; lane < 3; ++lane) {
     w.append(StreamId::kSchedule, sched.data(), sched.size(), lane);

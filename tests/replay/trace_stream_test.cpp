@@ -33,6 +33,18 @@ struct Harness {
     return record_run(prog, opts, env, timer, &natives, cfg);
   }
 
+  // Through a v4 sink: absolute clock values, as a v3 blob holds them.
+  RecordResult record_v4() {
+    vm::ScriptedEnvironment env(1000, 7, {1, 2, 3, 4, 5, 6, 7, 8}, 17);
+    threads::VirtualTimer timer(7, 3, 60);
+    vm::NativeRegistry natives = vmtest::make_test_natives();
+    RecordSession s(prog, std::make_unique<VectorTraceSink>(kTraceVersion),
+                    opts, env, timer, &natives, cfg);
+    RecordResult r = s.finish();
+    r.trace = s.take_trace();
+    return r;
+  }
+
   RecordFileResult record_to(const std::string& path) {
     vm::ScriptedEnvironment env(1000, 7, {1, 2, 3, 4, 5, 6, 7, 8}, 17);
     threads::VirtualTimer timer(7, 3, 60);
@@ -189,7 +201,7 @@ TEST(TraceStream, TruncatedRealRecordingFailsCleanly) {
 
 TEST(TraceStream, V3TraceReplaysAndConvertsToV4) {
   Harness h;
-  RecordResult rec = h.record();
+  RecordResult rec = h.record_v4();
   std::string v3 = temp_path("dv_stream_v3.djv");
   std::string v4 = temp_path("dv_stream_v4.djv");
   write_file(v3, testutil::v3_blob(

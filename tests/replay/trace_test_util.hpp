@@ -13,8 +13,11 @@
 
 namespace dejavu::replay::testutil {
 
-// A trace's content, stream by stream.
+// A trace's content, stream by stream, and the container version whose
+// event encoding the streams are in (0: v4, or v5 when multi-lane --
+// absolute values, as a hand-made sample writes them).
 struct TraceStreams {
+  uint32_t version = 0;
   TraceMeta meta;
   std::vector<std::vector<uint8_t>> schedule, events;  // indexed by lane
   std::vector<uint8_t> order;
@@ -37,6 +40,7 @@ inline std::vector<uint8_t> stream_bytes(const TraceFile& t, StreamId id,
 
 inline TraceStreams streams_of(const TraceFile& t) {
   TraceStreams s;
+  s.version = t.version();
   s.meta = t.meta;
   for (LaneId k = 0; k < std::max<uint32_t>(t.meta.lane_count, 1); ++k) {
     s.schedule.push_back(stream_bytes(t, StreamId::kSchedule, k));
@@ -46,16 +50,17 @@ inline TraceStreams streams_of(const TraceFile& t) {
   return s;
 }
 
-// Writes `s` as a v4 container (v5 when it has more than one lane), each
-// stream appended whole, and reads it back.
+// Writes `s` in its container version, each stream appended whole, and
+// reads it back.
 inline TraceFile build_trace(const TraceStreams& s) {
   uint32_t lanes = std::max<uint32_t>(
       s.meta.lane_count,
       uint32_t(std::max(s.schedule.size(), s.events.size())));
-  uint32_t version = trace_version_for_lanes(lanes);
+  uint32_t version = s.version;
+  if (version == 0) version = lanes > 1 ? kTraceVersionMulti : kTraceVersion;
   auto sink = std::make_unique<VectorTraceSink>(version);
   VectorTraceSink* mem = sink.get();
-  TraceWriter w(std::move(sink), kDefaultChunkBytes, version);
+  TraceWriter w(std::move(sink), kDefaultChunkBytes);
   for (LaneId k = 0; k < lanes; ++k) {
     if (k < s.schedule.size())
       w.append(StreamId::kSchedule, s.schedule[k].data(), s.schedule[k].size(),

@@ -114,5 +114,56 @@ TEST(TraceTools, DiffRejectsDifferentPrograms) {
   EXPECT_NE(d.description.find("different programs"), std::string::npos);
 }
 
+// The same run recorded through the default (v6) sink and a v4 sink: the
+// tools decode both to the same schedule and events, clock values
+// absolute, and convert refuses to re-encode one as the other.
+TEST(TraceTools, V6AndV4RecordingsDecodeAlikeAndDoNotConvert) {
+  bytecode::Program prog = workloads::clock_mixer(3, 30);
+  auto record = [&](uint32_t version) {
+    vm::ScriptedEnvironment env(1000, 7, {1, 2, 3}, 17);
+    threads::VirtualTimer timer(7, 5, 80);
+    vm::NativeRegistry natives = vmtest::make_test_natives();
+    RecordSession s(prog, std::make_unique<VectorTraceSink>(version), {}, env,
+                    timer, &natives);
+    RecordResult r = s.finish();
+    r.trace = s.take_trace();
+    return r;
+  };
+  RecordResult v6 = record(kTraceVersionPredicted);
+  RecordResult v4 = record(kTraceVersion);
+  ASSERT_EQ(v6.trace.version(), kTraceVersionPredicted);
+  EXPECT_EQ(v6.output, v4.output);
+  TraceFileSource s6(&v6.trace), s4(&v4.trace);
+  std::vector<DecodedEvent> e6 = decode_events(s6);
+  ASSERT_EQ(e6.size(), v6.stats.nd_events());
+  EXPECT_EQ(e6, decode_events(s4));
+  EXPECT_EQ(e6.front().value, 1000);  // the scripted clock's first read
+  EXPECT_EQ(decode_schedule(s6).entries.size(),
+            decode_schedule(s4).entries.size());
+  EXPECT_TRUE(diff_traces(s6, s4).identical);
+  // dump differs only in its byte total.
+  std::string d6 = dump_trace(s6, SIZE_MAX), d4 = dump_trace(s4, SIZE_MAX);
+  EXPECT_EQ(d6.substr(d6.find('\n')), d4.substr(d4.find('\n')));
+  TraceStats st = trace_stats(s6);
+  EXPECT_EQ(st.clock_events, v6.stats.clock_events);
+  EXPECT_LT(st.event_bytes, trace_stats(s4).event_bytes);
+
+  // Converting a trace to its own version gives its bytes back; between
+  // v6 and v4/v5 it is refused, naming both versions.
+  EXPECT_EQ(convert_trace(s6, kTraceVersionPredicted), v6.trace.serialize());
+  for (uint32_t to : {kTraceVersion, kTraceVersionMulti}) {
+    try {
+      convert_trace(s6, to);
+      ADD_FAILURE() << "v6 converted to v" << to;
+    } catch (const VmError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "cannot convert a v6 trace to v" + std::to_string(to)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(convert_trace(s4, kTraceVersionPredicted), VmError);
+}
+
 }  // namespace
 }  // namespace dejavu::replay
