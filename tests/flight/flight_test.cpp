@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "src/flight/session.hpp"
 #include "src/replay/engine.hpp"
 #include "src/replay/session.hpp"
+#include "src/replay/trace_tools.hpp"
 #include "src/workloads/workloads.hpp"
 
 namespace dejavu::flight {
@@ -294,6 +296,63 @@ TEST(FlightTail, TailReplayMatchesFullReplaySuffix) {
         std::remove(tp.c_str());
       }
     }
+  }
+}
+
+// The event lines `dump_trace` prints for `lane` of `src`.
+std::vector<std::string> dumped_events(replay::TraceSource& src,
+                                       replay::LaneId lane) {
+  std::string head = src.lane_count() > 1
+                         ? "lane " + std::to_string(lane) + " events ("
+                         : "events (";
+  std::istringstream in(replay::dump_trace(src, SIZE_MAX));
+  std::vector<std::string> lines;
+  bool in_events = false;
+  for (std::string line; std::getline(in, line);) {
+    if (in_events && line.rfind("  ", 0) != 0) break;
+    if (in_events) lines.push_back(line);
+    in_events |= line.rfind(head, 0) == 0;
+  }
+  return lines;
+}
+
+// A v6 tail's events streams begin mid-stream, at its checkpoint, where
+// each lane's clock predictor already holds a value and a delta: dump,
+// diff and stats decode the tail's clock reads from the checkpoint's
+// predictors to the same absolute values the full recording decodes to.
+TEST(FlightTail, ToolsDecodeTailClocksAsTheFullRecordingSuffix) {
+  bytecode::Program prog = workloads::clock_mixer(3, 60);
+  for (uint32_t lanes : {1u, 2u}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    std::string fp = tmp_path("tools_full");
+    std::string tp = tmp_path("tools_tail");
+    full_record(fp, prog, lanes, 5);
+    FlightRecordResult fl =
+        flight_record(tp, prog, lanes, 5, FlightConfig{2, 3});
+    ASSERT_GT(fl.flight.epochs_retired, 0u);
+    replay::FileTraceSource full(fp), tail(tp);
+    ASSERT_EQ(tail.version(), replay::kTraceVersionPredicted);
+    uint64_t tail_clocks = 0;
+    for (replay::LaneId lane = 0; lane < lanes; ++lane) {
+      SCOPED_TRACE("lane " + std::to_string(lane));
+      std::vector<replay::DecodedEvent> all = replay::decode_events(full, lane);
+      std::vector<replay::DecodedEvent> end = replay::decode_events(tail, lane);
+      ASSERT_LE(end.size(), all.size());
+      EXPECT_TRUE(std::equal(end.begin(), end.end(),
+                             all.end() - std::ptrdiff_t(end.size())));
+      for (const replay::DecodedEvent& e : end)
+        tail_clocks += e.tag == replay::EventTag::kClock;
+      std::vector<std::string> all_lines = dumped_events(full, lane);
+      std::vector<std::string> end_lines = dumped_events(tail, lane);
+      ASSERT_EQ(end_lines.size(), end.size());
+      EXPECT_TRUE(std::equal(end_lines.begin(), end_lines.end(),
+                             all_lines.end() - std::ptrdiff_t(end.size())));
+    }
+    EXPECT_GT(tail_clocks, 0u);
+    EXPECT_EQ(replay::trace_stats(tail).clock_events, tail_clocks);
+    EXPECT_TRUE(replay::diff_traces(tail, tail).identical);
+    std::remove(fp.c_str());
+    std::remove(tp.c_str());
   }
 }
 
